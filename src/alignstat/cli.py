@@ -25,7 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .detection import generate_alt_oriented, generate_null_oriented
-from .errors import AlignstatError, CliConfigError, DegenerateFit, UnsupportedDims
+from .errors import (
+    AlignstatError,
+    CliConfigError,
+    DegenerateFit,
+    DimensionMismatch,
+    ParamOrder,
+    UnsupportedDims,
+)
 from .experiments import (
     EXPERIMENT_C2,
     ExperimentConfig,
@@ -263,14 +270,11 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
         f"problem = {args.problem}",
         f"target_rho = {result.target_rho!r}",
         "means = " + ", ".join(f"({n}, {m!r})" for n, m in result.means),
+        f"slope = {result.fit.slope!r}",
+        f"stderr = {result.fit.stderr!r}",
+        f"intercept = {result.fit.intercept!r}",
+        f"slope_minus_target = {result.fit.slope - result.target_rho!r}",
     ]
-    if result.fit is not None:
-        report += [
-            f"slope = {result.fit.slope!r}",
-            f"stderr = {result.fit.stderr!r}",
-            f"intercept = {result.fit.intercept!r}",
-            f"slope_minus_target = {result.fit.slope - result.target_rho!r}",
-        ]
     (out_dir / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
     print(f"wrote {out_dir / 'sweep.csv'} ({len(result.records)} records, "
@@ -374,7 +378,10 @@ def main(argv=None) -> int:
             "power": cmd_power,
         }[args.command]
         return handler(args, out_dir)
-    except (CliConfigError, UnsupportedDims) as exc:
+    except (CliConfigError, UnsupportedDims, ParamOrder, DimensionMismatch) as exc:
+        # Every parameter reaching the library here came from the command
+        # line or a config file, so a violated ordering or dimension rule
+        # is a configuration error.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AlignstatError as exc:

@@ -13,6 +13,8 @@ lower-bound object: one admissible jet per even grid cell, certified by an
 actual interpolant through the selected nodes) and, for k = 1, a dynamic
 program maximizing the number of samples inside the discrepancy tube of a
 quantized jet profile (the computable surrogate of the net upper bound).
+The smoothness rules hold per output coordinate, so one separable DP
+serves every d - k; its ``state_cap`` is its only size limit.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -21,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
@@ -43,7 +44,9 @@ from .holder import (
     build_interpolant,
     holder_membership_check,
     multi_index_set,
+    phi_tube_radii,
 )
+from .nets import MeasureEstimate
 
 # ---------------------------------------------------------------------------
 # Scaling exponents (exact rational arithmetic)
@@ -357,14 +360,16 @@ def tube_dp_statistic(
     """Max number of samples inside the discrepancy tube of a quantized profile.
 
     Profiles are piecewise linear over x-cells of width sqrt(eps): per
-    cell a value level (step eps on [0, 1]) and a slope level (step
-    sqrt(eps) on [-beta, beta]).  A sample (x, y0, y1) is covered when
-    |y0 - (v + u (x - cell_left))| <= eps and |y1 - u| <= sqrt(eps) in
-    every output coordinate.  Adjacent cells must satisfy the smoothness
-    increments |v' - v - u dx| <= beta dx^2 and |u' - u| <= beta dx,
-    which in level units reduce to the integer rules |j' - j - i| <= beta
-    and |i' - i| <= beta.  The maximum over admissible profiles is the
-    longest path in the cell-by-cell state lattice.
+    cell and output coordinate a value level j (step eps on [0, 1]) and a
+    slope level i (step sqrt(eps) on [-beta, beta]).  A sample (x, y0, y1)
+    is covered when |y0 - (v + u (x - cell_left))| <= eps and
+    |y1 - u| <= sqrt(eps) in every output coordinate.  Adjacent cells must
+    satisfy the smoothness increments |v' - v - u dx| <= beta dx^2 and
+    |u' - u| <= beta dx in every coordinate, which in level units reduce
+    to the integer rules |j' - j - i| <= beta and |i' - i| <= beta.  The
+    maximum over admissible profiles is the longest path in the
+    cell-by-cell lattice of the (nv nu)^(d-k) product states, whose count
+    ``state_cap`` bounds.
     """
     if k != 1 or alpha != 2.0 or r0 != 1:
         raise Unsupported("the tube DP is implemented for k=1, alpha=2, r0=1 only")
@@ -378,107 +383,65 @@ def tube_dp_statistic(
     nv = int(math.floor(1.0 / eps)) + 1
     nu_half = int(math.floor(beta / delta))
     nu = 2 * nu_half + 1
-    if (nv * nu) ** dim_out > state_cap:
-        raise BudgetExceeded(
-            f"state count {(nv * nu) ** dim_out} exceeds cap {state_cap}"
-        )
+    n_states = (nv * nu) ** dim_out
+    if n_states > state_cap:
+        raise BudgetExceeded(f"state count {n_states} exceeds cap {state_cap}")
     if len(samples) == 0:
         return 0
     step_radius = int(math.floor(beta))
 
-    if dim_out == 1:
-        return _tube_dp_scalar(
-            samples, eps, delta, n_cells, nv, nu_half, step_radius
-        )
-    return _tube_dp_product(samples, eps, delta, n_cells, nv, nu_half, step_radius)
-
-
-def _sample_cells(xs: np.ndarray, delta: float, n_cells: int) -> np.ndarray:
-    cells = np.floor(xs[:, 0] / delta).astype(np.int64)
-    return np.clip(cells, 0, n_cells - 1)
-
-
-def _cover_ranges(x, y0, y1, cell, eps, delta, nv, nu_half):
-    """Iterate (j, i) level pairs covering one scalar sample."""
-    i_lo = math.ceil((y1 - delta) / delta)
-    i_hi = math.floor((y1 + delta) / delta)
-    dx = x - cell * delta
-    for i in range(max(i_lo, -nu_half), min(i_hi, nu_half) + 1):
+    # Weights: a sample covers at most 3 slope levels per coordinate, and
+    # for each of them at most 3 value levels.  The valid ones among these
+    # 9 candidate (j, i) pairs extend each (sample, partial index) entry,
+    # one coordinate at a time, to the flat index
+    # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half.
+    n = len(samples)
+    x = samples.xs[:, 0]
+    cells = np.clip(np.floor(x / delta).astype(np.int64), 0, n_cells - 1)
+    dx = (x - cells * delta)[:, None]
+    flat = cells
+    owner = np.arange(n)
+    for comp in range(dim_out):
+        y0 = samples.ys[:, 0, comp, None]
+        y1 = samples.ys[:, 1, comp]
+        i_lo = np.ceil((y1 - delta) / delta).astype(np.int64)
+        i_hi = np.floor((y1 + delta) / delta).astype(np.int64)
+        i = i_lo[:, None] + np.arange(3)
+        i_ok = (i <= i_hi[:, None]) & (i >= -nu_half) & (i <= nu_half)
         center = y0 - i * delta * dx
-        j_lo = math.ceil((center - eps) / eps)
-        j_hi = math.floor((center + eps) / eps)
-        for j in range(max(j_lo, 0), min(j_hi, nv - 1) + 1):
-            yield j, i
+        j_lo = np.ceil((center - eps) / eps).astype(np.int64)
+        j_hi = np.floor((center + eps) / eps).astype(np.int64)
+        j = j_lo[:, :, None] + np.arange(3)
+        valid = i_ok[:, :, None] & (j <= j_hi[:, :, None]) & (j >= 0) & (j < nv)
+        state = (j * nu + (i + nu_half)[:, :, None]).reshape(n, 9)
+        rows, cand = np.nonzero(valid.reshape(n, 9)[owner])
+        flat = flat[rows] * (nv * nu) + state[owner[rows], cand]
+        owner = owner[rows]
+    weights = np.bincount(flat, minlength=n_cells * n_states).astype(float)
+    weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
-
-def _tube_dp_scalar(samples, eps, delta, n_cells, nv, nu_half, step_radius) -> int:
-    nu = 2 * nu_half + 1
-    weights = np.zeros((n_cells, nv, nu))
-    cells = _sample_cells(samples.xs, delta, n_cells)
-    for idx in range(len(samples)):
-        c = int(cells[idx])
-        x = float(samples.xs[idx, 0])
-        y0 = float(samples.ys[idx, 0, 0])
-        y1 = float(samples.ys[idx, 1, 0])
-        for j, i in _cover_ranges(x, y0, y1, c, eps, delta, nv, nu_half):
-            weights[c, j, i + nu_half] += 1.0
     # Predecessor max: A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a
     # radius-R window of dp[:, i] centered at j' - i.  The center can fall
     # outside [0, nv) while the window still reaches inside, so window-max
-    # over a -inf-padded j axis first, then gather at the shifted centers.
+    # over a -inf-padded j axis first, then gather at the shifted centers,
+    # then window-max over i.  Compatibility is a per-coordinate condition,
+    # so the max over predecessors is this step along each coordinate's
+    # (j, i) axes in turn.
     pad = nu_half
     centers = np.arange(nv)[:, None] - (np.arange(nu)[None, :] - nu_half) + pad
     cols = np.broadcast_to(np.arange(nu)[None, :], centers.shape)
-    dp = weights[0].copy()
+    dp = weights[0]
     for c in range(1, n_cells):
-        padded = np.full((nv + 2 * pad, nu), -np.inf)
-        padded[pad : pad + nv, :] = dp
-        window = _sliding_max(padded, step_radius, axis=0)
-        best_j = window[centers, cols]
-        best = _sliding_max(best_j, step_radius, axis=1)
-        dp = weights[c] + best
-    return int(round(float(np.max(dp))))
-
-
-def _tube_dp_product(samples, eps, delta, n_cells, nv, nu_half, step_radius) -> int:
-    """Generic product-state DP for d - k >= 2 (small state spaces only)."""
-    nu = 2 * nu_half + 1
-    dim_out = samples.params.dim_out
-    states = list(product(range(nv), range(-nu_half, nu_half + 1)))
-    n_states = len(states)
-    cells = _sample_cells(samples.xs, delta, n_cells)
-    weights = [dict() for _ in range(n_cells)]
-    for idx in range(len(samples)):
-        c = int(cells[idx])
-        x = float(samples.xs[idx, 0])
-        per_comp = []
         for comp in range(dim_out):
-            y0 = float(samples.ys[idx, 0, comp])
-            y1 = float(samples.ys[idx, 1, comp])
-            per_comp.append(list(_cover_ranges(x, y0, y1, c, eps, delta, nv, nu_half)))
-        for combo in product(*per_comp):
-            weights[c][combo] = weights[c].get(combo, 0) + 1
-
-    def compatible(a, b) -> bool:
-        for (j, i), (jp, ip) in zip(a, b):
-            if abs(jp - j - i) > step_radius or abs(ip - i) > step_radius:
-                return False
-        return True
-
-    all_states = list(product(states, repeat=dim_out))
-    if len(all_states) * n_cells > 5_000_000:  # pragma: no cover - guarded by cap
-        raise BudgetExceeded("product state space too large")
-    dp = {s: float(weights[0].get(s, 0)) for s in all_states}
-    for c in range(1, n_cells):
-        ndp = {}
-        for sp in all_states:
-            best = max(
-                (v for s, v in dp.items() if compatible(s, sp)),
-                default=float("-inf"),
-            )
-            ndp[sp] = best + weights[c].get(sp, 0)
-        dp = ndp
-    return int(max(dp.values()))
+            axes = (2 * comp, 2 * comp + 1)
+            front = np.moveaxis(dp, axes, (0, 1))
+            padded = np.full((nv + 2 * pad,) + front.shape[1:], -np.inf)
+            padded[pad : pad + nv] = front
+            window = _sliding_max(padded, step_radius, axis=0)
+            best = _sliding_max(window[centers, cols], step_radius, axis=1)
+            dp = np.moveaxis(best, (0, 1), axes)
+        dp = dp + weights[c]
+    return int(round(float(np.max(dp))))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +538,7 @@ def fit_scaling_exponent(points) -> FitResult:
 
 def tube_hit_fraction(
     f, params: HolderParams, eps: float, trials: int, rng: np.random.Generator
-) -> MeasureLikeEstimate:
+) -> MeasureEstimate:
     """Fraction of null draws within discrepancy eps of the graph of f.
 
     The tube condition splits per index weight: the row-s gap must not
@@ -583,21 +546,10 @@ def tube_hit_fraction(
     """
     samples = generate_null_jets(trials, params, rng)
     jets = f.jet_grid(samples.xs, params.index_set())
-    radii = [
-        eps ** ((params.alpha - sum(s)) / params.alpha) for s in params.index_set()
-    ]
     inside = np.ones(trials, dtype=bool)
-    for row, radius in enumerate(radii):
+    for row, radius in enumerate(phi_tube_radii(params, eps)):
         gaps = np.max(np.abs(samples.ys[:, row, :] - jets[:, row, :]), axis=1)
         inside &= gaps <= radius
     hits = int(np.sum(inside))
     p = hits / trials
-    return MeasureLikeEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits)
-
-
-@dataclass
-class MeasureLikeEstimate:
-    p_hat: float
-    stderr: float
-    trials: int
-    hits: int
+    return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits)

@@ -22,8 +22,6 @@ from .errors import ChartSingular, DimensionMismatch, OutOfDomain, RankDeficient
 
 # Orthonormality of stored frames, entrywise on frame^T frame - I.
 ORTHO_TOL = 1e-10
-# Two subspaces are considered the same point when their angle is below this.
-SAME_SUBSPACE_ANGLE = 1e-8
 # Smallest singular value accepted before declaring rank deficiency.
 RANK_TOL = 1e-12
 
@@ -52,12 +50,6 @@ class Subspace:
     @property
     def dim_sub(self) -> int:
         return self.frame.shape[1]
-
-    def same_subspace(self, other: "Subspace") -> bool:
-        """Frame-independent equality: angle below 1e-8."""
-        if self.frame.shape != other.frame.shape:
-            return False
-        return canonical_angle(self, other) < SAME_SUBSPACE_ANGLE
 
     def __repr__(self) -> str:
         return f"Subspace(d={self.dim_ambient}, k={self.dim_sub})"

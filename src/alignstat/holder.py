@@ -169,19 +169,6 @@ class JetSamples:
     def take(self, idx) -> "JetSamples":
         return JetSamples(self.params, self.xs[idx], self.ys[idx])
 
-    @classmethod
-    def from_points(cls, params: HolderParams, points) -> "JetSamples":
-        pts = list(points)
-        if not pts:
-            return cls(
-                params,
-                np.zeros((0, params.k)),
-                np.zeros((0, len(params.index_set()), params.dim_out)),
-            )
-        xs = np.stack([p.x for p in pts])
-        ys = np.stack([p.y for p in pts])
-        return cls(params, xs, ys)
-
 
 def discrepancy_phi(y1: np.ndarray, y2: np.ndarray, params: HolderParams) -> float:
     """Jet discrepancy: max over s of |y1^s - y2^s|_inf^(alpha/(alpha-|s|))."""

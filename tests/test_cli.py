@@ -1,5 +1,7 @@
 """Command-line driver: outputs, exit codes, manifest round-trips."""
 
+import pytest
+
 from alignstat.cli import main
 
 
@@ -220,3 +222,17 @@ class TestPower:
         header, row = lines
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["power"]) >= 0.95
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponent-sweep", "--trials", 0],
+        ["exponent-sweep", "--k", 2, "--d", 2],
+        ["power", "--level", 1.5],
+        ["volume-scan", "--k", 3, "--d", 2],
+    ],
+)
+def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):
+    assert run_cli(argv + ["--out-dir", tmp_path]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

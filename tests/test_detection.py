@@ -301,50 +301,63 @@ class TestTubeDP:
             got = tube_dp_statistic(samples, beta, eps)
             assert got == _brute_force_dp(samples, beta, eps), (beta, eps)
 
-    def test_product_state_matches_scalar_structure(self):
-        # d - k = 2: cross-check the generic DP on separable data
-        params = HolderParams(1, 3, 2.0, 0.5, 1)
+    @pytest.mark.parametrize("beta,eps", [(0.5, 0.2), (0.5, 0.25), (1.0, 0.3), (1.3, 0.4)])
+    def test_matches_brute_force_paths_two_outputs(self, beta, eps):
+        # d - k = 2: the per-coordinate transition and the product weights
         rng = np.random.default_rng(19)
-        samples = generate_null_jets(10, params, rng)
-        got = tube_dp_statistic(samples, 0.5, 0.25)
-        assert 0 <= got <= 10
+        params = HolderParams(1, 3, 2.0, beta, 1)
+        for _ in range(5):
+            samples = generate_null_jets(int(rng.integers(1, 13)), params, rng)
+            got = tube_dp_statistic(samples, beta, eps)
+            assert got == _brute_force_dp(samples, beta, eps)
 
 
 def _brute_force_dp(samples, beta, eps):
-    """Exhaustive enumeration over all admissible state paths."""
+    """Exhaustive enumeration over all admissible state paths.
+
+    A state holds one (value level, slope level) pair per output coordinate.
+    """
+    m = samples.params.dim_out
     delta = math.sqrt(eps)
     n_cells = max(1, math.ceil(1.0 / delta))
     nv = int(math.floor(1.0 / eps)) + 1
     nuh = int(math.floor(beta / delta))
     radius = int(math.floor(beta))
-    states = [(j, i) for j in range(nv) for i in range(-nuh, nuh + 1)]
+    levels = [(j, i) for j in range(nv) for i in range(-nuh, nuh + 1)]
+    states = list(product(levels, repeat=m))
     cells = np.clip(np.floor(samples.xs[:, 0] / delta).astype(int), 0, n_cells - 1)
 
-    def weight(c, state):
-        j, i = state
-        total = 0
-        for idx in range(len(samples)):
-            if cells[idx] != c:
-                continue
-            x = samples.xs[idx, 0]
-            v = j * eps + i * delta * (x - c * delta)
-            if (
-                abs(samples.ys[idx, 0, 0] - v) <= eps
-                and abs(samples.ys[idx, 1, 0] - i * delta) <= delta
-            ):
-                total += 1
-        return total
-
-    best = 0
-    for path in product(states, repeat=n_cells):
-        ok = all(
-            abs(path[c + 1][0] - path[c][0] - path[c][1]) <= radius
-            and abs(path[c + 1][1] - path[c][1]) <= radius
-            for c in range(n_cells - 1)
+    def covers(state, idx):
+        dx = samples.xs[idx, 0] - cells[idx] * delta
+        return all(
+            abs(samples.ys[idx, 0, comp] - (j * eps + i * delta * dx)) <= eps
+            and abs(samples.ys[idx, 1, comp] - i * delta) <= delta
+            for comp, (j, i) in enumerate(state)
         )
-        if ok:
-            best = max(best, sum(weight(c, path[c]) for c in range(n_cells)))
-    return best
+
+    weight = [
+        {s: sum(covers(s, idx) for idx in np.flatnonzero(cells == c)) for s in states}
+        for c in range(n_cells)
+    ]
+
+    def step_ok(a, b):
+        return all(
+            abs(jb - ja - ia) <= radius and abs(ib - ia) <= radius
+            for (ja, ia), (jb, ib) in zip(a, b)
+        )
+
+    successors = {a: [b for b in states if step_ok(a, b)] for a in states}
+
+    def best_path(c, state, total):
+        total += weight[c][state]
+        if c == n_cells - 1:
+            return total
+        # a state with no admissible successor ends no full path
+        return max(
+            (best_path(c + 1, nxt, total) for nxt in successors[state]), default=-1
+        )
+
+    return max(best_path(0, s, 0) for s in states)
 
 
 class TestCouponMoments:
