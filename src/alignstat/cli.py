@@ -70,7 +70,9 @@ _COMMON = dict(
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(defaults=None) -> argparse.ArgumentParser:
+    """The full parser; ``defaults`` (dest -> value) replace the built-in
+    defaults of every command, so that flags still override them."""
     parser = argparse.ArgumentParser(prog="alignstat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -109,6 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--level", type=float, default=0.05)
     p.add_argument("--problem", choices=("jets", "oriented"), default="jets")
+    for p in sub.choices.values():
+        p.set_defaults(**(defaults or {}))
     return parser
 
 
@@ -140,8 +144,7 @@ def _coerce(value: str, like) -> object:
 
 
 def parse_args(argv) -> argparse.Namespace:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.config:
         file_values = _parse_config_file(args.config)
         known = set(vars(args))
@@ -158,10 +161,7 @@ def parse_args(argv) -> argparse.Namespace:
             key: _coerce(val, vars(args)[key]) if vars(args)[key] is not None else val
             for key, val in file_values.items()
         }
-        parser2 = _build_parser()
-        for action in parser2._subparsers._group_actions[0].choices.values():  # noqa: SLF001
-            action.set_defaults(**{k: v for k, v in defaults.items()})
-        args = parser2.parse_args(argv)
+        args = _build_parser(defaults).parse_args(argv)
     return args
 
 
@@ -283,6 +283,8 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
 
 
 def cmd_volume_scan(args, out_dir: Path) -> int:
+    if not 1 <= args.k < args.d:
+        raise ParamOrder(f"need 1 <= k < d, got k={args.k}, d={args.d}")
     eps_grid = _float_list(args.eps_grid)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     center = Subspace(np.eye(args.d)[:, : args.k])

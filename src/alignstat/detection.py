@@ -20,6 +20,7 @@ Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,9 +54,13 @@ from .nets import MeasureEstimate
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(typed=True)
 def exponent_rho(k: int, d: int, alpha, r0: int) -> tuple[Fraction, Fraction]:
     """(w, rho) with w = sum_{s<=r0} (1 - s/alpha) C(s+k-1, k-1) and
-    rho = k / (k + alpha (d-k) w), both exact when alpha is rational."""
+    rho = k / (k + alpha (d-k) w), both exact when alpha is rational.
+
+    Cached, since every trial evaluates it; ``typed`` keeps a float k from
+    hitting the entry of the equal int."""
     if not (isinstance(k, int) and isinstance(d, int) and isinstance(r0, int)):
         raise ParamOrder("k, d, r0 must be integers")
     a = Fraction(alpha)
@@ -390,30 +395,37 @@ def tube_dp_statistic(
         return 0
     step_radius = int(math.floor(beta))
 
-    # Weights: a sample covers at most 3 slope levels per coordinate, and
-    # for each of them at most 3 value levels.  The valid ones among these
-    # 9 candidate (j, i) pairs extend each (sample, partial index) entry,
-    # one coordinate at a time, to the flat index
+    # Weights: a covered level lies within one level of the sample's
+    # nearest level, so the 3 slope levels around it and, for each, the 3
+    # value levels around its nearest value level hold every covered
+    # (j, i) pair, also when a value sits on a level boundary.  Each
+    # candidate is tested with the tube rule itself, in the same float
+    # expressions, so boundary values count exactly as the rule says.
+    # The valid pairs extend each (sample, partial index) entry, one
+    # coordinate at a time, to the flat index
     # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half.
     n = len(samples)
     x = samples.xs[:, 0]
     cells = np.clip(np.floor(x / delta).astype(np.int64), 0, n_cells - 1)
-    dx = (x - cells * delta)[:, None]
+    dx = (x - cells * delta)[:, None, None]
     flat = cells
     owner = np.arange(n)
+    around = np.arange(-1, 2)
     for comp in range(dim_out):
-        y0 = samples.ys[:, 0, comp, None]
-        y1 = samples.ys[:, 1, comp]
-        i_lo = np.ceil((y1 - delta) / delta).astype(np.int64)
-        i_hi = np.floor((y1 + delta) / delta).astype(np.int64)
-        i = i_lo[:, None] + np.arange(3)
-        i_ok = (i <= i_hi[:, None]) & (i >= -nu_half) & (i <= nu_half)
-        center = y0 - i * delta * dx
-        j_lo = np.ceil((center - eps) / eps).astype(np.int64)
-        j_hi = np.floor((center + eps) / eps).astype(np.int64)
-        j = j_lo[:, :, None] + np.arange(3)
-        valid = i_ok[:, :, None] & (j <= j_hi[:, :, None]) & (j >= 0) & (j < nv)
-        state = (j * nu + (i + nu_half)[:, :, None]).reshape(n, 9)
+        y0 = samples.ys[:, 0, comp, None, None]
+        y1 = samples.ys[:, 1, comp, None]
+        i = np.rint(y1 / delta).astype(np.int64) + around
+        i_ok = (np.abs(y1 - i * delta) <= delta) & (i >= -nu_half) & (i <= nu_half)
+        i = i[:, :, None]
+        tilt = i * delta * dx
+        j = np.rint((y0 - tilt) / eps).astype(np.int64) + around
+        gap = j * eps  # y0 - (j eps + tilt), in place: the mask's largest arrays
+        gap += tilt
+        np.subtract(y0, gap, out=gap)
+        valid = np.abs(gap, out=gap) <= eps
+        valid &= i_ok[:, :, None]
+        valid &= (j >= 0) & (j < nv)
+        state = (j * nu + i + nu_half).reshape(n, 9)
         rows, cand = np.nonzero(valid.reshape(n, 9)[owner])
         flat = flat[rows] * (nv * nu) + state[owner[rows], cand]
         owner = owner[rows]

@@ -7,6 +7,13 @@ scheduling order.  Aggregation is by (n_index, trial) sort.  The wall
 time column in CSV output is written as 0 to keep files byte-identical
 across reruns; measured times are reported separately.
 
+Thinned trials: sweeps, calibration and power all go through run_trial,
+which generates only the null draws that can pass the value box (their
+number is binomial, their values uniform on the box) plus the planted
+points: a few draws per cell instead of n.  The greedy count has the same
+law as on n full draws.  Output at a given seed differs from that of the
+earlier full-draw engine, which consumed the random stream differently.
+
 Cell sizing: sweeps use c2 = 1 + 1e-6 (EXPERIMENT_C2) rather than the
 class-certifying construction constant.  The certifying c2 grows like
 (c3/beta)^(alpha/(alpha-r)) and at beta ~ 1 it pushes the cell width past
@@ -28,6 +35,7 @@ import numpy as np
 
 from .detection import (
     FitResult,
+    OrientedSamples,
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
@@ -40,7 +48,7 @@ from .detection import (
     statistic_eps,
 )
 from .errors import ParamOrder
-from .holder import GraphLift, HolderParams, constant_function
+from .holder import GraphLift, HolderParams, JetSamples, box_bounds, constant_function
 
 EXPERIMENT_C2 = 1.0 + 1e-6
 
@@ -145,20 +153,45 @@ def run_trial(
     c2: float = EXPERIMENT_C2,
     alt=None,
 ):
-    """One trial at sample size n: generate data, compute the greedy count."""
+    """One trial at sample size n: the greedy count on n - n1 null draws
+    plus n1 planted points.
+
+    Only null draws whose value row lands in the box [eps/2, eps]^(d-k)
+    can be counted.  The trial therefore draws their number
+    M ~ Binomial(n - n1, q), with q = (eps/2)^(d-k) the box's null
+    probability (eps(n) <= 1, so the box lies inside [0, 1]), and
+    generates only those M: the value row uniform on the box, everything
+    else from the null law.  The count has the same law as on n full
+    draws.
+    """
+    if n < 1 or config.n1 > n:
+        raise ParamOrder(f"need n >= 1 and n1 <= n, got n={n}, n1={config.n1}")
     params = config.params()
+    lo, hi = box_bounds(params, statistic_eps(params, n))[0]
+    m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
+    values = rng.uniform(lo, hi, size=(m, params.dim_out))
+    f = None
+    if config.n1 > 0:
+        f = alt if alt is not None else default_alternative(config)
     if config.problem == "jets":
-        if config.n1 > 0:
-            f = alt if alt is not None else default_alternative(config)
-            samples = generate_alt_jets(n, config.n1, f, params, rng, check=False)
-        else:
-            samples = generate_null_jets(n, params, rng)
+        samples = generate_null_jets(m, params, rng)
+        samples.ys[:, 0, :] = values
+        if f is not None:
+            planted = generate_alt_jets(config.n1, config.n1, f, params, rng, check=False)
+            samples = JetSamples(
+                params,
+                np.concatenate([samples.xs, planted.xs]),
+                np.concatenate([samples.ys, planted.ys]),
+            )
     else:
-        if config.n1 > 0:
-            f = alt if alt is not None else default_alternative(config)
-            oriented = generate_alt_oriented(n, config.n1, f, rng)
-        else:
-            oriented = generate_null_oriented(n, config.k, config.d, rng)
+        oriented = generate_null_oriented(m, config.k, config.d, rng)
+        oriented.z[:, config.k :] = values
+        if f is not None:
+            planted = generate_alt_oriented(config.n1, config.n1, f, rng)
+            oriented = OrientedSamples(
+                np.concatenate([oriented.z, planted.z]),
+                np.concatenate([oriented.frames, planted.frames]),
+            )
         samples, _ = oriented_to_jets(oriented, params)
     return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
 

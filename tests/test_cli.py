@@ -231,6 +231,7 @@ class TestPower:
         ["exponent-sweep", "--k", 2, "--d", 2],
         ["power", "--level", 1.5],
         ["volume-scan", "--k", 3, "--d", 2],
+        ["volume-scan", "--k", 2, "--d", 2],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

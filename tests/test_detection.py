@@ -311,6 +311,17 @@ class TestTubeDP:
             got = tube_dp_statistic(samples, beta, eps)
             assert got == _brute_force_dp(samples, beta, eps)
 
+    def test_boundary_values_follow_the_tube_rule(self):
+        # 1.2 sits exactly on a value-level boundary at eps = 0.3; the
+        # exhaustive enumeration admits no profile covering both samples
+        beta, eps = 1.0, 0.3
+        slope = math.sqrt(eps)
+        samples = JetSamples(
+            P12, np.array([[0.1], [0.0]]), np.array([[[0.9], [slope]], [[1.2], [-slope]]])
+        )
+        assert _brute_force_dp(samples, beta, eps) == 1
+        assert tube_dp_statistic(samples, beta, eps) == 1
+
 
 def _brute_force_dp(samples, beta, eps):
     """Exhaustive enumeration over all admissible state paths.

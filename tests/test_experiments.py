@@ -1,9 +1,19 @@
 """Sweep drivers: reproducibility, calibration level, power, CSV schema."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats as sps
 
-from alignstat.detection import statistic_eps
+from alignstat.detection import (
+    generate_alt_jets,
+    generate_null_jets,
+    generate_null_oriented,
+    greedy_cell_statistic,
+    oriented_to_jets,
+    statistic_eps,
+)
 from alignstat.errors import ParamOrder
 from alignstat.experiments import (
     CSV_COLUMNS,
@@ -14,6 +24,7 @@ from alignstat.experiments import (
     power_estimate,
     records_to_csv,
     run_sweep,
+    run_trial,
 )
 from alignstat.holder import holder_membership_check
 
@@ -119,3 +130,76 @@ class TestCalibrationAndPower:
         thr = null_quantile_threshold(cfg, 0.05, 150, rng)
         power = power_estimate(cfg, thr, 150, np.random.default_rng(14))
         assert power.power >= 0.99
+
+
+class TestThinnedTrial:
+    """run_trial generates only the null draws that can pass the value box;
+    its count must keep the law it has on n full draws."""
+
+    N = 5000
+    TRIALS = 1500
+
+    @staticmethod
+    def exact_mean(config, n):
+        """Occupancy law (k = 1): E count = sum over even cells c of
+        1 - (1 - q |c|)^n, q the null probability of the whole jet box."""
+        params = config.params()
+        eps = statistic_eps(params, n)
+        width = (EXPERIMENT_C2 * eps) ** (1.0 / params.alpha)
+        assert width <= 0.5  # no clamped single cell at these n
+        left = np.arange(0, math.floor(1.0 / width) + 1, 2) * width
+        volumes = np.minimum(left + width, 1.0) - left
+        if config.problem == "oriented":
+            slope = math.atan(math.sqrt(eps)) / math.pi  # Cauchy chart slope
+        else:
+            slope = min(math.sqrt(eps), params.beta) / (2 * params.beta)
+        q = (eps / 2 * slope) ** params.dim_out
+        return float(np.sum(1 - (1 - q * volumes) ** n))
+
+    def full_counts(self, config, n, seed):
+        """Greedy counts on the full generators, drawn n samples at a time."""
+        params = config.params()
+        rng = np.random.default_rng(seed)
+        counts = []
+        for _ in range(self.TRIALS):
+            if config.problem == "oriented":
+                oriented = generate_null_oriented(n, config.k, config.d, rng)
+                samples, _ = oriented_to_jets(oriented, params)
+            elif config.n1 > 0:
+                f = default_alternative(config)
+                samples = generate_alt_jets(n, config.n1, f, params, rng, check=False)
+            else:
+                samples = generate_null_jets(n, params, rng)
+            sel = greedy_cell_statistic(samples, params, n, c2=EXPERIMENT_C2, clamp=True)
+            counts.append(sel.count)
+        return np.array(counts)
+
+    @staticmethod
+    def same_law_pvalue(a, b):
+        """Chi-square two-sample test on the count histograms, with the
+        sparse upper tail pooled until its column holds 10 trials."""
+        top = int(max(a.max(), b.max()))
+        table = np.array([np.bincount(a, minlength=top + 1), np.bincount(b, minlength=top + 1)])
+        while table.shape[1] > 2 and table[:, -1].sum() < 10:
+            table[:, -2] += table[:, -1]
+            table = table[:, :-1]
+        return sps.chi2_contingency(table).pvalue
+
+    @pytest.mark.parametrize(
+        "problem,d,n1", [("jets", 2, 0), ("jets", 3, 0), ("oriented", 2, 0), ("jets", 2, 3)]
+    )
+    def test_count_law_matches_full_generators(self, problem, d, n1):
+        n = self.N
+        config = ExperimentConfig(problem, 1, d, 2.0, 1.0, 1, n, n1, 41, self.TRIALS)
+        thinned = np.array([r.statistic for r in run_sweep(config, [n]).records])
+        if n1 == 0:
+            stderr = thinned.std(ddof=1) / math.sqrt(self.TRIALS)
+            assert abs(thinned.mean() - self.exact_mean(config, n)) <= 5 * stderr
+        full = self.full_counts(config, n, seed=42)
+        assert self.same_law_pvalue(thinned, full) > 1e-3
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_bad_sample_size_is_param_order(self, n):
+        config = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 100, 10, 0, 1)
+        with pytest.raises(ParamOrder):
+            run_trial(config, n, np.random.default_rng(0))
