@@ -299,9 +299,14 @@ def greedy_cell_statistic(
     alive = alive[keep]
     cells = cells[keep]
 
+    # First survivor per cell, kept in first-seen order (materialize feeds
+    # the nodes in this order): unique flat cell keys, first indices sorted.
+    # Most null trials have no survivor left, so skip the numpy calls then.
     selected: dict[tuple[int, ...], int] = {}
-    for pos, i in enumerate(alive):
-        selected.setdefault(tuple(int(c) for c in cells[pos]), int(i))
+    if alive.size:
+        key = np.ravel_multi_index(tuple(cells.T // 2), (per_axis,) * params.k)
+        first = np.sort(np.unique(key, return_index=True)[1])
+        selected = dict(zip(map(tuple, cells[first].tolist()), alive[first].tolist()))
 
     interpolant = None
     if materialize:
@@ -351,6 +356,11 @@ def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
         shift = covered
         remaining = radius - covered
     return out
+
+
+# Samples per weight-step chunk of the tube DP: the candidate arrays of
+# one chunk take a few megabytes at any d - k.
+_DP_CHUNK = 2**14
 
 
 def tube_dp_statistic(
@@ -404,32 +414,37 @@ def tube_dp_statistic(
     # The valid pairs extend each (sample, partial index) entry, one
     # coordinate at a time, to the flat index
     # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half.
-    n = len(samples)
-    x = samples.xs[:, 0]
-    cells = np.clip(np.floor(x / delta).astype(np.int64), 0, n_cells - 1)
-    dx = (x - cells * delta)[:, None, None]
-    flat = cells
-    owner = np.arange(n)
+    # Samples enter in chunks of ``_DP_CHUNK``, so the candidate arrays
+    # stay bounded whatever n is; the chunks' counts add up.
+    weights = np.zeros(n_cells * n_states)
     around = np.arange(-1, 2)
-    for comp in range(dim_out):
-        y0 = samples.ys[:, 0, comp, None, None]
-        y1 = samples.ys[:, 1, comp, None]
-        i = np.rint(y1 / delta).astype(np.int64) + around
-        i_ok = (np.abs(y1 - i * delta) <= delta) & (i >= -nu_half) & (i <= nu_half)
-        i = i[:, :, None]
-        tilt = i * delta * dx
-        j = np.rint((y0 - tilt) / eps).astype(np.int64) + around
-        gap = j * eps  # y0 - (j eps + tilt), in place: the mask's largest arrays
-        gap += tilt
-        np.subtract(y0, gap, out=gap)
-        valid = np.abs(gap, out=gap) <= eps
-        valid &= i_ok[:, :, None]
-        valid &= (j >= 0) & (j < nv)
-        state = (j * nu + i + nu_half).reshape(n, 9)
-        rows, cand = np.nonzero(valid.reshape(n, 9)[owner])
-        flat = flat[rows] * (nv * nu) + state[owner[rows], cand]
-        owner = owner[rows]
-    weights = np.bincount(flat, minlength=n_cells * n_states).astype(float)
+    for start in range(0, len(samples), _DP_CHUNK):
+        xs = samples.xs[start : start + _DP_CHUNK, 0]
+        ys = samples.ys[start : start + _DP_CHUNK]
+        n = len(xs)
+        cells = np.clip(np.floor(xs / delta).astype(np.int64), 0, n_cells - 1)
+        dx = (xs - cells * delta)[:, None, None]
+        flat = cells
+        owner = np.arange(n)
+        for comp in range(dim_out):
+            y0 = ys[:, 0, comp, None, None]
+            y1 = ys[:, 1, comp, None]
+            i = np.rint(y1 / delta).astype(np.int64) + around
+            i_ok = (np.abs(y1 - i * delta) <= delta) & (i >= -nu_half) & (i <= nu_half)
+            i = i[:, :, None]
+            tilt = i * delta * dx
+            j = np.rint((y0 - tilt) / eps).astype(np.int64) + around
+            gap = j * eps  # y0 - (j eps + tilt), in place: the mask's largest arrays
+            gap += tilt
+            np.subtract(y0, gap, out=gap)
+            valid = np.abs(gap, out=gap) <= eps
+            valid &= i_ok[:, :, None]
+            valid &= (j >= 0) & (j < nv)
+            state = (j * nu + i + nu_half).reshape(n, 9)
+            rows, cand = np.nonzero(valid.reshape(n, 9)[owner])
+            flat = flat[rows] * (nv * nu) + state[owner[rows], cand]
+            owner = owner[rows]
+        weights += np.bincount(flat, minlength=n_cells * n_states)
     weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
     # Predecessor max: A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a

@@ -9,7 +9,12 @@ The distance used throughout is the largest canonical angle
     ang(H, K) = max_{u in H} min_{v in K} acos(<u, v> / |u||v|),
 
 which equals acos of the smallest singular value of F_H^T F_K and is a
-metric on subspaces of fixed dimension.
+metric on subspaces of fixed dimension.  Its sine is the largest singular
+value of N_K^T F_H, with N_K an orthonormal basis of the complement of K;
+small angles go through the sine, which keeps them accurate.  The scalar
+:func:`canonical_angle` is the reference; every batched angle goes
+through one blocked kernel (:func:`batch_canonical_angle`,
+:func:`min_canonical_angle`).
 """
 
 from __future__ import annotations
@@ -181,34 +186,135 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     return q * signs[:, None, :]
 
 
+# (center, frame) pairs whose d-by-k1 products one block of the angle
+# kernel holds at a time: large enough to amortize the per-block numpy
+# calls, small enough that the temporaries stay around a megabyte.
+_PAIR_BUDGET = 2**13
+
+
+def _check_pair_shapes(frames: np.ndarray, centers: np.ndarray) -> None:
+    if frames.shape[1] != centers.shape[1]:
+        raise DimensionMismatch("ambient dimensions differ")
+    if frames.shape[2] > centers.shape[2]:
+        raise DimensionMismatch("batch frames must not have larger dimension")
+
+
+def _complete_bases(centers: np.ndarray) -> np.ndarray:
+    """Orthonormal bases Q_j = [B_j, N_j] of R^d, shape (c, d, d).
+
+    The first k columns are the centers themselves, so the top block of
+    Q_j^T A is exactly B_j^T A; N_j spans the orthogonal complement.
+    """
+    q = np.linalg.qr(centers, mode="complete")[0]
+    q[:, :, : centers.shape[2]] = centers
+    return q
+
+
+def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
+    """Largest or smallest singular value of each matrix of a stack.
+
+    ``block`` has shape (r, s, ...), the matrix axes first, so that each
+    entry block[a, b] is one contiguous array over the stack.  Closed
+    forms for vectors and 2-by-2 blocks, a batched SVD otherwise; an
+    empty block gives 0.  The smallest is taken over min(r, s) values.
+    """
+    r, s = block.shape[:2]
+    if r == 0 or s == 0:
+        return np.zeros(block.shape[2:])
+    if r == 1 or s == 1:
+        return np.sqrt(np.sum(block * block, axis=(0, 1)))
+    if r == 2 and s == 2:
+        a, b, c, e = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
+        smax = 0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))
+        if largest:
+            return smax
+        # |det| / smax keeps the small value accurate; a zero block gives 0
+        det = np.abs(a * e - b * c)
+        return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0.0)
+    svals = np.linalg.svd(np.moveaxis(block, (0, 1), (-2, -1)), compute_uv=False)
+    return svals[..., 0] if largest else svals[..., -1]
+
+
+def _angle_block(q: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
+    """Largest canonical angle of every (center, frame) pair, shape (c, t).
+
+    ``q`` holds the complete bases of c centers of dimension k2, ``frames``
+    shape (t, d, k1).  With P = Q_j^T A_i, cos of the angle is the smallest
+    singular value of the top k2-by-k1 block and sin the largest of the
+    bottom (d-k2)-by-k1 block; the angle comes from arcsin when cos >
+    ``_COS_SWITCH`` and from arccos otherwise, as in :func:`canonical_angle`.
+    """
+    c, d, _ = q.shape
+    t, _, k1 = frames.shape
+    flat = frames.transpose(1, 2, 0).reshape(d, k1 * t)
+    prod = (q.transpose(0, 2, 1) @ flat).reshape(c, d, k1, t).transpose(1, 2, 0, 3)
+    cos = _extreme_singular_value(prod[:k2], largest=False)
+    sin = _extreme_singular_value(prod[k2:], largest=True)
+    return np.where(
+        cos > _COS_SWITCH,
+        np.arcsin(np.clip(sin, 0.0, 1.0)),
+        np.arccos(np.clip(cos, 0.0, 1.0)),
+    )
+
+
 def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Largest canonical angle from each frame in a batch to one frame.
 
     ``frames`` has shape (t, d, k1), ``center`` shape (d, k2) with
-    k1 <= k2.  Returns shape (t,).  Small angles go through the sine of
-    the projection residual, matching :func:`canonical_angle`.
+    k1 <= k2.  Returns shape (t,).  This is the one-center case of
+    :func:`min_canonical_angle`'s kernel: the center is completed to an
+    orthonormal basis [B, N] of R^d, cos comes from B^T A and sin from
+    N^T A (Bjorck & Golub 1973), so small angles keep full accuracy as in
+    :func:`canonical_angle`.  Frames are processed ``_PAIR_BUDGET`` at a
+    time, which bounds the temporaries.
     """
-    if frames.shape[1] != center.shape[0]:
-        raise DimensionMismatch("ambient dimensions differ")
-    if frames.shape[2] > center.shape[1]:
-        raise DimensionMismatch("batch frames must not have larger dimension")
-    m = np.einsum("tdk,dj->tkj", frames, center)
-    if m.shape[1] == 1 and m.shape[2] == 1:
-        smin = np.abs(m[:, 0, 0])
-    elif m.shape[1] == 1 or m.shape[2] == 1:
-        smin = np.linalg.norm(m.reshape(m.shape[0], -1), axis=1)
-    else:
-        smin = np.linalg.svd(m, compute_uv=False)[:, -1]
-    out = np.arccos(np.clip(smin, 0.0, 1.0))
-    close = smin > _COS_SWITCH
-    if np.any(close):
-        resid = frames[close] - np.einsum("dj,tkj->tdk", center, m[close])
-        if resid.shape[2] == 1:
-            smax = np.linalg.norm(resid[:, :, 0], axis=1)
-        else:
-            smax = np.linalg.svd(resid, compute_uv=False)[:, 0]
-        out[close] = np.arcsin(np.clip(smax, 0.0, 1.0))
+    centers = center[None]
+    _check_pair_shapes(frames, centers)
+    q = _complete_bases(centers)
+    out = np.empty(frames.shape[0])
+    for start in range(0, frames.shape[0], _PAIR_BUDGET):
+        stop = start + _PAIR_BUDGET
+        out[start:stop] = _angle_block(q, center.shape[1], frames[start:stop])[0]
     return out
+
+
+def min_canonical_angle(
+    frames: np.ndarray, centers: np.ndarray, later_only: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest frame to each center: minimum largest canonical angle and argmin.
+
+    ``frames`` has shape (t, d, k1), ``centers`` shape (c, d, k2) with
+    k1 <= k2; returns ``(angles, index)``, both of shape (c,).  Ties keep
+    the lowest frame index.  With ``later_only`` (a family measured
+    against itself, frames and centers the same stack) center j only
+    looks at frames i > j; a center with no such frame gets angle inf and
+    index -1.
+
+    Each center is completed to an orthonormal basis once, and blocks of
+    at most ``_PAIR_BUDGET`` pairs go through :func:`_angle_block` with
+    one matmul, so memory stays bounded whatever t and c are.
+    """
+    _check_pair_shapes(frames, centers)
+    t, c, k2 = frames.shape[0], centers.shape[0], centers.shape[2]
+    best = np.full(c, np.inf)
+    arg = np.full(c, -1, dtype=np.int64)
+    frame_step = max(1, min(t, _PAIR_BUDGET))
+    center_step = max(1, _PAIR_BUDGET // frame_step)
+    for c0 in range(0, c, center_step):
+        c1 = min(c, c0 + center_step)
+        q = _complete_bases(centers[c0:c1])
+        rows = np.arange(c0, c1)
+        for f0 in range(c0 + 1 if later_only else 0, t, frame_step):
+            f1 = min(t, f0 + frame_step)
+            angles = _angle_block(q, k2, frames[f0:f1])
+            if later_only:
+                angles[np.arange(f0, f1)[None, :] <= rows[:, None]] = np.inf
+            pos = np.argmin(angles, axis=1)
+            val = angles[np.arange(c1 - c0), pos]
+            better = val < best[c0:c1]
+            best[c0:c1][better] = val[better]
+            arg[c0:c1][better] = pos[better] + f0
+    return best, arg
 
 
 def sample_orthogonal_matrix(rng: np.random.Generator, d: int) -> np.ndarray:

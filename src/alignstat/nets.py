@@ -13,6 +13,14 @@ from nonnegative multiples only would leave subspaces with negative chart
 entries at a constant distance from the family, so its covering radius
 would not scale with eps.
 
+Members are built as one (m, d, k) grid stack and orthonormalized by one
+batched SVD.  Packing separation and covering probes are minima of the
+largest canonical angle over all member pairs and over all (probe,
+member) pairs; both go through ``grassmann.min_canonical_angle``, which
+completes each center to an orthonormal basis [B, N] of R^d, reads cos
+from B^T A and sin from N^T A for a whole block of pairs at once, and
+holds at most a fixed pair budget of products in memory.
+
 Monte Carlo estimators for the invariant measure of metric balls and of
 chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.
 """
@@ -26,12 +34,12 @@ from math import comb
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder
+from .errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder, RankDeficient
 from .grassmann import (
     RANK_TOL,
     Subspace,
     batch_canonical_angle,
-    orthonormalize,
+    min_canonical_angle,
     sample_uniform_frames,
     span_normal_form,
 )
@@ -75,14 +83,23 @@ class SubspaceFamily:
         return self._stack
 
 
-def _grid_member_frame(d: int, k: int, sigma: tuple[int, ...], slopes: np.ndarray) -> np.ndarray:
-    """Raw frame spanned by e_{sigma[i]} + sum_j slopes[j, i] e_{sigma[k+j]}."""
-    mat = np.zeros((d, k))
-    for i in range(k):
-        mat[sigma[i], i] = 1.0
-        for j in range(d - k):
-            mat[sigma[k + j], i] = slopes[j, i]
-    return mat
+def _grid_members(
+    d: int, k: int, eps: float, sigmas: list[tuple[int, ...]], n_tuples: list[tuple[int, ...]]
+) -> tuple[list[Subspace], np.ndarray]:
+    """Members spanned by e_{sigma[i]} + sum_j eps n[j, i] e_{sigma[k+j]}.
+
+    One member per (sigma, n), sigma in the outer order; returns the
+    members and their frame stack, orthonormalized by one batched SVD.
+    """
+    slopes = eps * np.array(n_tuples, dtype=float).reshape(len(n_tuples), d - k, k)
+    raw = np.zeros((len(sigmas), len(n_tuples), d, k))
+    for block, sigma in zip(raw, sigmas):
+        block[:, np.array(sigma[:k]), np.arange(k)] = 1.0
+        block[:, np.array(sigma[k:]), :] = slopes
+    frames, svals, _ = np.linalg.svd(raw.reshape(-1, d, k), full_matrices=False)
+    if np.any(svals[:, -1] <= RANK_TOL):
+        raise RankDeficient(f"a grid member has singular value <= {RANK_TOL:.0e}")
+    return [Subspace(f) for f in frames], frames
 
 
 def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
@@ -102,13 +119,10 @@ def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) ->
     if count > cap:
         raise BudgetExceeded(f"packing would have {count} members > cap {cap}")
     identity = tuple(range(d))
-    members: list[Subspace] = []
-    meta = []
-    for n_tuple in product(range(per_entry), repeat=n_entries):
-        slopes = eps * np.array(n_tuple, dtype=float).reshape(d - k, k)
-        members.append(orthonormalize(_grid_member_frame(d, k, identity, slopes)))
-        meta.append((identity, n_tuple))
-    fam = SubspaceFamily(eps=eps, kind="packing", members=members, meta=meta)
+    n_tuples = list(product(range(per_entry), repeat=n_entries))
+    members, stack = _grid_members(d, k, eps, [identity], n_tuples)
+    meta = [(identity, n_tuple) for n_tuple in n_tuples]
+    fam = SubspaceFamily(eps=eps, kind="packing", members=members, meta=meta, _stack=stack)
     if len(members) <= 4096:
         fam.separation = _min_pairwise_angle(fam)
     return fam
@@ -116,12 +130,8 @@ def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) ->
 
 def _min_pairwise_angle(fam: SubspaceFamily) -> float:
     stack = fam.frame_stack()
-    m = len(fam.members)
-    best = np.pi / 2
-    for i in range(m - 1):
-        angles = batch_canonical_angle(stack[i + 1 :], fam.members[i].frame)
-        best = min(best, float(np.min(angles)))
-    return best
+    angles, _ = min_canonical_angle(stack, stack, later_only=True)
+    return float(np.min(angles))
 
 
 @lru_cache(maxsize=None)
@@ -167,16 +177,16 @@ def covering_family(
     count = comb(d, k) * (2 * reach - 1) ** n_entries
     if count > cap:
         raise BudgetExceeded(f"covering would have {count} members > cap {cap}")
-    members: list[Subspace] = []
-    meta = []
-    for pivots in combinations(range(d), k):
-        rest = tuple(i for i in range(d) if i not in pivots)
-        sigma = pivots + rest
-        for n_tuple in product(range(-(reach - 1), reach), repeat=n_entries):
-            slopes = eps * np.array(n_tuple, dtype=float).reshape(d - k, k)
-            members.append(orthonormalize(_grid_member_frame(d, k, sigma, slopes)))
-            meta.append((sigma, n_tuple))
-    return SubspaceFamily(eps=eps, kind="covering", members=members, meta=meta, c1=c1)
+    sigmas = [
+        pivots + tuple(i for i in range(d) if i not in pivots)
+        for pivots in combinations(range(d), k)
+    ]
+    n_tuples = list(product(range(-(reach - 1), reach), repeat=n_entries))
+    members, stack = _grid_members(d, k, eps, sigmas, n_tuples)
+    meta = [(sigma, n_tuple) for sigma in sigmas for n_tuple in n_tuples]
+    return SubspaceFamily(
+        eps=eps, kind="covering", members=members, meta=meta, c1=c1, _stack=stack
+    )
 
 
 def nearest_in_family(h: Subspace, fam: SubspaceFamily) -> tuple[int, float]:
@@ -185,9 +195,8 @@ def nearest_in_family(h: Subspace, fam: SubspaceFamily) -> tuple[int, float]:
         raise EmptyFamily("family has no members")
     if fam.members[0].frame.shape != h.frame.shape:
         raise DimensionMismatch("probe and family dimensions differ")
-    angles = batch_canonical_angle(fam.frame_stack(), h.frame)
-    idx = int(np.argmin(angles))
-    return idx, float(angles[idx])
+    angles, idx = min_canonical_angle(fam.frame_stack(), h.frame[None])
+    return int(idx[0]), float(angles[0])
 
 
 def covering_radius_estimate(
@@ -202,11 +211,8 @@ def covering_radius_estimate(
         raise EmptyFamily("family has no members")
     d, k = fam.members[0].frame.shape
     frames = sample_uniform_frames(rng, probes, k, d)
-    stack = fam.frame_stack()
-    worst = 0.0
-    for i in range(probes):
-        angles = batch_canonical_angle(stack, frames[i])
-        worst = max(worst, float(np.min(angles)))
+    nearest, _ = min_canonical_angle(fam.frame_stack(), frames)
+    worst = float(np.max(nearest, initial=0.0))
     fam.probe_radius = worst if fam.probe_radius is None else max(fam.probe_radius, worst)
     return worst
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import brute_cell_scan, ks_statistic_uniform
 from scipy import stats as sps
 
+from alignstat import detection
 from alignstat.detection import (
     binomial_tail_check,
     coupon_moments,
@@ -215,11 +216,14 @@ class TestGreedyStatistic:
 
     def test_matches_exhaustive_cell_scan(self):
         rng = np.random.default_rng(11)
-        for n in (40, 100, 200):
-            samples = generate_null_jets(n, P12, rng)
-            sel = greedy_cell_statistic(samples, P12, n, c2=UNIT_C2)
-            oracle = brute_cell_scan(samples, P12, sel.eps, sel.eps_prime)
+        p23 = HolderParams(2, 3, 2.0, 0.3, 1)
+        for params, n in [(P12, 40), (P12, 100), (P12, 200), (p23, 1000), (p23, 3000)]:
+            samples = generate_null_jets(n, params, rng)
+            sel = greedy_cell_statistic(samples, params, n, c2=UNIT_C2)
+            oracle = brute_cell_scan(samples, params, sel.eps, sel.eps_prime)
             assert sel.selected == oracle
+            # first-seen order: materialize feeds the nodes in this order
+            assert list(sel.selected.values()) == sorted(oracle.values())
 
     def test_small_sample_oracle_all_subsets(self):
         # <= 12 samples on a fixed coarse grid (n=50 sets the scale)
@@ -310,6 +314,19 @@ class TestTubeDP:
             samples = generate_null_jets(int(rng.integers(1, 13)), params, rng)
             got = tube_dp_statistic(samples, beta, eps)
             assert got == _brute_force_dp(samples, beta, eps)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_chunked_weights_match_one_chunk(self, d, monkeypatch):
+        rng = np.random.default_rng(21)
+        params = HolderParams(1, d, 2.0, 1.0, 1)
+        cases = [
+            (generate_null_jets(int(rng.integers(50, 400)), params, rng), float(eps))
+            for eps in rng.uniform(0.05, 0.3, size=6)
+        ]
+        whole = [tube_dp_statistic(samples, 1.0, eps) for samples, eps in cases]
+        monkeypatch.setattr(detection, "_DP_CHUNK", 3)
+        assert [tube_dp_statistic(samples, 1.0, eps) for samples, eps in cases] == whole
+        assert max(whole) > 1
 
     def test_boundary_values_follow_the_tube_rule(self):
         # 1.2 sits exactly on a value-level boundary at eps = 0.3; the

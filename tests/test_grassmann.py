@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from alignstat import grassmann
 from alignstat.errors import ChartSingular, DimensionMismatch, RankDeficient
 from alignstat.grassmann import (
     ChartMatrix,
@@ -14,6 +15,7 @@ from alignstat.grassmann import (
     chart_to_subspace,
     discrepancy_psi,
     graph_chart,
+    min_canonical_angle,
     orthonormalize,
     sample_orthogonal_matrix,
     sample_uniform_frames,
@@ -97,6 +99,90 @@ class TestCanonicalAngle:
             q = sample_orthogonal_matrix(rng, 5)
             rotated = canonical_angle(Subspace(q @ h.frame), Subspace(q @ kk.frame))
             assert rotated == pytest.approx(canonical_angle(h, kk), abs=1e-8)
+
+
+# (k1, k2, d): every block shape of the kernel's closed forms and its SVD path
+KERNEL_SHAPES = [(1, 1, 2), (1, 1, 3), (2, 2, 3), (2, 2, 4), (1, 2, 3), (2, 3, 5), (3, 3, 5)]
+
+
+def _scalar_angles(frames, centers):
+    """Oracle: (c, t) matrix of canonical_angle over every (center, frame) pair."""
+    return np.array(
+        [[canonical_angle(Subspace(f), Subspace(c)) for f in frames] for c in centers]
+    )
+
+
+class TestAngleKernel:
+    @pytest.mark.parametrize("k1,k2,d", KERNEL_SHAPES)
+    def test_matches_scalar_oracle(self, k1, k2, d):
+        rng = np.random.default_rng(40 + 10 * k1 + d)
+        frames = sample_uniform_frames(rng, 60, k1, d)
+        centers = sample_uniform_frames(rng, 8, k2, d)
+        want = _scalar_angles(frames, centers)
+        for j, center in enumerate(centers):
+            assert np.max(np.abs(batch_canonical_angle(frames, center) - want[j])) < 1e-12
+        angles, idx = min_canonical_angle(frames, centers)
+        assert np.max(np.abs(angles - want.min(axis=1))) < 1e-12
+        assert np.array_equal(idx, want.argmin(axis=1))
+
+    @pytest.mark.parametrize("k1,k2,d", KERNEL_SHAPES)
+    def test_near_coincident_pairs(self, k1, k2, d):
+        # angles ~1e-9: the sine route keeps them to rounding, where acos
+        # of a cosine pinned near 1 would be off by ~1e-8
+        rng = np.random.default_rng(50 + 10 * k1 + d)
+        for center in sample_uniform_frames(rng, 20, k2, d):
+            frame = orthonormalize(center[:, :k1] + 1e-9 * rng.standard_normal((d, k1)))
+            want = canonical_angle(frame, Subspace(center))
+            assert abs(batch_canonical_angle(frame.frame[None], center)[0] - want) < 1e-15
+
+    def test_orthogonal_pairs_and_full_space(self):
+        eye = np.eye(4)
+        assert batch_canonical_angle(eye[None, :, :2], eye[:, 2:])[0] == pytest.approx(
+            np.pi / 2, abs=1e-15
+        )
+        assert batch_canonical_angle(eye[None, :, :1], eye[:, 1:2])[0] == pytest.approx(
+            np.pi / 2, abs=1e-15
+        )
+        rng = np.random.default_rng(60)
+        for k in (1, 2, 3):
+            frames = sample_uniform_frames(rng, 30, k, 4)
+            assert np.all(batch_canonical_angle(frames, sample_orthogonal_matrix(rng, 4)) == 0.0)
+
+    def test_later_only_is_the_upper_triangle(self):
+        rng = np.random.default_rng(61)
+        stack = sample_uniform_frames(rng, 40, 2, 4)
+        want = _scalar_angles(stack, stack)
+        angles, idx = min_canonical_angle(stack, stack, later_only=True)
+        for j in range(39):
+            assert angles[j] == pytest.approx(want[j, j + 1 :].min(), abs=1e-12)
+            assert idx[j] == j + 1 + int(want[j, j + 1 :].argmin())
+        assert angles[-1] == np.inf and idx[-1] == -1
+
+    def test_pair_budget_of_one_is_identical(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        frames = sample_uniform_frames(rng, 50, 2, 4)
+        centers = sample_uniform_frames(rng, 7, 2, 4)
+        runs = []
+        for budget in (grassmann._PAIR_BUDGET, 1):
+            monkeypatch.setattr(grassmann, "_PAIR_BUDGET", budget)
+            runs.append(
+                (
+                    batch_canonical_angle(frames, centers[0]),
+                    *min_canonical_angle(frames, centers),
+                    *min_canonical_angle(frames, frames, later_only=True),
+                )
+            )
+        for default, one in zip(*runs):
+            assert np.array_equal(default, one)
+
+    def test_shape_checks(self):
+        frames = np.zeros((3, 4, 2))
+        with pytest.raises(DimensionMismatch):
+            min_canonical_angle(frames, np.zeros((1, 3, 2)))
+        with pytest.raises(DimensionMismatch):
+            min_canonical_angle(frames, np.zeros((1, 4, 1)))
+        with pytest.raises(DimensionMismatch):
+            batch_canonical_angle(frames, np.zeros((4, 1)))
 
 
 class TestPerturbationLemmas:

@@ -1,5 +1,7 @@
 """Packing/covering families and measure estimation on G(k, d)."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from alignstat.grassmann import (
     Subspace,
     canonical_angle,
     orthonormalize,
+    sample_uniform_frames,
     sample_uniform_subspace,
 )
 from alignstat.nets import (
@@ -108,6 +111,34 @@ class TestCoveringFamily:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             covering_family(2, 4, 0.02)
+
+
+class TestScalarOracles:
+    """Separation and covering radius against scalar loops over canonical_angle."""
+
+    @pytest.mark.parametrize(
+        "k,d,eps", [(1, 2, 0.25), (1, 3, 0.5), (2, 3, 0.5), (2, 4, 1.0), (3, 5, 1.0)]
+    )
+    def test_separation_matches_double_loop(self, k, d, eps):
+        fam = packing_family(k, d, eps)
+        want = min(canonical_angle(a, b) for a, b in combinations(fam.members, 2))
+        assert fam.separation == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("k,d,eps", [(1, 2, 0.25), (1, 3, 0.5), (2, 3, 0.8), (2, 4, 1.0)])
+    def test_covering_radius_matches_double_loop(self, k, d, eps):
+        fam = covering_family(k, d, eps, c1=1.0)
+        radius = covering_radius_estimate(fam, 12, np.random.default_rng(8))
+        probes = sample_uniform_frames(np.random.default_rng(8), 12, k, d)
+        want = max(min(canonical_angle(Subspace(p), m) for m in fam.members) for p in probes)
+        assert radius == pytest.approx(want, abs=1e-12)
+
+    def test_probe_radius_is_a_running_maximum(self):
+        fam = covering_family(1, 2, 0.25, c1=1.0)
+        assert fam.probe_radius is None
+        wide = covering_radius_estimate(fam, 50, np.random.default_rng(1))
+        assert fam.probe_radius == wide
+        narrow = covering_radius_estimate(fam, 1, np.random.default_rng(2))
+        assert narrow < wide and fam.probe_radius == wide
 
 
 class TestNearest:
