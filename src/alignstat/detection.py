@@ -35,7 +35,7 @@ from .errors import (
     ParamOrder,
     Unsupported,
 )
-from .grassmann import RANK_TOL, OrientedPoint, Subspace, sample_uniform_frames
+from .grassmann import OrientedPoint, Subspace, chart_regular, sample_uniform_frames
 from .holder import (
     GraphLift,
     HolderParams,
@@ -204,12 +204,7 @@ def oriented_to_jets(
     n = len(samples)
     a = samples.frames[:, :k, :]
     b = samples.frames[:, k:, :]
-    if n == 0:
-        ok = np.zeros(0, dtype=bool)
-    elif k == 1:
-        ok = np.abs(a[:, 0, 0]) > RANK_TOL
-    else:
-        ok = np.abs(np.linalg.det(a)) > RANK_TOL
+    ok = chart_regular(a)
     dropped = int(n - np.sum(ok))
     z = samples.z[ok]
     if k == 1:

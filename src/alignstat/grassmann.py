@@ -48,6 +48,18 @@ class Subspace:
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 
+    @classmethod
+    def _from_orthonormal(cls, frame: np.ndarray) -> "Subspace":
+        """Wrap a read-only frame already known to be orthonormal.
+
+        Skips the Gram check and the copy, so the member shares the
+        caller's memory; for frames out of a batched SVD that the caller
+        has checked for rank as a whole.
+        """
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "frame", frame)
+        return sub
+
     @property
     def dim_ambient(self) -> int:
         return self.frame.shape[0]
@@ -336,11 +348,22 @@ def graph_chart(w: Subspace) -> ChartMatrix:
     k = w.dim_sub
     a = w.frame[:k, :]
     b = w.frame[k:, :]
-    svals = np.linalg.svd(a, compute_uv=False)
-    if svals[-1] <= RANK_TOL:
+    if not chart_regular(a[None])[0]:
         raise ChartSingular("top k-by-k block of the frame is numerically singular")
     y = np.linalg.solve(a.T, b.T).T
     return ChartMatrix(y)
+
+
+def chart_regular(a: np.ndarray) -> np.ndarray:
+    """Whether each k-by-k block of a stack (m, k, k) admits a graph chart.
+
+    True where the smallest singular value exceeds RANK_TOL: |a| for
+    k = 1, the closed form |det| / sigma_max for k = 2, a batched SVD
+    otherwise.  The one chart-singularity criterion of the package.
+    """
+    if a.shape[1] == 1:
+        return np.abs(a[:, 0, 0]) > RANK_TOL
+    return _extreme_singular_value(a.transpose(1, 2, 0), largest=False) > RANK_TOL
 
 
 def chart_to_subspace(y: ChartMatrix | np.ndarray) -> Subspace:

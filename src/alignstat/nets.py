@@ -39,12 +39,18 @@ from .grassmann import (
     RANK_TOL,
     Subspace,
     batch_canonical_angle,
+    chart_regular,
     min_canonical_angle,
     sample_uniform_frames,
     span_normal_form,
 )
 
 DEFAULT_FAMILY_CAP = 10**6
+
+# Largest packing whose minimum pairwise angle is measured, about 33 M
+# member pairs.  With one BLAS thread on a 2-vCPU host the blocked angle
+# kernel measured 8100 lines in R^3 in 1.4 s and 6561 planes in R^4 in 3.5 s.
+_SEPARATION_MEMBER_CAP = 2**13
 
 # Sample count and padding used when estimating the normal-form bound c1.
 _SPAN_BOUND_SAMPLES = 10**4
@@ -90,6 +96,7 @@ def _grid_members(
 
     One member per (sigma, n), sigma in the outer order; returns the
     members and their frame stack, orthonormalized by one batched SVD.
+    The stack is read-only and each member's frame is a view of its row.
     """
     slopes = eps * np.array(n_tuples, dtype=float).reshape(len(n_tuples), d - k, k)
     raw = np.zeros((len(sigmas), len(n_tuples), d, k))
@@ -99,7 +106,8 @@ def _grid_members(
     frames, svals, _ = np.linalg.svd(raw.reshape(-1, d, k), full_matrices=False)
     if np.any(svals[:, -1] <= RANK_TOL):
         raise RankDeficient(f"a grid member has singular value <= {RANK_TOL:.0e}")
-    return [Subspace(f) for f in frames], frames
+    frames.setflags(write=False)
+    return [Subspace._from_orthonormal(f) for f in frames], frames
 
 
 def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
@@ -107,7 +115,7 @@ def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) ->
 
     Member count is exactly (floor(1/eps) + 1)^((d-k)k); the measured
     minimum pairwise angle is recorded when the family is small enough to
-    check exhaustively (<= 4096 members).
+    check exhaustively (<= 8192 members).
     """
     if not 0 < eps <= 1:
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
@@ -123,7 +131,7 @@ def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) ->
     members, stack = _grid_members(d, k, eps, [identity], n_tuples)
     meta = [(identity, n_tuple) for n_tuple in n_tuples]
     fam = SubspaceFamily(eps=eps, kind="packing", members=members, meta=meta, _stack=stack)
-    if len(members) <= 4096:
+    if len(members) <= _SEPARATION_MEMBER_CAP:
         fam.separation = _min_pairwise_angle(fam)
     return fam
 
@@ -274,8 +282,7 @@ def chart_cube_measure_estimate(
         frames = sample_uniform_frames(sub_rng, size, k, d)
         a = frames[:, :k, :]
         b = frames[:, k:, :]
-        dets = np.abs(np.linalg.det(a))
-        ok = dets > RANK_TOL
+        ok = chart_regular(a)
         singular += int(np.sum(~ok))
         if np.any(ok):
             y = np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))

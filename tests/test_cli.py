@@ -1,5 +1,6 @@
 """Command-line driver: outputs, exit codes, manifest round-trips."""
 
+import numpy as np
 import pytest
 
 from alignstat.cli import main
@@ -198,6 +199,13 @@ class TestNetsDemo:
         lines = (tmp_path / "nets.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + packing + covering
         assert (tmp_path / "packing_0.5.csv").exists()
+
+    def test_packing_over_4096_members_gets_a_separation(self, tmp_path):
+        argv = ["nets-demo", "--k", 1, "--d", 3, "--eps-grid", 0.015, "--probes", 1]
+        assert run_cli(argv + ["--out-dir", tmp_path]) == 0
+        packing = (tmp_path / "nets.csv").read_text().splitlines()[1].split(",")
+        assert packing[:5] == ["packing", "1", "3", "0.015", "4489"]
+        assert np.isfinite(float(packing[5])) and np.isfinite(float(packing[7]))
 
 
 class TestPower:

@@ -12,6 +12,7 @@ from alignstat.grassmann import (
     Subspace,
     batch_canonical_angle,
     canonical_angle,
+    chart_regular,
     chart_to_subspace,
     discrepancy_psi,
     graph_chart,
@@ -276,6 +277,27 @@ class TestGraphChart:
             w = sample_uniform_subspace(rng, 2, 4)
             back = chart_to_subspace(graph_chart(w))
             assert canonical_angle(back, w) < 1e-8
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_chart_regular_agrees_with_graph_chart_at_the_threshold(self, k):
+        # frames [U diag(s) V^T ; W diag(sqrt(1 - s^2)) V^T] in R^2k have a
+        # top block with smallest singular value s[-1], set 1% off RANK_TOL;
+        # the other values 0.6 put |det| below RANK_TOL either way
+        rng = np.random.default_rng(70 + k)
+        for factor, regular in ((1.01, True), (0.99, False)):
+            s = np.full(k, 0.6)
+            s[-1] = factor * grassmann.RANK_TOL
+            for _ in range(20):
+                u, v, w = (sample_orthogonal_matrix(rng, k) for _ in range(3))
+                top = u @ np.diag(s) @ v.T
+                bottom = w @ np.diag(np.sqrt(1.0 - s * s)) @ v.T
+                sub = Subspace(np.vstack([top, bottom]))
+                assert chart_regular(sub.frame[None, :k, :])[0] == regular
+                if regular:
+                    graph_chart(sub)
+                else:
+                    with pytest.raises(ChartSingular):
+                        graph_chart(sub)
 
     def test_chart_to_subspace_spans_stack(self):
         y = ChartMatrix(np.array([[2.0], [-1.0]]))

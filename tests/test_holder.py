@@ -1,11 +1,17 @@
 """Jets, bump basis, interpolant construction, membership, graph lifts."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import fd_jet, random_nodes
 
+import alignstat
+from alignstat import holder
 from alignstat.errors import (
     BoxViolation,
     CellCollision,
@@ -254,6 +260,73 @@ class TestMembership:
             nodes = random_nodes(params, eps, epsp, 3, rng)
             itp = build_interpolant(nodes, params, eps)
             assert holder_membership_check(itp, params).passed
+
+    @pytest.mark.parametrize("budget", [1, 500, holder._MEMBERSHIP_PAIR_BUDGET])
+    @pytest.mark.parametrize(
+        "k,d,alpha,grid_n",
+        [(1, 2, 2.0, 41), (2, 3, 2.0, 9), (2, 3, 2.5, 9), (2, 4, 2.0, 9), (3, 4, 2.0, 6)],
+    )
+    def test_blocked_scan_equals_dense_scan(self, monkeypatch, budget, k, d, alpha, grid_n):
+        monkeypatch.setattr(holder, "_MEMBERSHIP_PAIR_BUDGET", budget)
+        params = HolderParams(k, d, alpha, 1.0, 1)
+        rng = np.random.default_rng(100 * k + d)
+        c2 = bump_basis(params).construction_c2(alpha, 1.0)
+        eps = 0.05 / c2
+        epsp = (c2 * eps) ** (1 / alpha)
+        maps = [random_class_function(params, rng) for _ in range(2)]
+        maps += [
+            build_interpolant(random_nodes(params, eps, epsp, 3, rng), params, eps)
+            for _ in range(2)
+        ]
+        quadratic = PolyJetFunction(k, d - k, {(2,) + (0,) * (k - 1): np.full(d - k, 2.0)})
+        maps.append(quadratic)
+        for f in maps:
+            report = holder_membership_check(f, params, grid_n=grid_n)
+            assert report.max_holder_ratio == dense_max_holder_ratio(f, params, grid_n)
+        assert not holder_membership_check(quadratic, params, grid_n=grid_n).passed
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+    def test_default_grid_3_4_in_bounded_memory(self):
+        # N = 21^3 = 9261 grid points: one dense N-by-N-by-3 pair array
+        # would be 2 GB.  The child reads its own peak from VmHWM: getrusage's
+        # ru_maxrss of a spawned child starts from the spawning process's
+        # peak, which here is the whole test session's.
+        code = (
+            "import numpy as np\n"
+            "from alignstat.holder import HolderParams, holder_membership_check, "
+            "random_class_function\n"
+            "params = HolderParams(3, 4, 2.0, 1.0, 1)\n"
+            "g = random_class_function(params, np.random.default_rng(34))\n"
+            "assert holder_membership_check(g, params).passed\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    print(next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:')))\n"
+        )
+        src = str(Path(alignstat.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert int(child.stdout) / 1024 < 150  # VmHWM is in kB
+
+
+def dense_max_holder_ratio(f, params, grid_n):
+    """Reference: the N-by-N increment scan, one dense pair matrix per row."""
+    axes = [np.linspace(0.0, 1.0, grid_n)] * params.k
+    mesh = np.meshgrid(*axes, indexing="ij")
+    xs = np.stack([m.reshape(-1) for m in mesh], axis=1)
+    t_all = multi_index_set(params.k, params.r)
+    jets = f.jet_grid(xs, t_all)
+    dx = np.max(np.abs(xs[:, None, :] - xs[None, :, :]), axis=2)
+    np.fill_diagonal(dx, np.inf)
+    denom = dx ** (params.alpha - params.r)
+    max_ratio = 0.0
+    for row, t in enumerate(t_all):
+        if sum(t) != params.r:
+            continue
+        vals = jets[:, row, :]
+        gaps = np.max(np.abs(vals[:, None, :] - vals[None, :, :]), axis=2)
+        max_ratio = max(max_ratio, float(np.max(gaps / denom)))
+    return max_ratio
 
 
 class TestGraphLift:

@@ -1,5 +1,6 @@
 """Packing/covering families and measure estimation on G(k, d)."""
 
+import dataclasses
 from itertools import combinations
 
 import numpy as np
@@ -249,3 +250,18 @@ def test_export_family_csv(tmp_path):
     assert header[:5] == ["index", "kind", "eps", "sigma", "n"]
     frame0 = np.array([float(v) for v in lines[1].split(",")[5:]]).reshape(2, 1)
     assert np.allclose(frame0, fam.members[0].frame)
+
+
+def test_members_are_read_only_views_of_the_stack(tmp_path):
+    fam = covering_family(2, 3, 0.4)
+    stack = fam.frame_stack()
+    assert not stack.flags.writeable
+    for i, member in enumerate(fam.members):
+        assert np.shares_memory(member.frame, stack)
+        assert not member.frame.flags.writeable
+        assert np.array_equal(member.frame, stack[i])
+    # the public constructor validates and copies; the export must not change
+    copies = dataclasses.replace(fam, members=[Subspace(m.frame) for m in fam.members])
+    export_family_csv(fam, tmp_path / "views.csv")
+    export_family_csv(copies, tmp_path / "copies.csv")
+    assert (tmp_path / "views.csv").read_bytes() == (tmp_path / "copies.csv").read_bytes()
