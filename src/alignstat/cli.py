@@ -13,7 +13,8 @@ values, unknown keys are a hard error, and every run writes a manifest
 echoing the full effective configuration (a manifest is itself a valid
 config file, so re-running from it reproduces the outputs byte for byte).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical/budget error.
+Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
+requested sizes counts as one), 3 numerical error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import numpy as np
 from .detection import generate_alt_oriented, generate_null_oriented
 from .errors import (
     AlignstatError,
+    BudgetExceeded,
     CliConfigError,
     DegenerateFit,
     DimensionMismatch,
@@ -380,10 +382,12 @@ def main(argv=None) -> int:
             "power": cmd_power,
         }[args.command]
         return handler(args, out_dir)
-    except (CliConfigError, UnsupportedDims, ParamOrder, DimensionMismatch) as exc:
+    except (
+        CliConfigError, UnsupportedDims, ParamOrder, DimensionMismatch, BudgetExceeded
+    ) as exc:
         # Every parameter reaching the library here came from the command
-        # line or a config file, so a violated ordering or dimension rule
-        # is a configuration error.
+        # line or a config file, so a violated ordering or dimension rule,
+        # or a size over its budget, is a configuration error.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except AlignstatError as exc:

@@ -20,6 +20,7 @@ through one blocked kernel (:func:`batch_canonical_angle`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -183,7 +184,12 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
     Equivalent in distribution to repeated :func:`sample_uniform_subspace`
-    but vectorized; used by the Monte Carlo estimators.
+    but vectorized; used by the Monte Carlo estimators.  The frame is the
+    Q factor of a Gaussian d-by-k matrix with R's diagonal positive, the
+    sign convention that makes the distribution exactly invariant.  For
+    k >= 2 it comes from Gram-Schmidt over the k columns, each column
+    projected off the earlier ones twice ("twice is enough"), vectorized
+    over the whole batch.
     """
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -191,11 +197,15 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     if k == 1:
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         return g / norms
-    q, r = np.linalg.qr(g)
-    # Fix the sign convention so the distribution is exactly invariant.
-    signs = np.sign(np.einsum("tkk->tk", r))
-    signs[signs == 0.0] = 1.0
-    return q * signs[:, None, :]
+    # one contiguous (d, trials) plane per column
+    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
+    for j in range(k):
+        v = cols[j]
+        for _ in range(2):
+            for i in range(j):
+                v -= cols[i] * np.einsum("dt,dt->t", cols[i], v)
+        v /= np.sqrt(np.einsum("dt,dt->t", v, v))
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 # (center, frame) pairs whose d-by-k1 products one block of the angle
@@ -374,42 +384,37 @@ def chart_to_subspace(y: ChartMatrix | np.ndarray) -> Subspace:
     return orthonormalize(stacked)
 
 
+# Relative margin within which two pivot minors count as tied; far above
+# the rounding of a k-by-k determinant of an orthonormal frame's rows.
+_PIVOT_TIE_RTOL = 1e-13
+
+
 def span_normal_form(h: Subspace) -> tuple[tuple[int, ...], np.ndarray, float]:
-    """Permuted graph normal form of a subspace.
+    """Maximal-volume graph normal form of a subspace.
 
     Returns ``(sigma, xi, bound)`` such that h is spanned by the vectors
 
         e_{sigma[i]} + sum_j xi[j, i] * e_{sigma[k + j]},   i = 0..k-1,
 
-    with ``bound = max |xi|``.  ``sigma`` is a permutation of 0..d-1 found
-    by column-pivoted elimination: each column picks, among the axes still
-    available, the one carrying its largest remaining inner product.
-    Always succeeds for a valid subspace.
+    with ``bound = max |xi| <= 1``.  The pivot axes sigma[:k] are the k
+    rows of the frame F whose k-by-k minor A has the largest |det|, found
+    from all binom(d, k) minors in one batched determinant; ties (within a
+    relative 1e-13) go to the lexicographically lowest subset, and both
+    the pivots and the remaining axes sigma[k:] are increasing.  With B
+    the remaining rows, xi = B A^{-1}, and by Cramer's rule each entry is
+    a ratio of two k-by-k minors of F, the denominator the largest, so
+    |xi| <= 1 (the maximal-volume lemma).  Always succeeds for a valid
+    subspace.
     """
-    frame = np.array(h.frame, dtype=float)
+    frame = h.frame
     d, k = frame.shape
-    available = list(range(d))
-    pivots: list[int] = []
-    for col in range(k):
-        rows = np.array(available)
-        vals = np.abs(frame[rows, col])
-        # ties (to within rounding) break toward the lower axis index
-        j = rows[int(np.argmax(vals >= vals.max() * (1.0 - 1e-12)))]
-        pivots.append(int(j))
-        available.remove(int(j))
-        pivot_val = frame[j, col]
-        for other in range(k):
-            if other == col:
-                continue
-            factor = frame[j, other] / pivot_val
-            frame[:, other] -= factor * frame[:, col]
-    for col in range(k):
-        frame[:, col] /= frame[pivots[col], col]
-    rest = sorted(available)
-    sigma = tuple(pivots + rest)
-    xi = frame[np.array(rest, dtype=int), :] if rest else np.zeros((0, k))
+    subsets = list(combinations(range(d), k))
+    volumes = np.abs(np.linalg.det(frame[np.array(subsets)]))
+    pivots = subsets[int(np.argmax(volumes >= volumes.max() * (1.0 - _PIVOT_TIE_RTOL)))]
+    rest = tuple(i for i in range(d) if i not in pivots)
+    xi = np.linalg.solve(frame[list(pivots)].T, frame[list(rest)].T).T
     bound = float(np.max(np.abs(xi))) if xi.size else 0.0
-    return sigma, xi, bound
+    return pivots + rest, xi, bound
 
 
 def subspace_from_normal_form(sigma: tuple[int, ...], xi: np.ndarray, d: int) -> Subspace:
@@ -417,10 +422,8 @@ def subspace_from_normal_form(sigma: tuple[int, ...], xi: np.ndarray, d: int) ->
     xi = np.asarray(xi, dtype=float)
     k = d - xi.shape[0]
     mat = np.zeros((d, k))
-    for i in range(k):
-        mat[sigma[i], i] = 1.0
-        for j in range(xi.shape[0]):
-            mat[sigma[k + j], i] = xi[j, i]
+    mat[list(sigma[:k]), range(k)] = 1.0
+    mat[list(sigma[k:])] = xi
     return orthonormalize(mat)
 
 

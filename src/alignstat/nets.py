@@ -3,15 +3,18 @@
 Packing members are graphs over the first k axes with slopes on a grid of
 step eps; any two distinct grid points are at angle >= c * eps, so the
 family is an eps-scale packing and its cardinality grows like
-eps^{-(d-k)k}.  Covering members repeat the construction over all pivot
-axis subsets and a slope grid wide enough to reach every subspace's
-normal form.
+eps^{-(d-k)k}.
 
-The slope grid for coverings runs over *signed* integers.  The normal
-form of a generic subspace has entries of either sign, and a family built
-from nonnegative multiples only would leave subspaces with negative chart
-entries at a constant distance from the family, so its covering radius
-would not scale with eps.
+Covering members repeat the construction over every pivot subset of k
+axes, with signed slopes eps * n, |n| < 2 / eps.  The covering is proven,
+not estimated: ``grassmann.span_normal_form`` writes every subspace as a
+graph xi over its maximal-volume pivot subset sigma, and the
+maximal-volume lemma gives |xi| <= 1.  The member with the same sigma and
+n = rint(xi / eps) is in the family, its slopes are within eps / 2 of xi
+entrywise, and the sine of its angle to the subspace is at most the
+spectral norm of the slope difference, so every subspace lies within
+arcsin(eps sqrt((d-k)k) / 2) of a member.  Signed slopes are needed:
+normal forms have entries of either sign.
 
 Members are built as one (m, d, k) grid stack and orthonormalized by one
 batched SVD.  Packing separation and covering probes are minima of the
@@ -28,7 +31,6 @@ chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -42,7 +44,6 @@ from .grassmann import (
     chart_regular,
     min_canonical_angle,
     sample_uniform_frames,
-    span_normal_form,
 )
 
 DEFAULT_FAMILY_CAP = 10**6
@@ -51,12 +52,6 @@ DEFAULT_FAMILY_CAP = 10**6
 # member pairs.  With one BLAS thread on a 2-vCPU host the blocked angle
 # kernel measured 8100 lines in R^3 in 1.4 s and 6561 planes in R^4 in 3.5 s.
 _SEPARATION_MEMBER_CAP = 2**13
-
-# Sample count and padding used when estimating the normal-form bound c1.
-_SPAN_BOUND_SAMPLES = 10**4
-_SPAN_BOUND_QUANTILE = 0.999
-_SPAN_BOUND_PAD = 1.5
-_SPAN_BOUND_SEED = 88710
 
 
 @dataclass
@@ -142,33 +137,31 @@ def _min_pairwise_angle(fam: SubspaceFamily) -> float:
     return float(np.min(angles))
 
 
-@lru_cache(maxsize=None)
 def estimate_span_bound(k: int, d: int) -> float:
-    """Empirical stand-in for the normal-form entry bound c1(k, d).
+    """The normal-form entry bound c1(k, d): 1.0, proven for every (k, d).
 
-    The 99.9th percentile of max|xi| over 10^4 uniform subspaces, padded
-    by 1.5.  Deterministic: drawn from a fixed internal seed, cached per
-    (k, d).
+    ``grassmann.span_normal_form`` pivots on the maximal-volume minor, so
+    every entry of a normal form has |xi| <= 1.  Kept only under its old
+    name for callers that still ask for it.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_SPAN_BOUND_SEED, k, d]))
-    frames = sample_uniform_frames(rng, _SPAN_BOUND_SAMPLES, k, d)
-    worst = np.empty(_SPAN_BOUND_SAMPLES)
-    for i in range(_SPAN_BOUND_SAMPLES):
-        _, xi, bound = span_normal_form(Subspace(frames[i]))
-        worst[i] = bound
-    return float(np.quantile(worst, _SPAN_BOUND_QUANTILE) * _SPAN_BOUND_PAD)
+    if not 1 <= k < d:
+        raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
+    return 1.0
 
 
 def covering_family(
     k: int,
     d: int,
     eps: float,
-    c1: float | None = None,
+    c1: float = 1.0,
     cap: int = DEFAULT_FAMILY_CAP,
 ) -> SubspaceFamily:
     """Grid covering: all pivot subsets, slopes eps * n with |n| < (c1+1)/eps.
 
-    c1 defaults to the cached empirical normal-form bound.  Count equals
+    c1 bounds the normal-form entries the grid must reach; the default
+    1.0 is the maximal-volume bound, which every subspace meets, so the
+    default family covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2)
+    (see the module docstring).  Count equals
     binom(d, k) * (2 * ceil((c1+1)/eps) - 1)^((d-k)k) exactly; members are
     not deduplicated, so a few coincide as subspaces.
     """
@@ -176,8 +169,6 @@ def covering_family(
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
-    if c1 is None:
-        c1 = estimate_span_bound(k, d)
     if c1 <= 0:
         raise ParamOrder(f"need c1 > 0, got {c1}")
     reach = int(np.ceil((c1 + 1.0) / eps))
@@ -215,6 +206,8 @@ def covering_radius_estimate(
     Also folds the result into ``fam.probe_radius``, the running radius
     within which every probe tested so far has found a member.
     """
+    if probes < 1:
+        raise ParamOrder(f"need probes >= 1, got {probes}")
     if len(fam.members) == 0:
         raise EmptyFamily("family has no members")
     d, k = fam.members[0].frame.shape

@@ -240,6 +240,9 @@ class TestPower:
         ["power", "--level", 1.5],
         ["volume-scan", "--k", 3, "--d", 2],
         ["volume-scan", "--k", 2, "--d", 2],
+        ["nets-demo", "--probes", 0],
+        ["nets-demo", "--probes", -5],
+        ["nets-demo", "--k", 2, "--d", 4, "--eps-grid", 0.02],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

@@ -249,6 +249,17 @@ class TestUniformSampling:
         a2 = batch_canonical_angle(rotated, h.frame)
         assert stats.ks_2samp(a1, a2).pvalue > 0.01
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_frames_are_the_sign_fixed_qr_factor(self, k):
+        for d in (k, k + 1, k + 3):
+            frames = sample_uniform_frames(np.random.default_rng(60 + d), 2000, k, d)
+            g = np.random.default_rng(60 + d).standard_normal((2000, d, k))
+            q, r = np.linalg.qr(g)
+            want = q * np.sign(np.einsum("tkk->tk", r))[:, None, :]
+            assert np.max(np.abs(frames - want)) < 1e-12
+            gram = np.einsum("tdi,tdj->tij", frames, frames)
+            assert np.max(np.abs(gram - np.eye(k))) < 1e-13
+
     def test_batch_matches_single_distribution(self):
         rng = np.random.default_rng(6)
         frames = sample_uniform_frames(rng, 200, 2, 4)
@@ -331,6 +342,32 @@ class TestSpanNormalForm:
         assert np.isfinite(list(worst.values())).all()
         lo, hi = sorted(worst.values())
         assert hi / lo < 1.5  # stable 99th percentile across seeds
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (2, 5)])
+    def test_maximal_volume_bound_and_round_trip(self, k, d):
+        # maximal-volume lemma: every entry of the normal form is at most 1
+        frames = sample_uniform_frames(np.random.default_rng(40 + 10 * k + d), 10**4, k, d)
+        for frame in frames:
+            sigma, xi, bound = span_normal_form(Subspace(frame))
+            assert bound <= 1.0 + 1e-12
+            assert sorted(sigma) == list(range(d))
+            assert list(sigma[:k]) == sorted(sigma[:k]) and list(sigma[k:]) == sorted(sigma[k:])
+            rebuilt = subspace_from_normal_form(sigma, xi, d).frame
+            # the rebuilt frame spans the same subspace: projecting onto it
+            # reproduces the original frame
+            assert np.max(np.abs(rebuilt @ (rebuilt.T @ frame) - frame)) < 1e-10
+
+    def test_pivots_are_the_largest_minor_lowest_on_ties(self):
+        # span{e0 + e1 + 2 e2}: the minors are 1, 1, 2, so the pivot is axis 2
+        sigma, xi, bound = span_normal_form(line(1, 1, 2))
+        assert sigma == (2, 0, 1)
+        assert xi == pytest.approx(np.array([[0.5], [0.5]]))
+        # span{e0 + e2, e1 - e2}: minors {0,1} 1, {0,2} -1, {1,2} 1 tie at 1
+        plane = orthonormalize(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0]]))
+        sigma, xi, bound = span_normal_form(plane)
+        assert sigma == (0, 1, 2)
+        assert xi == pytest.approx(np.array([[1.0, -1.0]]))
+        assert bound == pytest.approx(1.0, abs=1e-14)
 
 
 class TestDiscrepancyPsi:

@@ -2,17 +2,19 @@
 
 import dataclasses
 from itertools import combinations
+from math import ceil, comb
 
 import numpy as np
 import pytest
 
-from alignstat.errors import BudgetExceeded, EmptyFamily
+from alignstat.errors import BudgetExceeded, EmptyFamily, ParamOrder
 from alignstat.grassmann import (
     Subspace,
     canonical_angle,
     orthonormalize,
     sample_uniform_frames,
     sample_uniform_subspace,
+    span_normal_form,
 )
 from alignstat.nets import (
     ball_measure_estimate,
@@ -109,9 +111,50 @@ class TestCoveringFamily:
         assert max(radii) / min(radii) < 1.5
         assert fam.probe_radius == max(radii)  # running record over all probes
 
+    @pytest.mark.parametrize("k,d,eps", [(1, 2, 0.3), (1, 3, 0.4), (2, 3, 0.2), (2, 4, 0.5)])
+    def test_default_count_is_the_c1_one_grid(self, k, d, eps):
+        fam = covering_family(k, d, eps)
+        assert fam.c1 == 1.0
+        assert len(fam) == comb(d, k) * (2 * ceil(2 / eps) - 1) ** ((d - k) * k)
+
+    @pytest.mark.parametrize(
+        "k,d,eps", [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3), (2, 4, 0.4), (3, 4, 0.5)]
+    )
+    def test_normal_form_names_a_member_within_the_proven_radius(self, k, d, eps):
+        # deterministic covering certificate: sigma from the normal form and
+        # n = rint(xi / eps) index a member, whose slopes differ from xi by
+        # at most eps / 2 entrywise, and sin(angle) <= ||xi - eps n||_2
+        fam = covering_family(k, d, eps)
+        reach = ceil(2 / eps)
+        index = {m: i for i, m in enumerate(fam.meta)}
+        radius = np.arcsin(eps * np.sqrt((d - k) * k) / 2)
+        for frame in sample_uniform_frames(np.random.default_rng(90 + d), 2000, k, d):
+            probe = Subspace(frame)
+            sigma, xi, _ = span_normal_form(probe)
+            n = np.rint(xi / eps).astype(int)
+            assert np.max(np.abs(n)) <= reach - 1
+            member = fam.members[index[(sigma, tuple(n.reshape(-1)))]]
+            slack = np.linalg.norm(xi - eps * n, 2)
+            angle = canonical_angle(probe, member)
+            assert np.sin(angle) <= slack + 1e-12
+            assert angle <= radius + 1e-12
+
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             covering_family(2, 4, 0.02)
+
+    def test_2_4_at_eps_0_2_fits_under_the_cap(self):
+        # c1 = 1: 6 * 19^4 = 781,926 members; the old empirical c1 = 2.54
+        # gave 6 * 35^4 = 9,003,750
+        with pytest.raises(BudgetExceeded, match="781926 members"):
+            covering_family(2, 4, 0.2, cap=781925)
+
+    def test_fewer_than_one_probe(self):
+        fam = covering_family(1, 2, 0.5)
+        for probes in (0, -5):
+            with pytest.raises(ParamOrder):
+                covering_radius_estimate(fam, probes, np.random.default_rng(0))
+        assert fam.probe_radius is None
 
 
 class TestScalarOracles:
@@ -235,9 +278,12 @@ class TestChartCubeMeasure:
 
 
 def test_span_bound_deterministic_and_modest():
-    assert estimate_span_bound(1, 2) == estimate_span_bound(1, 2)
-    assert 1.0 <= estimate_span_bound(1, 2) <= 1.5 + 1e-9  # |xi| <= 1 for lines
-    assert estimate_span_bound(2, 3) < 20.0
+    # the maximal-volume normal form proves c1 = 1 for every (k, d)
+    for k, d in [(1, 2), (2, 3), (2, 4), (3, 4), (3, 7)]:
+        assert estimate_span_bound(k, d) == 1.0
+    for k, d in [(0, 2), (2, 2), (3, 2)]:
+        with pytest.raises(ParamOrder):
+            estimate_span_bound(k, d)
 
 
 def test_export_family_csv(tmp_path):
