@@ -347,9 +347,8 @@ def cmd_power(args, out_dir: Path) -> int:
         args.seed,
         args.trials,
     )
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 3]))
-    threshold = null_quantile_threshold(config, args.level, args.trials, rng)
-    power = power_estimate(config, threshold, args.trials, rng)
+    threshold = null_quantile_threshold(config, args.level, args.trials)
+    power = power_estimate(config, threshold, args.trials)
     rows = [
         "problem,k,d,n,n1,level,threshold,tie_gamma,power,stderr,trials",
         f"{args.problem},{args.k},{args.d},{args.n},{args.n1},{args.level!r},"

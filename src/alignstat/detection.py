@@ -362,9 +362,6 @@ def tube_dp_statistic(
     samples: JetSamples,
     beta: float,
     eps: float,
-    k: int = 1,
-    alpha: float = 2.0,
-    r0: int = 1,
     state_cap: int = 250_000,
 ) -> int:
     """Max number of samples inside the discrepancy tube of a quantized profile.
@@ -381,13 +378,12 @@ def tube_dp_statistic(
     cell-by-cell lattice of the (nv nu)^(d-k) product states, whose count
     ``state_cap`` bounds.
     """
-    if k != 1 or alpha != 2.0 or r0 != 1:
-        raise Unsupported("the tube DP is implemented for k=1, alpha=2, r0=1 only")
-    if samples.params.k != 1 or samples.params.r0 != 1:
-        raise Unsupported("samples must carry k=1, r0=1 jets")
+    params = samples.params
+    if params.k != 1 or params.alpha != 2.0 or params.r0 != 1:
+        raise Unsupported("the tube DP is implemented for k=1, alpha=2, r0=1 jets only")
     if not 0 < eps:
         raise ParamOrder("eps must be positive")
-    dim_out = samples.params.dim_out
+    dim_out = params.dim_out
     delta = math.sqrt(eps)
     n_cells = max(1, math.ceil(1.0 / delta))
     nv = int(math.floor(1.0 / eps)) + 1

@@ -3,16 +3,24 @@
 Reproducibility contract: every trial draws from a generator seeded by
 SeedSequence([master_seed, n_index, trial]), so a sweep's output depends
 only on its configuration and master seed, never on the worker count or
-scheduling order.  Aggregation is by (n_index, trial) sort.  The wall
+scheduling order.  Results come back in (n_index, trial) order.  The wall
 time column in CSV output is written as 0 to keep files byte-identical
 across reruns; measured times are reported separately.
 
-Thinned trials: sweeps, calibration and power all go through run_trial,
-which generates only the null draws that can pass the value box (their
-number is binomial, their values uniform on the box) plus the planted
-points: a few draws per cell instead of n.  The greedy count has the same
-law as on n full draws.  Output at a given seed differs from that of the
-earlier full-draw engine, which consumed the random stream differently.
+One keyed trial engine: sweeps, calibration and power all run their
+trials through ``_run_trials``, one seeded ``run_trial`` per key.
+Calibration runs the null configuration at keys (seed, 0, t) for
+t < T, so its statistics are exactly those of a T-trial null sweep at
+the same n; power continues the trial index at (seed, 0, T + t), so the
+two sets of trials never share a key.  Power is the mean of the exact
+rejection weight: 1 above the threshold, tie_gamma at it, 0 below.
+
+Thinned trials: run_trial generates only the null draws that can pass
+the value box (their number is binomial, their values uniform on the
+box) plus the planted points: a few draws per cell instead of n.  The
+greedy count has the same law as on n full draws.  Output at a given seed
+differs from that of the earlier full-draw engine, which consumed the
+random stream differently.
 
 Cell sizing: sweeps use c2 = 1 + 1e-6 (EXPERIMENT_C2) rather than the
 class-certifying construction constant.  The certifying c2 grows like
@@ -28,7 +36,7 @@ from __future__ import annotations
 import csv
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from io import StringIO
 
 import numpy as np
@@ -127,9 +135,10 @@ class RunRecord:
 
 
 def default_alternative(config: ExperimentConfig):
-    """Construction-aligned planted signal: the constant map at 0.75 eps(n).
+    """Construction-aligned planted signal: the constant map at
+    0.75 eps(config.n).
 
-    Its jets sit inside every cell box (value in [eps/2, eps], slopes 0),
+    run_trial builds it at the trial's own n.  Its jets sit inside every cell box (value in [eps/2, eps], slopes 0),
     so planted points fill cells and the greedy statistic saturates; an
     arbitrary class member would rarely intersect the boxes and the cell
     statistic would not see it.
@@ -151,10 +160,9 @@ def run_trial(
     n: int,
     rng: np.random.Generator,
     c2: float = EXPERIMENT_C2,
-    alt=None,
 ):
     """One trial at sample size n: the greedy count on n - n1 null draws
-    plus n1 planted points.
+    plus n1 points planted on the default alternative at eps(n).
 
     Only null draws whose value row lands in the box [eps/2, eps]^(d-k)
     can be counted.  The trial therefore draws their number
@@ -170,9 +178,7 @@ def run_trial(
     lo, hi = box_bounds(params, statistic_eps(params, n))[0]
     m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
     values = rng.uniform(lo, hi, size=(m, params.dim_out))
-    f = None
-    if config.n1 > 0:
-        f = alt if alt is not None else default_alternative(config)
+    f = default_alternative(replace(config, n=n)) if config.n1 > 0 else None
     if config.problem == "jets":
         samples = generate_null_jets(m, params, rng)
         samples.ys[:, 0, :] = values
@@ -196,14 +202,40 @@ def run_trial(
     return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
 
 
-def _sweep_task(payload) -> tuple:
-    (cfg_tuple, n_index, n, trial, c2) = payload
-    config = ExperimentConfig(*cfg_tuple)
+def _sweep_task(payload) -> RunRecord:
+    config, n_index, n, trial, c2 = payload
     rng = _trial_rng(config.seed, n_index, trial)
     t0 = time.perf_counter()
     sel = run_trial(config, n, rng, c2=c2)
-    millis = int((time.perf_counter() - t0) * 1000)
-    return (n_index, trial, n, sel.eps, sel.count, sel.cells_total, millis, sel.eps_clamped)
+    return RunRecord(
+        trial=trial,
+        problem=config.problem,
+        k=config.k,
+        d=config.d,
+        alpha=config.alpha,
+        beta=config.beta,
+        r0=config.r0,
+        n=n,
+        n1=config.n1,
+        eps=sel.eps,
+        statistic=sel.count,
+        cells_total=sel.cells_total,
+        seed=config.seed,
+        millis=int((time.perf_counter() - t0) * 1000),
+        eps_clamped=sel.eps_clamped,
+    )
+
+
+def _run_trials(
+    config: ExperimentConfig, keys, workers: int = 1, c2: float = EXPERIMENT_C2
+) -> list[RunRecord]:
+    """One seeded trial per (n_index, n, trial) key, records in key order."""
+    tasks = [(config, n_index, n, trial, c2) for n_index, n, trial in keys]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
+            return list(pool.map(_sweep_task, tasks, chunksize=chunk))
+    return [_sweep_task(t) for t in tasks]
 
 
 @dataclass
@@ -232,56 +264,12 @@ def run_sweep(
         trials = config.trials
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    cfg_tuple = (
-        config.problem,
-        config.k,
-        config.d,
-        config.alpha,
-        config.beta,
-        config.r0,
-        config.n,
-        config.n1,
-        config.seed,
-        config.trials,
-    )
-    tasks = [
-        (cfg_tuple, n_index, n, trial, c2)
-        for n_index, n in enumerate(n_grid)
-        for trial in range(trials)
-    ]
+    keys = [(n_index, n, trial) for n_index, n in enumerate(n_grid) for trial in range(trials)]
     t0 = time.perf_counter()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            results = list(pool.map(_sweep_task, tasks, chunksize=chunk))
-    else:
-        results = [_sweep_task(t) for t in tasks]
+    records = _run_trials(config, keys, workers, c2)
     elapsed = time.perf_counter() - t0
-    results.sort(key=lambda r: (r[0], r[1]))
-    records = [
-        RunRecord(
-            trial=trial,
-            problem=config.problem,
-            k=config.k,
-            d=config.d,
-            alpha=config.alpha,
-            beta=config.beta,
-            r0=config.r0,
-            n=n,
-            n1=config.n1,
-            eps=eps,
-            statistic=count,
-            cells_total=cells_total,
-            seed=config.seed,
-            millis=millis,
-            eps_clamped=clamped,
-        )
-        for (n_index, trial, n, eps, count, cells_total, millis, clamped) in results
-    ]
-    means = []
-    for n_index, n in enumerate(n_grid):
-        vals = [r[4] for r in results if r[0] == n_index]
-        means.append((n, float(np.mean(vals))))
+    stats = np.array([r.statistic for r in records]).reshape(len(n_grid), trials)
+    means = [(n, float(row.mean())) for n, row in zip(n_grid, stats)]
     fit = None
     if len({n for n, _ in means}) >= 3 and all(m > 0 for _, m in means):
         fit = fit_scaling_exponent(means)
@@ -336,49 +324,35 @@ class Threshold:
 
     The statistic is integer-valued, so a deterministic cutoff cannot hit
     an exact level; the randomized rule makes the null rejection rate
-    equal the level in expectation.
+    equal the level in expectation.  ``trials`` is the number of
+    calibration trials, which power continues after.
     """
 
     value: float
     tie_gamma: float
     level: float
+    trials: int
 
 
-def null_quantile_threshold(
-    config: ExperimentConfig,
-    level: float,
-    trials: int,
-    rng: np.random.Generator,
-    c2: float = EXPERIMENT_C2,
-) -> Threshold:
-    """Empirical randomized (1 - level) cutoff of the null statistic."""
+def null_quantile_threshold(config: ExperimentConfig, level: float, trials: int) -> Threshold:
+    """Empirical randomized (1 - level) cutoff of the null statistic.
+
+    The null trials are those of ``run_sweep(null config, [n], trials)``.
+    """
     if not 0 < level < 1:
         raise ParamOrder("level must be in (0, 1)")
     if trials < 100:
         raise ParamOrder("need at least 100 calibration trials")
-    null_cfg = ExperimentConfig(
-        config.problem,
-        config.k,
-        config.d,
-        config.alpha,
-        config.beta,
-        config.r0,
-        config.n,
-        0,
-        config.seed,
-        trials,
-    )
-    streams = rng.spawn(trials)
-    stats = np.array(
-        [run_trial(null_cfg, config.n, streams[t], c2=c2).count for t in range(trials)]
-    )
+    keys = [(0, config.n, trial) for trial in range(trials)]
+    records = _run_trials(replace(config, n1=0), keys)
+    stats = np.array([r.statistic for r in records])
     for value in np.sort(np.unique(stats)):
         tail = float(np.mean(stats > value))
         if tail <= level:
             at = float(np.mean(stats == value))
             gamma = 0.0 if at == 0.0 else min(1.0, (level - tail) / at)
-            return Threshold(float(value), gamma, level)
-    return Threshold(float(stats.max()), 0.0, level)  # pragma: no cover
+            return Threshold(float(value), gamma, level, trials)
+    return Threshold(float(stats.max()), 0.0, level, trials)  # pragma: no cover
 
 
 @dataclass
@@ -388,25 +362,20 @@ class PowerEstimate:
     trials: int
 
 
-def power_estimate(
-    config: ExperimentConfig,
-    threshold: Threshold,
-    trials: int,
-    rng: np.random.Generator,
-    alt=None,
-    c2: float = EXPERIMENT_C2,
-) -> PowerEstimate:
-    """Rejection fraction under the configured alternative."""
+def power_estimate(config: ExperimentConfig, threshold: Threshold, trials: int) -> PowerEstimate:
+    """Mean rejection weight under the configured alternative.
+
+    The trials continue the key sequence after the threshold's
+    calibration trials.  Each weighs 1 above the threshold, tie_gamma at
+    it and 0 below; every weight lies in [0, 1], so sqrt(p (1 - p) /
+    trials) bounds the standard error of their mean.
+    """
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    if alt is None and config.n1 > 0:
-        alt = default_alternative(config)
-    rejections = 0
-    for trial_rng in rng.spawn(trials):
-        sel = run_trial(config, config.n, trial_rng, c2=c2, alt=alt)
-        if sel.count > threshold.value:
-            rejections += 1
-        elif sel.count == threshold.value and trial_rng.random() < threshold.tie_gamma:
-            rejections += 1
-    p = rejections / trials
+    first = threshold.trials
+    keys = [(0, config.n, trial) for trial in range(first, first + trials)]
+    records = _run_trials(config, keys)
+    counts = np.array([r.statistic for r in records])
+    weights = np.where(counts == threshold.value, threshold.tie_gamma, counts > threshold.value)
+    p = float(np.mean(weights))
     return PowerEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials)

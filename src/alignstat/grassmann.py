@@ -49,18 +49,6 @@ class Subspace:
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
 
-    @classmethod
-    def _from_orthonormal(cls, frame: np.ndarray) -> "Subspace":
-        """Wrap a read-only frame already known to be orthonormal.
-
-        Skips the Gram check and the copy, so the member shares the
-        caller's memory; for frames out of a batched SVD that the caller
-        has checked for rank as a whole.
-        """
-        sub = object.__new__(cls)
-        object.__setattr__(sub, "frame", frame)
-        return sub
-
     @property
     def dim_ambient(self) -> int:
         return self.frame.shape[0]

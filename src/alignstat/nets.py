@@ -30,8 +30,8 @@ chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations, product
+from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -56,45 +56,46 @@ _SEPARATION_MEMBER_CAP = 2**13
 
 @dataclass
 class SubspaceFamily:
-    """A finite family of subspaces with its generating grid metadata.
+    """A finite family of subspaces held as arrays.
 
-    ``meta[i]`` records the (sigma, n) pair that produced member i: the
-    axis permutation and the integer slope tuple.  For packings,
-    ``separation`` is the measured minimum pairwise angle (None when the
-    family was too large to measure exhaustively).
+    Member i has the orthonormal frame ``frames[i]`` (the stack is
+    read-only) and was generated by the axis permutation ``sigma[i]`` and
+    the integer slopes ``n[i]``; ``fam[i]`` builds it as a ``Subspace``.
+    For packings, ``separation`` is the measured minimum pairwise angle
+    (None when the family was too large to measure exhaustively).
     """
 
     eps: float
     kind: str  # "packing" | "covering"
-    members: list[Subspace]
-    meta: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    frames: np.ndarray  # (m, d, k)
+    sigma: np.ndarray  # (m, d) integer
+    n: np.ndarray  # (m, (d-k)k) integer
     separation: float | None = None
-    c1: float | None = None
     # running covering radius: every probe tested so far lies within this
     # angle of some member (None until a probe has been run)
     probe_radius: float | None = None
-    _stack: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.frames)
 
-    def frame_stack(self) -> np.ndarray:
-        if self._stack is None:
-            self._stack = np.stack([m.frame for m in self.members])
-        return self._stack
+    def __getitem__(self, i: int) -> Subspace:
+        return Subspace(self.frames[i])
 
 
-def _grid_members(
-    d: int, k: int, eps: float, sigmas: list[tuple[int, ...]], n_tuples: list[tuple[int, ...]]
-) -> tuple[list[Subspace], np.ndarray]:
+def _grid_family(
+    kind: str, d: int, k: int, eps: float, sigmas: list[tuple[int, ...]], levels: np.ndarray
+) -> SubspaceFamily:
     """Members spanned by e_{sigma[i]} + sum_j eps n[j, i] e_{sigma[k+j]}.
 
-    One member per (sigma, n), sigma in the outer order; returns the
-    members and their frame stack, orthonormalized by one batched SVD.
-    The stack is read-only and each member's frame is a view of its row.
+    One member per sigma and n in levels^((d-k)k), sigma in the outer
+    order and n in lexicographic order, orthonormalized by one batched
+    SVD.
     """
-    slopes = eps * np.array(n_tuples, dtype=float).reshape(len(n_tuples), d - k, k)
-    raw = np.zeros((len(sigmas), len(n_tuples), d, k))
+    n_entries = (d - k) * k
+    n_grid = np.stack(np.meshgrid(*[levels] * n_entries, indexing="ij"), axis=-1)
+    n_grid = n_grid.reshape(-1, n_entries)
+    slopes = eps * n_grid.reshape(-1, d - k, k)
+    raw = np.zeros((len(sigmas), len(n_grid), d, k))
     for block, sigma in zip(raw, sigmas):
         block[:, np.array(sigma[:k]), np.arange(k)] = 1.0
         block[:, np.array(sigma[k:]), :] = slopes
@@ -102,7 +103,13 @@ def _grid_members(
     if np.any(svals[:, -1] <= RANK_TOL):
         raise RankDeficient(f"a grid member has singular value <= {RANK_TOL:.0e}")
     frames.setflags(write=False)
-    return [Subspace._from_orthonormal(f) for f in frames], frames
+    return SubspaceFamily(
+        eps=eps,
+        kind=kind,
+        frames=frames,
+        sigma=np.repeat(np.array(sigmas), len(n_grid), axis=0),
+        n=np.tile(n_grid, (len(sigmas), 1)),
+    )
 
 
 def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
@@ -121,20 +128,11 @@ def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) ->
     count = per_entry**n_entries
     if count > cap:
         raise BudgetExceeded(f"packing would have {count} members > cap {cap}")
-    identity = tuple(range(d))
-    n_tuples = list(product(range(per_entry), repeat=n_entries))
-    members, stack = _grid_members(d, k, eps, [identity], n_tuples)
-    meta = [(identity, n_tuple) for n_tuple in n_tuples]
-    fam = SubspaceFamily(eps=eps, kind="packing", members=members, meta=meta, _stack=stack)
-    if len(members) <= _SEPARATION_MEMBER_CAP:
-        fam.separation = _min_pairwise_angle(fam)
+    fam = _grid_family("packing", d, k, eps, [tuple(range(d))], np.arange(per_entry))
+    if len(fam) <= _SEPARATION_MEMBER_CAP:
+        angles, _ = min_canonical_angle(fam.frames, fam.frames, later_only=True)
+        fam.separation = float(np.min(angles))
     return fam
-
-
-def _min_pairwise_angle(fam: SubspaceFamily) -> float:
-    stack = fam.frame_stack()
-    angles, _ = min_canonical_angle(stack, stack, later_only=True)
-    return float(np.min(angles))
 
 
 def estimate_span_bound(k: int, d: int) -> float:
@@ -149,29 +147,19 @@ def estimate_span_bound(k: int, d: int) -> float:
     return 1.0
 
 
-def covering_family(
-    k: int,
-    d: int,
-    eps: float,
-    c1: float = 1.0,
-    cap: int = DEFAULT_FAMILY_CAP,
-) -> SubspaceFamily:
-    """Grid covering: all pivot subsets, slopes eps * n with |n| < (c1+1)/eps.
+def covering_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
+    """Grid covering: all pivot subsets, slopes eps * n with |n| < 2/eps.
 
-    c1 bounds the normal-form entries the grid must reach; the default
-    1.0 is the maximal-volume bound, which every subspace meets, so the
-    default family covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2)
-    (see the module docstring).  Count equals
-    binom(d, k) * (2 * ceil((c1+1)/eps) - 1)^((d-k)k) exactly; members are
-    not deduplicated, so a few coincide as subspaces.
+    The grid reaches every normal-form entry, |xi| <= 1, so the family
+    covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2) (see the module
+    docstring).  Count equals binom(d, k) * (2 * ceil(2/eps) - 1)^((d-k)k)
+    exactly; members are not deduplicated, so a few coincide as subspaces.
     """
     if not 0 < eps <= 1:
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
-    if c1 <= 0:
-        raise ParamOrder(f"need c1 > 0, got {c1}")
-    reach = int(np.ceil((c1 + 1.0) / eps))
+    reach = int(np.ceil(2.0 / eps))
     n_entries = (d - k) * k
     count = comb(d, k) * (2 * reach - 1) ** n_entries
     if count > cap:
@@ -180,21 +168,16 @@ def covering_family(
         pivots + tuple(i for i in range(d) if i not in pivots)
         for pivots in combinations(range(d), k)
     ]
-    n_tuples = list(product(range(-(reach - 1), reach), repeat=n_entries))
-    members, stack = _grid_members(d, k, eps, sigmas, n_tuples)
-    meta = [(sigma, n_tuple) for sigma in sigmas for n_tuple in n_tuples]
-    return SubspaceFamily(
-        eps=eps, kind="covering", members=members, meta=meta, c1=c1, _stack=stack
-    )
+    return _grid_family("covering", d, k, eps, sigmas, np.arange(1 - reach, reach))
 
 
 def nearest_in_family(h: Subspace, fam: SubspaceFamily) -> tuple[int, float]:
     """Index and angle of the closest family member; ties keep the lowest index."""
-    if len(fam.members) == 0:
+    if len(fam) == 0:
         raise EmptyFamily("family has no members")
-    if fam.members[0].frame.shape != h.frame.shape:
+    if fam.frames.shape[1:] != h.frame.shape:
         raise DimensionMismatch("probe and family dimensions differ")
-    angles, idx = min_canonical_angle(fam.frame_stack(), h.frame[None])
+    angles, idx = min_canonical_angle(fam.frames, h.frame[None])
     return int(idx[0]), float(angles[0])
 
 
@@ -208,11 +191,11 @@ def covering_radius_estimate(
     """
     if probes < 1:
         raise ParamOrder(f"need probes >= 1, got {probes}")
-    if len(fam.members) == 0:
+    if len(fam) == 0:
         raise EmptyFamily("family has no members")
-    d, k = fam.members[0].frame.shape
+    d, k = fam.frames.shape[1:]
     frames = sample_uniform_frames(rng, probes, k, d)
-    nearest, _ = min_canonical_angle(fam.frame_stack(), frames)
+    nearest, _ = min_canonical_angle(fam.frames, frames)
     worst = float(np.max(nearest, initial=0.0))
     fam.probe_radius = worst if fam.probe_radius is None else max(fam.probe_radius, worst)
     return worst
@@ -227,37 +210,20 @@ class MeasureEstimate:
     singular: int = 0
 
 
-def _shard_sizes(trials: int, shards: int) -> list[int]:
-    base, rem = divmod(trials, shards)
-    return [base + (1 if i < rem else 0) for i in range(shards)]
-
-
 def ball_measure_estimate(
-    h: Subspace, eps: float, trials: int, rng: np.random.Generator, shards: int = 1
+    h: Subspace, eps: float, trials: int, rng: np.random.Generator
 ) -> MeasureEstimate:
-    """Fraction of uniform subspaces within angle eps of ``h``.
-
-    With shards > 1 the trials are split over independent substreams
-    spawned from ``rng`` and combined by summation; the result is a pure
-    function of (generator state, shard count).
-    """
+    """Fraction of uniform subspaces within angle eps of ``h``."""
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    k, d = h.dim_sub, h.dim_ambient
-    streams = rng.spawn(shards) if shards > 1 else [rng]
-    hits = 0
-    for sub_rng, size in zip(streams, _shard_sizes(trials, len(streams))):
-        if size == 0:
-            continue
-        frames = sample_uniform_frames(sub_rng, size, k, d)
-        angles = batch_canonical_angle(frames, h.frame)
-        hits += int(np.sum(angles <= eps))
+    frames = sample_uniform_frames(rng, trials, h.dim_sub, h.dim_ambient)
+    hits = int(np.sum(batch_canonical_angle(frames, h.frame) <= eps))
     p = hits / trials
     return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits)
 
 
 def chart_cube_measure_estimate(
-    k: int, d: int, eps: float, trials: int, rng: np.random.Generator, shards: int = 1
+    k: int, d: int, eps: float, trials: int, rng: np.random.Generator
 ) -> MeasureEstimate:
     """Fraction of uniform subspaces whose chart entries all lie in [0, eps].
 
@@ -266,37 +232,32 @@ def chart_cube_measure_estimate(
     """
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    streams = rng.spawn(shards) if shards > 1 else [rng]
+    frames = sample_uniform_frames(rng, trials, k, d)
+    a = frames[:, :k, :]
+    b = frames[:, k:, :]
+    ok = chart_regular(a)
+    singular = int(np.sum(~ok))
     hits = 0
-    singular = 0
-    for sub_rng, size in zip(streams, _shard_sizes(trials, len(streams))):
-        if size == 0:
-            continue
-        frames = sample_uniform_frames(sub_rng, size, k, d)
-        a = frames[:, :k, :]
-        b = frames[:, k:, :]
-        ok = chart_regular(a)
-        singular += int(np.sum(~ok))
-        if np.any(ok):
-            y = np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
-            flat = y.reshape(y.shape[0], -1)
-            inside = np.all((flat >= 0.0) & (flat <= eps), axis=1)
-            hits += int(np.sum(inside))
+    if np.any(ok):
+        y = np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
+        flat = y.reshape(y.shape[0], -1)
+        hits = int(np.sum(np.all((flat >= 0.0) & (flat <= eps), axis=1)))
     p = hits / trials
     return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits, singular)
 
 
 def export_family_csv(fam: SubspaceFamily, path) -> None:
     """One row per member: index, grid metadata, then the frame row-major."""
-    d, k = fam.members[0].frame.shape if fam.members else (0, 0)
+    d, k = fam.frames.shape[1:]
     header = ["index", "kind", "eps", "sigma", "n"] + [
         f"f{r}{c}" for r in range(d) for c in range(k)
     ]
     lines = [",".join(header)]
-    for i, (member, (sigma, n_tuple)) in enumerate(zip(fam.members, fam.meta)):
-        flat = [repr(float(v)) for v in member.frame.reshape(-1)]
+    eps_s = repr(float(fam.eps))
+    rows = zip(fam.sigma.tolist(), fam.n.tolist(), fam.frames.reshape(len(fam), -1).tolist())
+    for i, (sigma, n_tuple, flat) in enumerate(rows):
         sigma_s = "|".join(str(s) for s in sigma)
         n_s = "|".join(str(v) for v in n_tuple)
-        lines.append(",".join([str(i), fam.kind, repr(float(fam.eps)), sigma_s, n_s] + flat))
+        lines.append(",".join([str(i), fam.kind, eps_s, sigma_s, n_s] + [repr(v) for v in flat]))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

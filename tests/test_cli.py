@@ -231,6 +231,15 @@ class TestPower:
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["power"]) >= 0.95
 
+    def test_rerun_is_byte_identical(self, tmp_path):
+        argv = ["power", "--n", 2000, "--n1", 4, "--trials", 100, "--seed", 3]
+        for sub in ("a", "b"):
+            assert run_cli(argv + ["--out-dir", tmp_path / sub]) == 0
+        a = (tmp_path / "a" / "power.csv").read_bytes()
+        assert a == (tmp_path / "b" / "power.csv").read_bytes()
+        power = float(a.decode().splitlines()[1].split(",")[8])
+        assert 0.0 < power < 1.0  # a weak plant, so not every weight is the same
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -265,10 +265,15 @@ class TestTubeDP:
         assert tube_dp_statistic(samples, 1.0, 0.16) == n
 
     def test_unsupported_k2(self):
+        # the DP reads k, alpha and r0 from the samples' parameters
         params = HolderParams(2, 3, 2.0, 1.0, 1)
         empty = JetSamples(params, np.zeros((0, 2)), np.zeros((0, 3, 1)))
         with pytest.raises(Unsupported):
-            tube_dp_statistic(empty, 1.0, 0.1, k=2)
+            tube_dp_statistic(empty, 1.0, 0.1)
+        third_order = HolderParams(1, 2, 3.0, 1.0, 1)
+        samples = generate_null_jets(5, third_order, np.random.default_rng(0))
+        with pytest.raises(Unsupported):
+            tube_dp_statistic(samples, 1.0, 0.1)
 
     def test_state_budget(self):
         from alignstat.errors import BudgetExceeded

@@ -1,6 +1,9 @@
 """Sweep drivers: reproducibility, calibration level, power, CSV schema."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,11 +17,13 @@ from alignstat.detection import (
     oriented_to_jets,
     statistic_eps,
 )
+from alignstat import experiments
 from alignstat.errors import ParamOrder
 from alignstat.experiments import (
     CSV_COLUMNS,
     EXPERIMENT_C2,
     ExperimentConfig,
+    Threshold,
     default_alternative,
     null_quantile_threshold,
     power_estimate,
@@ -103,33 +108,100 @@ class TestDefaultAlternative:
 class TestCalibrationAndPower:
     def test_null_rejection_rate_matches_level(self):
         cfg = small_config(n=1000, trials=400)
-        rng = np.random.default_rng(5)
-        thr = null_quantile_threshold(cfg, 0.05, 400, rng)
+        thr = null_quantile_threshold(cfg, 0.05, 400)
         # re-simulated null rejection rate equals the level (randomized rule)
-        power = power_estimate(cfg, thr, 800, np.random.default_rng(6))
+        power = power_estimate(cfg, thr, 800)
         stderr = max(power.stderr, np.sqrt(0.05 * 0.95 / 800))
         assert abs(power.power - 0.05) <= 3 * stderr
 
     def test_full_plant_has_high_power(self):
         cfg = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 1000, 1000, 7, 200)
-        rng = np.random.default_rng(8)
-        thr = null_quantile_threshold(cfg, 0.05, 200, rng)
-        power = power_estimate(cfg, thr, 200, np.random.default_rng(9))
+        thr = null_quantile_threshold(cfg, 0.05, 200)
+        power = power_estimate(cfg, thr, 200)
         assert power.power >= 0.99
 
     def test_zero_plant_power_is_level(self):
         cfg = small_config(n=800, n1=0, trials=300)
-        rng = np.random.default_rng(10)
-        thr = null_quantile_threshold(cfg, 0.1, 300, rng)
-        power = power_estimate(cfg, thr, 600, np.random.default_rng(11))
+        thr = null_quantile_threshold(cfg, 0.1, 300)
+        power = power_estimate(cfg, thr, 600)
         assert abs(power.power - 0.1) <= 4 * max(power.stderr, 0.0125)
 
     def test_oriented_plant_power(self):
         cfg = ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 1000, 1000, 12, 150)
-        rng = np.random.default_rng(13)
-        thr = null_quantile_threshold(cfg, 0.05, 150, rng)
-        power = power_estimate(cfg, thr, 150, np.random.default_rng(14))
+        thr = null_quantile_threshold(cfg, 0.05, 150)
+        power = power_estimate(cfg, thr, 150)
         assert power.power >= 0.99
+
+
+class TestKeyedEngine:
+    """Calibration and power run on run_sweep's (seed, n_index, trial) keys."""
+
+    def test_calibration_runs_the_null_sweep_trials(self, monkeypatch):
+        cfg = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 2000, 50, 17, 120)
+        want = [r.statistic for r in run_sweep(replace(cfg, n1=0), [cfg.n], trials=120).records]
+        seen = []
+
+        def recording(*args, **kwargs):
+            sel = run_trial(*args, **kwargs)
+            seen.append(sel.count)
+            return sel
+
+        monkeypatch.setattr(experiments, "run_trial", recording)
+        thr = null_quantile_threshold(cfg, 0.05, 120)
+        assert seen == want
+        assert thr.trials == 120
+        stats = np.array(want)
+        tail = np.mean(stats > thr.value)
+        assert tail <= 0.05 <= tail + np.mean(stats == thr.value)
+        assert tail + thr.tie_gamma * np.mean(stats == thr.value) == pytest.approx(0.05)
+
+    def test_calibration_and_power_keys_are_disjoint(self, monkeypatch):
+        cfg = ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 1000, 20, 23, 100)
+        keys = []
+
+        def recording(seed, n_index, trial):
+            keys.append((seed, n_index, trial))
+            return trial_rng(seed, n_index, trial)
+
+        trial_rng = experiments._trial_rng
+        monkeypatch.setattr(experiments, "_trial_rng", recording)
+        thr = null_quantile_threshold(cfg, 0.05, 100)
+        calibration, keys[:] = list(keys), []
+        power_estimate(cfg, thr, 60)
+        assert calibration == [(23, 0, t) for t in range(100)]
+        assert keys == [(23, 0, t) for t in range(100, 160)]
+
+    def test_power_is_the_mean_rejection_weight(self, monkeypatch):
+        counts = [0, 3, 2, 2, 5, 1, 2, 4]
+        it = iter(counts)
+        monkeypatch.setattr(
+            experiments,
+            "run_trial",
+            lambda *a, **kw: SimpleNamespace(count=next(it), eps=0.1, cells_total=5,
+                                             eps_clamped=False),
+        )
+        thr = Threshold(value=2.0, tie_gamma=0.25, level=0.05, trials=100)
+        power = power_estimate(small_config(), thr, len(counts))
+        # weights 0, 1, .25, .25, 1, 0, .25, 1
+        assert power.power == pytest.approx(3.75 / 8, abs=1e-15)
+        assert power.stderr == pytest.approx(math.sqrt(power.power * (1 - power.power) / 8))
+        assert power.trials == 8
+
+    def test_planted_trial_plants_at_its_own_n(self):
+        cfg = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 100_000, 200, 1, 20)
+        for problem in ("jets", "oriented"):
+            cfg = replace(cfg, problem=problem)
+            for n in (1000, 10_000):
+                got = run_trial(cfg, n, np.random.default_rng(n)).count
+                want = run_trial(replace(cfg, n=n), n, np.random.default_rng(n)).count
+                assert got == want
+                assert got >= 1  # the planted points fill cells
+
+    def test_no_module_spawns_generators(self):
+        import alignstat
+
+        for path in Path(alignstat.__file__).parent.glob("*.py"):
+            assert ".spawn(" not in path.read_text(), path.name
 
 
 class TestThinnedTrial:
