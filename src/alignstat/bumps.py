@@ -120,23 +120,31 @@ def plateau_sq_derivs(t: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+def monomial_leibniz(t: np.ndarray, m: int, derivs: np.ndarray) -> np.ndarray:
+    """Stack of d^q/dt^q [t^m / m! * h(t)], q = 0..order, by the Leibniz rule.
+
+    ``derivs`` is the (order + 1, npts) stack of h^(j)(t), j = 0..order;
+    the m-th power contributes C(q, j) t^(m-j) / (m-j)! h^(q-j)(t).
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    # powers[j] = t^(m-j) / (m-j)! for j = 0..m
+    powers = np.empty((m + 1, t.size))
+    powers[m] = 1.0
+    for j in range(m - 1, -1, -1):
+        powers[j] = powers[j + 1] * t / (m - j)
+    out = np.zeros_like(derivs)
+    for q in range(derivs.shape[0]):
+        acc = np.zeros(t.size)
+        for j in range(min(q, m) + 1):
+            acc += comb(q, j) * powers[j] * derivs[q - j]
+        out[q] = acc
+    return out
+
+
 def monomial_plateau_derivs(t: np.ndarray, m: int, order: int) -> np.ndarray:
     """Stack of d^q/dt^q [t^m / m! * zeta(t)], q = 0..order.
 
     These are the one-dimensional bump factors: the q-th derivative at 0
     equals 1 if q == m and 0 otherwise, because zeta is flat there.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    z = plateau_derivs(t, order)
-    # powers[j] = t^(m-j) / (m-j)! for j = 0..m
-    powers = np.empty((m + 1, t.size))
-    powers[m] = 1.0
-    for j in range(m - 1, -1, -1):
-        powers[j] = powers[j + 1] * t / (m - j)
-    out = np.zeros((order + 1, t.size))
-    for q in range(order + 1):
-        acc = np.zeros(t.size)
-        for j in range(min(q, m) + 1):
-            acc += comb(q, j) * powers[j] * z[q - j]
-        out[q] = acc
-    return out
+    return monomial_leibniz(t, m, plateau_derivs(t, order))

@@ -177,18 +177,15 @@ def _write_manifest(args: argparse.Namespace, out_dir: Path) -> None:
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _int_list(text: str) -> list[int]:
+def _number_list(text: str, kind: type) -> list:
+    """Comma-separated numbers; a list with no entry is a config error."""
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [kind(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
-        raise CliConfigError(f"bad integer list {text!r}") from exc
-
-
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise CliConfigError(f"bad float list {text!r}") from exc
+        raise CliConfigError(f"bad {kind.__name__} list {text!r}") from exc
+    if not values:
+        raise CliConfigError(f"empty {kind.__name__} list {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +240,7 @@ def _resolve_c2(text: str) -> float | None:
 
 
 def cmd_exponent_sweep(args, out_dir: Path) -> int:
-    n_grid = _int_list(args.n_grid)
+    n_grid = _number_list(args.n_grid, int)
     config = ExperimentConfig(
         args.problem,
         args.k,
@@ -287,7 +284,7 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
 def cmd_volume_scan(args, out_dir: Path) -> int:
     if not 1 <= args.k < args.d:
         raise ParamOrder(f"need 1 <= k < d, got k={args.k}, d={args.d}")
-    eps_grid = _float_list(args.eps_grid)
+    eps_grid = _number_list(args.eps_grid, float)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     center = Subspace(np.eye(args.d)[:, : args.k])
     rows = ["kind,k,d,eps,trials,p_hat,stderr,singular"]
@@ -310,7 +307,7 @@ def cmd_volume_scan(args, out_dir: Path) -> int:
 
 
 def cmd_nets_demo(args, out_dir: Path) -> int:
-    eps_grid = _float_list(args.eps_grid)
+    eps_grid = _number_list(args.eps_grid, float)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2]))
     rows = ["kind,k,d,eps,members,separation,cover_radius,ratio_to_eps"]
     for eps in eps_grid:

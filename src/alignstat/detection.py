@@ -40,9 +40,9 @@ from .holder import (
     GraphLift,
     HolderParams,
     JetSamples,
-    bump_basis,
     box_bounds,
     build_interpolant,
+    cell_width,
     holder_membership_check,
     multi_index_set,
     phi_tube_radii,
@@ -255,17 +255,16 @@ def greedy_cell_statistic(
     a lower bound for the maximal interpolation number.
 
     c2 defaults to the class-certifying construction constant; pass an
-    explicit value (e.g. just above 1) to trade the same-beta certificate
-    for practical cell counts.  When eps' would exceed 1/2, raises
-    EpsTooLarge unless ``clamp`` is set, in which case the whole cube is
-    one cell and the result is flagged.
+    explicit value above 1 (e.g. just above) to trade the same-beta
+    certificate for practical cell counts; c2 <= 1 raises ParamOrder.
+    When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
+    set, in which case the whole cube is one cell and the result is
+    flagged.
     """
     if n < 1:
         raise ParamOrder("n must be >= 1 (it sets the cell scale)")
-    if c2 is None:
-        c2 = bump_basis(params).construction_c2(params.alpha, params.beta)
     eps = statistic_eps(params, n)
-    eps_prime = (c2 * eps) ** (1.0 / params.alpha)
+    c2, eps_prime = cell_width(params, eps, c2)
     clamped = False
     if eps_prime > 0.5:
         if not clamp:

@@ -138,10 +138,11 @@ def default_alternative(config: ExperimentConfig):
     """Construction-aligned planted signal: the constant map at
     0.75 eps(config.n).
 
-    run_trial builds it at the trial's own n.  Its jets sit inside every cell box (value in [eps/2, eps], slopes 0),
-    so planted points fill cells and the greedy statistic saturates; an
-    arbitrary class member would rarely intersect the boxes and the cell
-    statistic would not see it.
+    run_trial builds it at the trial's own n.  Its jets sit inside every
+    cell box (value in [eps/2, eps], slopes 0), so planted points fill
+    cells and the greedy statistic saturates; an arbitrary class member
+    would rarely intersect the boxes and the cell statistic would not
+    see it.
     """
     params = config.params()
     eps = statistic_eps(params, config.n)
@@ -230,6 +231,8 @@ def _run_trials(
     config: ExperimentConfig, keys, workers: int = 1, c2: float = EXPERIMENT_C2
 ) -> list[RunRecord]:
     """One seeded trial per (n_index, n, trial) key, records in key order."""
+    if workers < 1:
+        raise ParamOrder(f"need workers >= 1, got {workers}")
     tasks = [(config, n_index, n, trial, c2) for n_index, n, trial in keys]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

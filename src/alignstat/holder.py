@@ -11,6 +11,13 @@ cells are even-indexed so supports never overlap, and the bump basis has
 exact Kronecker derivatives at the cell node, so the construction
 reproduces each node's jet to rounding error while staying in the class
 (for the construction constant c2 chosen from the bump derivative norms).
+
+Each piece is g_m(u) = sum_s c_{m,s} prod_i u_i^{s_i} / s_i! zeta^2(u_i),
+so every term is a product over coordinates and a partial derivative of
+order t factors as d^t g_m = sum_s c_{m,s} prod_i F_i[s_i, t_i], where
+F[e, q] = d^q/du^q [u^e / e! zeta^2(u)] is the one-dimensional Leibniz
+table of ``bumps.monomial_leibniz``.  Jets are evaluated from one such
+table per coordinate and node.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from math import ceil, comb, factorial
 
 import numpy as np
 
-from .bumps import monomial_plateau_derivs, plateau_sq_derivs
+from .bumps import monomial_leibniz, monomial_plateau_derivs, plateau_sq_derivs
 from .errors import (
     BoxViolation,
     CellCollision,
@@ -209,21 +216,20 @@ class BumpBasis:
 
     Supported in [-1/2, 1/2]^k with exact Kronecker jet conditions at 0:
     the derivative of psi_s of multi-order t vanishes at 0 unless t == s,
-    where it equals 1.  Derivative sup norms are estimated on a grid
-    (grid_n points per axis) and padded by a 1.1 safety factor; those
-    padded norms feed the construction constants c3 and c2.
+    where it equals 1.  Derivative sup norms are estimated on a grid of
+    101 points per axis and padded by a 1.1 safety factor; those padded
+    norms feed the construction constants c3 and c2.
     """
 
     SAFETY = 1.1
 
-    def __init__(self, k: int, r0: int, r: int, grid_n: int = 101):
+    def __init__(self, k: int, r0: int, r: int):
         self.k = k
         self.r0 = r0
         self.r = r
-        self.grid_n = grid_n
         self.index_set = multi_index_set(k, r0)
         self.deriv_set = multi_index_set(k, r + 1)
-        ts = np.linspace(-0.5, 0.5, grid_n)
+        ts = np.linspace(-0.5, 0.5, 101)
         # sup of |d^q/dt^q (t^m/m! zeta)| per coordinate factor, padded
         factor_sup = np.empty((r0 + 1, r + 2))
         for m in range(r0 + 1):
@@ -236,7 +242,6 @@ class BumpBasis:
                 self.norms[(s, t)] = float(
                     np.prod([self._factor_sup[s[i], t[i]] for i in range(k)])
                 )
-        self.c1 = max(self.norms.values())
 
     def psi_jet(self, s: MultiIndex, t: MultiIndex, xs: np.ndarray) -> np.ndarray:
         """Values of the t-derivative of psi_s at points xs (npts, k)."""
@@ -267,25 +272,34 @@ class BumpBasis:
             best = max(best, total)
         return 2.0 * best
 
-    def construction_c2(self, alpha: float, beta: float) -> float:
-        """Smallest admissible scaling constant c2 > 1 with c3 c2^{r/a-1} <= beta."""
-        r = self.r
-        c3 = self.construction_c3()
-        return max(1.0 + 1e-6, (c3 / beta) ** (alpha / (alpha - r)))
+
+_BASES: dict[tuple[int, int, int], BumpBasis] = {}
+
+
+def bump_basis(params: HolderParams) -> BumpBasis:
+    """The bump basis of ``params``, built once per (k, r0, r)."""
+    key = (params.k, params.r0, params.r)
+    if key not in _BASES:
+        _BASES[key] = BumpBasis(*key)
+    return _BASES[key]
 
 
 @lru_cache(maxsize=None)
-def bump_basis_cached(k: int, r0: int, r: int, grid_n: int = 101) -> BumpBasis:
-    return BumpBasis(k, r0, r, grid_n)
-
-
-def bump_basis(params: HolderParams, grid_n: int = 101) -> BumpBasis:
-    return bump_basis_cached(params.k, params.r0, params.r, grid_n)
-
-
 def construction_c2(params: HolderParams) -> float:
-    """The class-certifying cell-scaling constant for these parameters."""
-    return bump_basis(params).construction_c2(params.alpha, params.beta)
+    """The class-certifying cell-scaling constant for these parameters:
+    the smallest c2 > 1 with c3 c2^(r/alpha - 1) <= beta."""
+    c3 = bump_basis(params).construction_c3()
+    return max(1.0 + 1e-6, (c3 / params.beta) ** (params.alpha / (params.alpha - params.r)))
+
+
+def cell_width(params: HolderParams, eps: float, c2: float | None = None) -> tuple[float, float]:
+    """(c2, eps') with eps' = (c2 eps)^(1/alpha); c2 defaults to
+    ``construction_c2(params)`` and must exceed 1."""
+    if c2 is None:
+        c2 = construction_c2(params)
+    if not c2 > 1:
+        raise ParamOrder(f"need c2 > 1, got c2={c2}")
+    return c2, (c2 * eps) ** (1.0 / params.alpha)
 
 
 def box_bounds(params: HolderParams, eps: float) -> list[tuple[float, float]]:
@@ -320,7 +334,6 @@ class HolderInterpolant:
         c2: float,
         nodes: list[JetPoint],
         cells: list[MultiIndex],
-        basis: BumpBasis,
     ):
         self.params = params
         self.eps = float(eps)
@@ -328,7 +341,6 @@ class HolderInterpolant:
         self.eps_prime = (self.c2 * self.eps) ** (1.0 / params.alpha)
         self.nodes = list(nodes)
         self.cells = list(cells)
-        self.basis = basis
         k = params.k
         self._mis = params.index_set()
         self._pow = np.array([self.eps_prime ** sum(s) for s in self._mis])
@@ -344,65 +356,34 @@ class HolderInterpolant:
         """Derivative values at many points: shape (npts, len(t_list), d-k).
 
         t_list defaults to the parameter index set; any multi-index order
-        is accepted (the chain rule runs through the bump expansion).
+        is accepted (one Leibniz table per node and coordinate; see the
+        module docstring).
         """
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if t_list is None:
             t_list = self._mis
-        k = self.params.k
+        k, r0 = self.params.k, self.params.r0
         out = np.zeros((xs.shape[0], len(t_list), self.params.dim_out))
         if not self.nodes:
             return out
         max_ord = max(max(t) for t in t_list)
-        pow_t = {t: self.eps_prime ** sum(t) for t in t_list}
+        pow_t = np.array([self.eps_prime ** sum(t) for t in t_list])
+        # (i, s) exponents and (i, t) orders, for one gather per coordinate
+        s_idx = np.array(self._mis).T
+        t_idx = np.array(t_list).T
         for m in range(self._xs.shape[0]):
             rel = (xs - self._xs[m]) / self.eps_prime
             mask = np.max(np.abs(rel), axis=1) <= 0.5
             if not mask.any():
                 continue
             u = rel[mask]
-            npts = u.shape[0]
-            zsq = [plateau_sq_derivs(u[:, i], max_ord) for i in range(k)]
-            upow = [self._monomial_powers(u[:, i]) for i in range(k)]
-            for row, t in enumerate(t_list):
-                acc = np.zeros((npts, self.params.dim_out))
-                for tp in self._subindices(t):
-                    plateau_part = np.ones(npts)
-                    for i in range(k):
-                        plateau_part = plateau_part * zsq[i][tp[i]]
-                    rest = tuple(a - b for a, b in zip(t, tp))
-                    poly = self._poly_deriv(m, rest, upow, npts)
-                    acc += mi_binom(t, tp) * plateau_part[:, None] * poly
-                out[mask, row, :] += acc / pow_t[t]
-        return out
-
-    def _monomial_powers(self, ui: np.ndarray) -> np.ndarray:
-        """Table u^e / e! for e = 0..r0, shape (r0+1, npts)."""
-        r0 = self.params.r0
-        tab = np.empty((r0 + 1, ui.size))
-        tab[0] = 1.0
-        for e in range(1, r0 + 1):
-            tab[e] = tab[e - 1] * ui / e
-        return tab
-
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _subindices_cached(t: MultiIndex) -> tuple[MultiIndex, ...]:
-        return tuple(product(*(range(a + 1) for a in t)))
-
-    def _subindices(self, t: MultiIndex):
-        return self._subindices_cached(t)
-
-    def _poly_deriv(self, m: int, q: MultiIndex, upow, npts: int) -> np.ndarray:
-        """q-derivative of the coefficient polynomial sum_s c_s u^s / s!."""
-        out = np.zeros((npts, self.params.dim_out))
-        for row, s in enumerate(self._mis):
-            if not mi_leq(q, s):
-                continue
-            mono = np.ones(npts)
-            for i in range(self.params.k):
-                mono = mono * upow[i][s[i] - q[i]]
-            out += mono[:, None] * self._coefs[m, row][None, :]
+            terms = 1.0
+            for i in range(k):
+                zsq = plateau_sq_derivs(u[:, i], max_ord)
+                table = np.stack([monomial_leibniz(u[:, i], e, zsq) for e in range(r0 + 1)])
+                terms = terms * table[np.ix_(s_idx[i], t_idx[i])]  # (|S|, |T|, npts)
+            jets = np.tensordot(self._coefs[m], terms, axes=([0], [0]))  # (dim_out, |T|, npts)
+            out[mask] += jets.transpose(2, 1, 0) / pow_t[None, :, None]
         return out
 
     def jet_at(self, x: np.ndarray, t_list=None) -> np.ndarray:
@@ -418,7 +399,6 @@ def build_interpolant(
     params: HolderParams,
     eps: float,
     c2: float | None = None,
-    basis: BumpBasis | None = None,
 ) -> HolderInterpolant:
     """Assemble the disjoint-support interpolant through the given nodes.
 
@@ -426,11 +406,7 @@ def build_interpolant(
     eps'-grid, with jets inside the admissible box of their cell.  With no
     nodes this returns the zero map, which is trivially in the class.
     """
-    if basis is None:
-        basis = bump_basis(params)
-    if c2 is None:
-        c2 = basis.construction_c2(params.alpha, params.beta)
-    eps_prime = (c2 * eps) ** (1.0 / params.alpha)
+    c2, eps_prime = cell_width(params, eps, c2)
     if eps_prime > 0.5:
         raise EpsTooLarge(
             f"cell width {eps_prime:.4g} > 1/2; decrease eps (or increase beta)"
@@ -454,7 +430,7 @@ def build_interpolant(
                 raise BoxViolation(
                     f"jet row {row} = {p.y[row]} outside box [{lo:.4g}, {hi:.4g}]"
                 )
-    return HolderInterpolant(params, eps, c2, nodes, cells, basis)
+    return HolderInterpolant(params, eps, c2, nodes, cells)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +669,7 @@ class GraphLift:
         return float(worst)
 
 
-def graph_lift(g, params: HolderParams, check: bool = True, grid_n: int | None = None) -> GraphLift:
+def graph_lift(g, params: HolderParams, check: bool = True) -> GraphLift:
     """Lift a class member to the oriented problem; verifies membership.
 
     Requires alpha = 2 (the oriented class is of second order).  Raises
@@ -702,7 +678,7 @@ def graph_lift(g, params: HolderParams, check: bool = True, grid_n: int | None =
     if params.alpha != 2 or params.r0 < 1:
         raise ParamOrder("graph lifts are defined for alpha = 2 with r0 >= 1")
     if check:
-        report = holder_membership_check(g, params, grid_n=grid_n)
+        report = holder_membership_check(g, params)
         if not report.passed:
             raise NotInClass(
                 f"membership failed: norms up to {max(report.norms.values()):.4g}, "
@@ -742,7 +718,13 @@ def save_interpolant(itp: HolderInterpolant, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_interpolant(path, basis: BumpBasis | None = None) -> HolderInterpolant:
+def load_interpolant(path) -> HolderInterpolant:
+    """Read a ``save_interpolant`` file and rebuild it with build_interpolant.
+
+    The nodes pass every construction check again, and each stored cell
+    label must equal the cell recomputed from its node (CellCollision
+    otherwise).
+    """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != "alignstat-interpolant v1":
@@ -768,6 +750,8 @@ def load_interpolant(path, basis: BumpBasis | None = None) -> HolderInterpolant:
         x = np.array([float(v) for v in x_s.split(",")])
         y = np.array([[float(v) for v in row.split(",")] for row in y_s.split(";")])
         nodes.append(JetPoint(x, y.reshape(-1, dim_out)))
-    if basis is None:
-        basis = bump_basis(params)
-    return HolderInterpolant(params, eps, c2, nodes, cells, basis)
+    itp = build_interpolant(nodes, params, eps, c2=c2)
+    for stored, cell in zip(cells, itp.cells):
+        if stored != cell:
+            raise CellCollision(f"stored cell {stored} differs from the node's cell {cell}")
+    return itp

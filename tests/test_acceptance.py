@@ -36,8 +36,8 @@ from alignstat.experiments import (
 from alignstat.grassmann import Subspace
 from alignstat.holder import (
     HolderParams,
-    bump_basis,
     build_interpolant,
+    construction_c2,
     holder_membership_check,
     random_class_function,
 )
@@ -182,7 +182,7 @@ def test_criterion_06_interpolant_exactness_and_membership():
     worst_fd = 0.0
     for k, d in combos:
         params = HolderParams(k, d, 2.0, 1.0, 1)
-        c2 = bump_basis(params).construction_c2(2.0, 1.0)
+        c2 = construction_c2(params)
         eps = 0.04 / c2  # cell width exactly 0.2
         eps_prime = (c2 * eps) ** 0.5
         rng = np.random.default_rng(np.random.SeedSequence([6060, k, d]))

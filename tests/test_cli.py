@@ -252,6 +252,12 @@ class TestPower:
         ["nets-demo", "--probes", 0],
         ["nets-demo", "--probes", -5],
         ["nets-demo", "--k", 2, "--d", 4, "--eps-grid", 0.02],
+        ["exponent-sweep", "--n-grid", ","],
+        ["volume-scan", "--eps-grid", ","],
+        ["exponent-sweep", "--workers", 0],
+        ["exponent-sweep", "--workers", -2],
+        ["exponent-sweep", "--c2", 0],
+        ["exponent-sweep", "--c2", 0.5],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

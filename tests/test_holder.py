@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from conftest import fd_jet, random_nodes
 
 import alignstat
 from alignstat import holder
+from alignstat.bumps import plateau_sq_derivs
 from alignstat.errors import (
     BoxViolation,
     CellCollision,
@@ -28,6 +30,7 @@ from alignstat.holder import (
     build_interpolant,
     bump_basis,
     constant_function,
+    construction_c2,
     discrepancy_phi,
     evaluate_jet,
     graph_lift,
@@ -220,7 +223,7 @@ class TestEvaluateJet:
         params = HolderParams(1, 2, 3.0, 5000.0, 2)
         eps = 1e-5  # certifying c2 ~ 3e3 at this beta; eps' ~ 0.31
         rng = np.random.default_rng(6)
-        epsp = (bump_basis(params).construction_c2(3.0, 5000.0) * eps) ** (1.0 / 3.0)
+        epsp = (construction_c2(params) * eps) ** (1.0 / 3.0)
         nodes = random_nodes(params, eps, epsp, 2, rng)
         itp = build_interpolant(nodes, params, eps)
         assert itp.params.r == 2
@@ -228,6 +231,100 @@ class TestEvaluateJet:
             analytic = itp.jet_at(np.array([x]), [(2,)])[0, 0]
             numeric = fd_jet(lambda p: itp.value_grid(p), np.array([x]), (2,), step=1e-4)[0]
             assert abs(analytic - numeric) < 1e-4
+
+    @pytest.mark.parametrize(
+        "k,d,alpha,beta,r0,t_list,step,tol",
+        [
+            (2, 3, 3.0, 5000.0, 2, [(1, 1), (2, 0), (0, 2)], 1e-4, 1e-3),
+            (3, 4, 2.0, 1.0, 1, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1e-5, 1e-5),
+        ],
+    )
+    def test_finite_difference_mixed_partials(self, k, d, alpha, beta, r0, t_list, step, tol):
+        params = HolderParams(k, d, alpha, beta, r0)
+        eps = 0.3**alpha / construction_c2(params)  # eps' = 0.3
+        rng = np.random.default_rng(9)
+        itp = build_interpolant(random_nodes(params, eps, 0.3, 4, rng), params, eps)
+        # points inside the node supports, away from the cube's faces
+        xs = np.concatenate(
+            [node.x + itp.eps_prime * rng.uniform(-0.5, 0.5, (10, k)) for node in itp.nodes]
+        )
+        xs = np.clip(xs, 2 * step, 1 - 2 * step)
+        analytic = itp.jet_grid(xs, t_list)
+        for row, t in enumerate(t_list):
+            numeric = np.array([fd_jet(itp.value_grid, x, t, step=step) for x in xs])
+            scale = np.max(np.abs(analytic[:, row]))
+            assert scale > 0
+            assert np.max(np.abs(analytic[:, row] - numeric)) <= tol * scale
+
+    @pytest.mark.parametrize(
+        "k,d,alpha,r0",
+        [(1, 2, 2.0, 1), (2, 3, 2.0, 1), (3, 4, 2.0, 1), (1, 2, 3.0, 2), (2, 4, 3.0, 2),
+         (1, 3, 2.5, 1)],
+    )
+    def test_matches_leibniz_reference(self, k, d, alpha, r0):
+        params = HolderParams(k, d, alpha, 1.0, r0)
+        eps = 0.2**alpha / construction_c2(params)  # eps' = 0.2
+        rng = np.random.default_rng(10 * k + d)
+        itp = build_interpolant(random_nodes(params, eps, 0.2, 6, rng), params, eps)
+        xs = rng.random((1000, k))
+        t_all = multi_index_set(k, params.r + 1)
+        got = itp.jet_grid(xs, t_all)
+        want = leibniz_jet_grid(itp, xs, t_all)
+        scale = np.max(np.abs(want), axis=(0, 2), keepdims=True)
+        assert np.all(scale > 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def leibniz_jet_grid(itp, xs, t_list):
+    """Reference: the interpolant's jets by the k-dimensional Leibniz rule,
+
+        d^t g = sum_{t' <= t} C(t, t') d^{t'} [prod_i zeta^2(u_i)]
+                * d^{t - t'} [sum_s c_s u^s / s!],
+
+    looping over every sub-multi-index t' of t instead of factorizing
+    over coordinates.
+    """
+    params = itp.params
+    k, r0 = params.k, params.r0
+    mis = params.index_set()
+    out = np.zeros((xs.shape[0], len(t_list), params.dim_out))
+    max_ord = max(max(t) for t in t_list)
+    pow_s = np.array([itp.eps_prime ** sum(s) for s in mis])
+    for node in itp.nodes:
+        coefs = node.y * pow_s[:, None]
+        rel = (xs - node.x) / itp.eps_prime
+        mask = np.max(np.abs(rel), axis=1) <= 0.5
+        if not mask.any():
+            continue
+        u = rel[mask]
+        npts = u.shape[0]
+        zsq = [plateau_sq_derivs(u[:, i], max_ord) for i in range(k)]
+        upow = []  # upow[i][e] = u_i^e / e!
+        for i in range(k):
+            tab = np.empty((r0 + 1, npts))
+            tab[0] = 1.0
+            for e in range(1, r0 + 1):
+                tab[e] = tab[e - 1] * u[:, i] / e
+            upow.append(tab)
+        for row, t in enumerate(t_list):
+            acc = np.zeros((npts, params.dim_out))
+            for tp in product(*(range(a + 1) for a in t)):
+                plateau_part = np.ones(npts)
+                for i in range(k):
+                    plateau_part = plateau_part * zsq[i][tp[i]]
+                rest = tuple(a - b for a, b in zip(t, tp))
+                poly = np.zeros((npts, params.dim_out))
+                for srow, s in enumerate(mis):
+                    if any(q > e for q, e in zip(rest, s)):
+                        continue
+                    mono = np.ones(npts)
+                    for i in range(k):
+                        mono = mono * upow[i][s[i] - rest[i]]
+                    poly += mono[:, None] * coefs[srow][None, :]
+                binom = np.prod([comb(a, b) for a, b in zip(t, tp)])
+                acc += binom * plateau_part[:, None] * poly
+            out[mask, row, :] += acc / itp.eps_prime ** sum(t)
+    return out
 
 
 class TestMembership:
@@ -252,7 +349,7 @@ class TestMembership:
 
     def test_constructed_interpolants_stay_in_class(self):
         params = HolderParams(1, 2, 2.0, 1.0, 1)
-        c2 = bump_basis(params).construction_c2(2.0, 1.0)
+        c2 = construction_c2(params)
         eps = 1e-9
         epsp = (c2 * eps) ** 0.5
         rng = np.random.default_rng(77)
@@ -270,7 +367,7 @@ class TestMembership:
         monkeypatch.setattr(holder, "_MEMBERSHIP_PAIR_BUDGET", budget)
         params = HolderParams(k, d, alpha, 1.0, 1)
         rng = np.random.default_rng(100 * k + d)
-        c2 = bump_basis(params).construction_c2(alpha, 1.0)
+        c2 = construction_c2(params)
         eps = 0.05 / c2
         epsp = (c2 * eps) ** (1 / alpha)
         maps = [random_class_function(params, rng) for _ in range(2)]
@@ -354,7 +451,7 @@ class TestGraphLift:
 
     def test_random_lifts_satisfy_angle_condition(self):
         params = HolderParams(2, 4, 2.0, 1.0, 1)
-        c2 = bump_basis(params).construction_c2(2.0, 1.0)
+        c2 = construction_c2(params)
         eps = 0.2 / c2  # eps' ~ 0.45
         epsp = (c2 * eps) ** 0.5
         rng = np.random.default_rng(55)
@@ -449,3 +546,22 @@ def test_serialization_round_trip(tmp_path):
         assert np.array_equal(a.y, b.y)
     xs = rng.random((50, 1))
     assert np.array_equal(back.jet_grid(xs), itp.jet_grid(xs))
+
+
+def test_load_rejects_tampered_nodes(tmp_path):
+    params = HolderParams(1, 2, 2.0, 2000.0, 1)
+    nodes = [JetPoint([0.05], [[0.008], [0.05]]), JetPoint([0.25], [[0.006], [0.02]])]
+    path = tmp_path / "itp.txt"
+    save_interpolant(build_interpolant(nodes, params, 0.01), path)
+    text = path.read_text()
+    assert "node 2 | 0.25 | 0.006;" in text
+    # the second node moved into the first node's cell, label left at 2
+    moved = tmp_path / "moved.txt"
+    moved.write_text(text.replace("node 2 | 0.25 | 0.006;", "node 2 | 0.06 | 0.9;"))
+    with pytest.raises(CellCollision):
+        load_interpolant(moved)
+    # the node unchanged, its stored cell label rewritten
+    relabelled = tmp_path / "relabelled.txt"
+    relabelled.write_text(text.replace("node 2 |", "node 4 |"))
+    with pytest.raises(CellCollision, match="stored cell"):
+        load_interpolant(relabelled)
