@@ -12,6 +12,8 @@ Configuration is ``key = value`` text; command-line flags override file
 values, unknown keys are a hard error, and every run writes a manifest
 echoing the full effective configuration (a manifest is itself a valid
 config file, so re-running from it reproduces the outputs byte for byte).
+Its first line is a ``#`` comment naming the alignstat, numpy and Python
+versions.
 
 Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
 requested sizes counts as one), 3 numerical error.
@@ -20,11 +22,13 @@ requested sizes counts as one), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import platform
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .detection import generate_alt_oriented, generate_null_oriented
 from .errors import (
     AlignstatError,
@@ -167,9 +171,14 @@ def parse_args(argv) -> argparse.Namespace:
     return args
 
 
+def _provenance() -> str:
+    """The manifest's first line, a comment the config parser skips."""
+    return f"# alignstat {__version__} numpy {np.__version__} python {platform.python_version()}"
+
+
 def _write_manifest(args: argparse.Namespace, out_dir: Path) -> None:
     skip = {"config"}
-    lines = [f"command = {args.command}"]
+    lines = [_provenance(), f"command = {args.command}"]
     for key in sorted(vars(args)):
         if key in skip or key == "command":
             continue

@@ -35,7 +35,7 @@ from .errors import (
     ParamOrder,
     Unsupported,
 )
-from .grassmann import OrientedPoint, Subspace, chart_regular, sample_uniform_frames
+from .grassmann import OrientedPoint, Subspace, chart_slopes, sample_uniform_frames
 from .holder import (
     GraphLift,
     HolderParams,
@@ -201,17 +201,9 @@ def oriented_to_jets(
     k, d = samples.k, samples.d
     if (params.k, params.d) != (k, d):
         raise ParamOrder("params dimensions do not match the samples")
-    n = len(samples)
-    a = samples.frames[:, :k, :]
-    b = samples.frames[:, k:, :]
-    ok = chart_regular(a)
-    dropped = int(n - np.sum(ok))
+    yt, ok = chart_slopes(samples.frames)
+    dropped = int(len(samples) - np.count_nonzero(ok))
     z = samples.z[ok]
-    if k == 1:
-        yt = (b[ok] / a[ok]).transpose(0, 2, 1)
-    else:
-        yt = np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
-    # yt[i] is the transposed chart: row j of yt[i] is the slope vector of axis j
     n_idx = len(params.index_set())
     ys = np.empty((z.shape[0], n_idx, params.dim_out))
     ys[:, 0, :] = z[:, k:]

@@ -22,6 +22,11 @@ greedy count has the same law as on n full draws.  Output at a given seed
 differs from that of the earlier full-draw engine, which consumed the
 random stream differently.
 
+Planted points enter as the jets of the alternative's map, for both
+problems.  A point planted on a lifted graph x -> (x, g(x)) has tangent
+space with graph chart Dg(x), so it reduces to the jet (x, g(x), Dg(x))
+exactly; no tangent frame is built and no chart is solved for it.
+
 Cell sizing: sweeps use c2 = 1 + 1e-6 (EXPERIMENT_C2) rather than the
 class-certifying construction constant.  The certifying c2 grows like
 (c3/beta)^(alpha/(alpha-r)) and at beta ~ 1 it pushes the cell width past
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from io import StringIO
 
@@ -43,12 +47,10 @@ import numpy as np
 
 from .detection import (
     FitResult,
-    OrientedSamples,
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
     generate_alt_jets,
-    generate_alt_oriented,
     generate_null_jets,
     generate_null_oriented,
     greedy_cell_statistic,
@@ -138,7 +140,8 @@ def default_alternative(config: ExperimentConfig):
     """Construction-aligned planted signal: the constant map at
     0.75 eps(config.n).
 
-    run_trial builds it at the trial's own n.  Its jets sit inside every
+    run_trial builds it at the trial's own n and plants the jets of its
+    map (the lift's g for the oriented problem).  Its jets sit inside every
     cell box (value in [eps/2, eps], slopes 0), so planted points fill
     cells and the greedy statistic saturates; an arbitrary class member
     would rarely intersect the boxes and the cell statistic would not
@@ -172,6 +175,12 @@ def run_trial(
     generates only those M: the value row uniform on the box, everything
     else from the null law.  The count has the same law as on n full
     draws.
+
+    The n1 planted points enter as jets of the alternative's map g for
+    both problems: the tangent space of x -> (x, g(x)) has graph chart
+    Dg(x), so an oriented point on the lift reduces to the jet (x, g(x),
+    Dg(x)) exactly.  The draws (n1 locations, one permutation) are those
+    of ``generate_alt_oriented``.
     """
     if n < 1 or config.n1 > n:
         raise ParamOrder(f"need n >= 1 and n1 <= n, got n={n}, n1={config.n1}")
@@ -179,27 +188,22 @@ def run_trial(
     lo, hi = box_bounds(params, statistic_eps(params, n))[0]
     m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
     values = rng.uniform(lo, hi, size=(m, params.dim_out))
-    f = default_alternative(replace(config, n=n)) if config.n1 > 0 else None
     if config.problem == "jets":
         samples = generate_null_jets(m, params, rng)
         samples.ys[:, 0, :] = values
-        if f is not None:
-            planted = generate_alt_jets(config.n1, config.n1, f, params, rng, check=False)
-            samples = JetSamples(
-                params,
-                np.concatenate([samples.xs, planted.xs]),
-                np.concatenate([samples.ys, planted.ys]),
-            )
     else:
         oriented = generate_null_oriented(m, config.k, config.d, rng)
         oriented.z[:, config.k :] = values
-        if f is not None:
-            planted = generate_alt_oriented(config.n1, config.n1, f, rng)
-            oriented = OrientedSamples(
-                np.concatenate([oriented.z, planted.z]),
-                np.concatenate([oriented.frames, planted.frames]),
-            )
         samples, _ = oriented_to_jets(oriented, params)
+    if config.n1 > 0:
+        f = default_alternative(replace(config, n=n))
+        g = f if config.problem == "jets" else f.g
+        planted = generate_alt_jets(config.n1, config.n1, g, params, rng, check=False)
+        samples = JetSamples(
+            params,
+            np.concatenate([samples.xs, planted.xs]),
+            np.concatenate([samples.ys, planted.ys]),
+        )
     return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
 
 
@@ -235,6 +239,9 @@ def _run_trials(
         raise ParamOrder(f"need workers >= 1, got {workers}")
     tasks = [(config, n_index, n, trial, c2) for n_index, n, trial in keys]
     if workers > 1:
+        # imported on demand, so that a serial run does not pay for it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (workers * 8))
             return list(pool.map(_sweep_task, tasks, chunksize=chunk))

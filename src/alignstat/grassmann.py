@@ -15,6 +15,11 @@ small angles go through the sine, which keeps them accurate.  The scalar
 :func:`canonical_angle` is the reference; every batched angle goes
 through one blocked kernel (:func:`batch_canonical_angle`,
 :func:`min_canonical_angle`).
+
+Graph charts go through one kernel too: :func:`chart_slopes` takes a
+frame stack to its chart-regular mask (:func:`chart_regular`) and the
+transposed charts B A^{-1}, in closed form for k <= 2.  The oriented
+reduction, the chart-cube measure and :func:`graph_chart` all call it.
 """
 
 from __future__ import annotations
@@ -340,16 +345,14 @@ def graph_chart(w: Subspace) -> ChartMatrix:
     """Express ``w`` as a graph over the first k coordinate axes.
 
     With A the top k-by-k block and B the bottom (d-k)-by-k block of the
-    frame, the chart is y = B A^{-1}.  Fails with ChartSingular when A is
-    numerically singular, which happens on a null set of subspaces.
+    frame, the chart is y = B A^{-1} (see :func:`chart_slopes`).  Fails
+    with ChartSingular when A is numerically singular, which happens on a
+    null set of subspaces.
     """
-    k = w.dim_sub
-    a = w.frame[:k, :]
-    b = w.frame[k:, :]
-    if not chart_regular(a[None])[0]:
+    yt, ok = chart_slopes(w.frame[None])
+    if not ok[0]:
         raise ChartSingular("top k-by-k block of the frame is numerically singular")
-    y = np.linalg.solve(a.T, b.T).T
-    return ChartMatrix(y)
+    return ChartMatrix(yt[0].T)
 
 
 def chart_regular(a: np.ndarray) -> np.ndarray:
@@ -362,6 +365,42 @@ def chart_regular(a: np.ndarray) -> np.ndarray:
     if a.shape[1] == 1:
         return np.abs(a[:, 0, 0]) > RANK_TOL
     return _extreme_singular_value(a.transpose(1, 2, 0), largest=False) > RANK_TOL
+
+
+def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transposed graph charts of a frame stack: ``(yt, ok)``.
+
+    ``frames`` has shape (m, d, k); A is the top k-by-k and B the bottom
+    (d-k)-by-k block of each frame.  ``ok = chart_regular(A)``, and for
+    the frames where it holds ``yt = A^{-T} B^T``, shape (sum(ok), k,
+    d-k), the transpose of the chart y = B A^{-1}: row j of yt[i] is the
+    slope vector of axis j.  Closed forms b / a for k = 1 and the 2-by-2
+    adjugate over the determinant for k = 2, a batched solve otherwise.
+    The one chart kernel of the package.
+    """
+    k = frames.shape[2]
+    a = frames[:, :k, :]
+    b = frames[:, k:, :]
+    ok = chart_regular(a)
+    if not ok.all():
+        a, b = a[ok], b[ok]
+    if k == 1:
+        return (b / a).transpose(0, 2, 1), ok
+    if k == 2:
+        a00, a01, a10, a11 = (a[:, i, j, None] for i in range(2) for j in range(2))
+        b0, b1 = b[:, :, 0], b[:, :, 1]
+        det = a00 * a11 - a01 * a10
+        # yt[:, 0] = (a11 b0 - a10 b1) / det, yt[:, 1] = (a00 b1 - a01 b0) / det,
+        # evaluated in place with one temporary
+        yt = np.empty((a.shape[0], 2, b.shape[1]))
+        tmp = np.empty_like(b0)
+        np.multiply(a11, b0, out=yt[:, 0])
+        yt[:, 0] -= np.multiply(a10, b1, out=tmp)
+        np.multiply(a00, b1, out=yt[:, 1])
+        yt[:, 1] -= np.multiply(a01, b0, out=tmp)
+        yt /= det[:, :, None]
+        return yt, ok
+    return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)), ok
 
 
 def chart_to_subspace(y: ChartMatrix | np.ndarray) -> Subspace:

@@ -34,6 +34,7 @@ from .errors import (
     BoxViolation,
     CellCollision,
     DegenerateTangent,
+    DimensionMismatch,
     EpsTooLarge,
     NotInClass,
     OutOfDomain,
@@ -402,7 +403,8 @@ def build_interpolant(
 ) -> HolderInterpolant:
     """Assemble the disjoint-support interpolant through the given nodes.
 
-    Nodes must sit in pairwise-distinct, even-indexed cells of the
+    Nodes must have a location in [0, 1]^k and a jet of shape
+    (|S|, d-k), and sit in pairwise-distinct, even-indexed cells of the
     eps'-grid, with jets inside the admissible box of their cell.  With no
     nodes this returns the zero map, which is trivially in the class.
     """
@@ -415,7 +417,13 @@ def build_interpolant(
     bounds = box_bounds(params, eps)
     cells: list[MultiIndex] = []
     seen: set[MultiIndex] = set()
+    jet_shape = (len(params.index_set()), params.dim_out)
     for p in nodes:
+        if p.x.shape != (params.k,) or p.y.shape != jet_shape:
+            raise DimensionMismatch(
+                f"node has location shape {p.x.shape} and jet shape {p.y.shape}, "
+                f"need ({params.k},) and {jet_shape}"
+            )
         if np.any(p.x < 0.0) or np.any(p.x > 1.0):
             raise OutOfDomain(f"node location {p.x} outside the unit cube")
         cell = tuple(int(c) for c in np.floor(p.x / eps_prime))
@@ -718,6 +726,15 @@ def save_interpolant(itp: HolderInterpolant, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header_fields(line: str, keys, path) -> dict[str, str]:
+    """The key=value fields of one header line; ParamOrder if a key is missing."""
+    fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
+    missing = [key for key in keys if key not in fields]
+    if missing:
+        raise ParamOrder(f"{path}: line {line!r} lacks {', '.join(missing)}")
+    return fields
+
+
 def load_interpolant(path) -> HolderInterpolant:
     """Read a ``save_interpolant`` file and rebuild it with build_interpolant.
 
@@ -729,27 +746,31 @@ def load_interpolant(path) -> HolderInterpolant:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != "alignstat-interpolant v1":
         raise ParamOrder(f"not an interpolant file: {path}")
-    head = dict(part.split("=", 1) for part in lines[1].split())
-    params = HolderParams(
-        k=int(head["k"]),
-        d=int(head["d"]),
-        alpha=float(head["alpha"]),
-        beta=float(head["beta"]),
-        r0=int(head["r0"]),
-    )
-    meta = dict(part.split("=", 1) for part in lines[2].split())
-    eps = float(meta["eps"])
-    c2 = float(meta["c2"])
+    if len(lines) < 3:
+        raise ParamOrder(f"{path}: the parameter and eps/c2 lines are missing")
+    head = _header_fields(lines[1], ("k", "d", "alpha", "beta", "r0"), path)
+    meta = _header_fields(lines[2], ("eps", "c2"), path)
     nodes: list[JetPoint] = []
     cells: list[MultiIndex] = []
-    dim_out = params.dim_out
-    for ln in lines[3:]:
-        body = ln[len("node ") :]
-        cell_s, x_s, y_s = (part.strip() for part in body.split("|"))
-        cells.append(tuple(int(c) for c in cell_s.split(",")))
-        x = np.array([float(v) for v in x_s.split(",")])
-        y = np.array([[float(v) for v in row.split(",")] for row in y_s.split(";")])
-        nodes.append(JetPoint(x, y.reshape(-1, dim_out)))
+    try:
+        params = HolderParams(
+            k=int(head["k"]),
+            d=int(head["d"]),
+            alpha=float(head["alpha"]),
+            beta=float(head["beta"]),
+            r0=int(head["r0"]),
+        )
+        eps = float(meta["eps"])
+        c2 = float(meta["c2"])
+        for ln in lines[3:]:
+            body = ln[len("node ") :]
+            cell_s, x_s, y_s = (part.strip() for part in body.split("|"))
+            cells.append(tuple(int(c) for c in cell_s.split(",")))
+            x = np.array([float(v) for v in x_s.split(",")])
+            y = np.array([[float(v) for v in row.split(",")] for row in y_s.split(";")])
+            nodes.append(JetPoint(x, y.reshape(-1, params.dim_out)))
+    except ValueError as exc:  # a number or field count that does not parse
+        raise ParamOrder(f"{path}: malformed interpolant file: {exc}") from exc
     itp = build_interpolant(nodes, params, eps, c2=c2)
     for stored, cell in zip(cells, itp.cells):
         if stored != cell:

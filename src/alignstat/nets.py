@@ -41,7 +41,7 @@ from .grassmann import (
     RANK_TOL,
     Subspace,
     batch_canonical_angle,
-    chart_regular,
+    chart_slopes,
     min_canonical_angle,
     sample_uniform_frames,
 )
@@ -232,16 +232,9 @@ def chart_cube_measure_estimate(
     """
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    frames = sample_uniform_frames(rng, trials, k, d)
-    a = frames[:, :k, :]
-    b = frames[:, k:, :]
-    ok = chart_regular(a)
-    singular = int(np.sum(~ok))
-    hits = 0
-    if np.any(ok):
-        y = np.linalg.solve(a[ok].transpose(0, 2, 1), b[ok].transpose(0, 2, 1))
-        flat = y.reshape(y.shape[0], -1)
-        hits = int(np.sum(np.all((flat >= 0.0) & (flat <= eps), axis=1)))
+    yt, ok = chart_slopes(sample_uniform_frames(rng, trials, k, d))
+    singular = int(trials - np.count_nonzero(ok))
+    hits = int(np.count_nonzero(np.all((yt >= 0.0) & (yt <= eps), axis=(1, 2))))
     p = hits / trials
     return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits, singular)
 

@@ -1,8 +1,11 @@
 """Command-line driver: outputs, exit codes, manifest round-trips."""
 
+import platform
+
 import numpy as np
 import pytest
 
+import alignstat
 from alignstat.cli import main
 
 
@@ -107,6 +110,16 @@ class TestExponentSweep:
         )
         assert rc == 0
         assert (first / "sweep.csv").read_bytes() == (second / "sweep.csv").read_bytes()
+        provenance = (
+            f"# alignstat {alignstat.__version__} numpy {np.__version__} "
+            f"python {platform.python_version()}"
+        )
+        manifests = []
+        for out in (first, second):
+            lines = (out / "manifest.txt").read_text().splitlines()
+            assert lines[0] == provenance
+            manifests.append([ln for ln in lines if not ln.startswith("out_dir = ")])
+        assert manifests[0] == manifests[1]
 
     def test_flag_overrides_config(self, tmp_path):
         first = tmp_path / "first"

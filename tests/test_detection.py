@@ -194,6 +194,26 @@ class TestOriented:
             expected = evaluate_jet(g, jets.xs[i], params.index_set())
             assert discrepancy_phi(jets.ys[i], expected, params) < 1e-16
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("kind", ["constant", "random"])
+    def test_planted_frames_reduce_to_the_map_jets(self, k, d, kind):
+        # the tangent space of x -> (x, g(x)) has graph chart Dg(x): planting
+        # frames and reducing them gives the jets planted directly, from the
+        # same draws
+        params = HolderParams(k, d, 2.0, 2.0, 1)
+        if kind == "constant":
+            g = constant_function(k, np.full(d - k, 0.3))
+        else:
+            g = random_class_function(params, np.random.default_rng(10 * k + d))
+        n1 = 400
+        lift = GraphLift(g, params)
+        oriented = generate_alt_oriented(n1, n1, lift, np.random.default_rng(k + d))
+        jets, dropped = oriented_to_jets(oriented, params)
+        direct = generate_alt_jets(n1, n1, g, params, np.random.default_rng(k + d), check=False)
+        assert dropped == 0
+        assert np.array_equal(jets.xs, direct.xs)
+        assert np.max(np.abs(jets.ys - direct.ys)) <= 1e-12 * np.max(np.abs(direct.ys))
+
 
 class TestGreedyStatistic:
     def test_empty_samples(self):

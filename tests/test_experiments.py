@@ -10,7 +10,9 @@ import pytest
 from scipy import stats as sps
 
 from alignstat.detection import (
+    OrientedSamples,
     generate_alt_jets,
+    generate_alt_oriented,
     generate_null_jets,
     generate_null_oriented,
     greedy_cell_statistic,
@@ -31,7 +33,7 @@ from alignstat.experiments import (
     run_sweep,
     run_trial,
 )
-from alignstat.holder import holder_membership_check
+from alignstat.holder import box_bounds, holder_membership_check
 
 
 def small_config(problem="jets", n=400, n1=0, seed=99, trials=30):
@@ -275,3 +277,36 @@ class TestThinnedTrial:
         config = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 100, 10, 0, 1)
         with pytest.raises(ParamOrder):
             run_trial(config, n, np.random.default_rng(0))
+
+
+def frame_route_trial(config, n, rng):
+    """An oriented planted trial with the planted points drawn as frames
+    on the lift and reduced through the chart together with the null
+    draws: run_trial's route before it planted jets."""
+    params = config.params()
+    lo, hi = box_bounds(params, statistic_eps(params, n))[0]
+    m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
+    values = rng.uniform(lo, hi, size=(m, params.dim_out))
+    oriented = generate_null_oriented(m, config.k, config.d, rng)
+    oriented.z[:, config.k :] = values
+    lift = default_alternative(replace(config, n=n))
+    planted = generate_alt_oriented(config.n1, config.n1, lift, rng)
+    oriented = OrientedSamples(
+        np.concatenate([oriented.z, planted.z]),
+        np.concatenate([oriented.frames, planted.frames]),
+    )
+    samples, _ = oriented_to_jets(oriented, params)
+    return greedy_cell_statistic(samples, params, n, c2=EXPERIMENT_C2, clamp=True)
+
+
+@pytest.mark.parametrize("k,d", [(1, 2), (2, 3)])
+def test_planted_jets_match_the_frame_route(k, d):
+    config = ExperimentConfig("oriented", k, d, 2.0, 1.0, 1, 20_000, 5, 17, 100)
+    counts = []
+    for trial in range(100):
+        new = run_trial(config, config.n, experiments._trial_rng(config.seed, 0, trial))
+        old = frame_route_trial(config, config.n, experiments._trial_rng(config.seed, 0, trial))
+        assert new.count == old.count
+        assert new.selected == old.selected
+        counts.append(new.count)
+    assert len(set(counts)) > 1  # the null draws move the count

@@ -13,6 +13,7 @@ from alignstat.grassmann import (
     batch_canonical_angle,
     canonical_angle,
     chart_regular,
+    chart_slopes,
     chart_to_subspace,
     discrepancy_psi,
     graph_chart,
@@ -314,6 +315,59 @@ class TestGraphChart:
         y = ChartMatrix(np.array([[2.0], [-1.0]]))
         sub = chart_to_subspace(y)
         assert canonical_angle(sub, line(1, 2, -1)) < 1e-10
+
+
+def _near_singular_frames(rng, m, k, d):
+    """Frames whose top k-by-k block has condition number up to about 1e9,
+    plus a few with an exactly singular top block."""
+    raw = rng.standard_normal((m, d, k))
+    s = np.ones((m, k))
+    s[:, -1] = 10.0 ** -rng.uniform(1.0, 9.0, size=m)
+    s[:3, -1] = 0.0
+    for i in range(m):
+        u, v = sample_orthogonal_matrix(rng, k), sample_orthogonal_matrix(rng, k)
+        raw[i, :k] = u @ np.diag(s[i]) @ v.T
+    return np.linalg.qr(raw)[0]
+
+
+class TestChartSlopes:
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5), (3, 4), (3, 6)])
+    def test_matches_per_matrix_solve(self, k, d):
+        rng = np.random.default_rng(100 * k + d)
+        frames = np.concatenate(
+            [sample_uniform_frames(rng, 300, k, d), _near_singular_frames(rng, 300, k, d)]
+        )
+        yt, ok = chart_slopes(frames)
+        assert np.array_equal(ok, chart_regular(frames[:, :k, :]))
+        assert 0 < np.count_nonzero(~ok) < 10
+        assert yt.shape == (np.count_nonzero(ok), k, d - k)
+        for got, f in zip(yt, frames[ok]):
+            a, b = f[:k], f[k:]
+            ref = np.linalg.solve(a.T, b.T)
+            scale = np.linalg.cond(a) * max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4), (3, 5)])
+    def test_graph_chart_unchanged(self, k, d):
+        # the chart as graph_chart computed it before the shared kernel
+        rng = np.random.default_rng(7 * d + k)
+        for _ in range(1000):
+            w = sample_uniform_subspace(rng, k, d)
+            a, b = w.frame[:k], w.frame[k:]
+            ref = np.linalg.solve(a.T, b.T).T
+            y = graph_chart(w).y
+            assert y.shape == ref.shape
+            assert np.max(np.abs(y - ref)) <= 1e-12 * np.linalg.cond(a) * max(
+                1.0, np.max(np.abs(ref))
+            )
+
+    def test_all_singular_stack(self):
+        frames = np.zeros((4, 3, 2))
+        frames[:, 2, 0] = 1.0
+        frames[:, 1, 1] = 1.0
+        yt, ok = chart_slopes(frames)
+        assert not ok.any()
+        assert yt.shape == (0, 2, 1)
 
 
 class TestSpanNormalForm:

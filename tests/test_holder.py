@@ -17,6 +17,7 @@ from alignstat.bumps import plateau_sq_derivs
 from alignstat.errors import (
     BoxViolation,
     CellCollision,
+    DimensionMismatch,
     EpsTooLarge,
     NotInClass,
     OutOfDomain,
@@ -565,3 +566,39 @@ def test_load_rejects_tampered_nodes(tmp_path):
     relabelled.write_text(text.replace("node 2 |", "node 4 |"))
     with pytest.raises(CellCollision, match="stored cell"):
         load_interpolant(relabelled)
+
+
+def test_build_rejects_misshapen_nodes():
+    params = HolderParams(1, 2, 2.0, 2000.0, 1)
+    with pytest.raises(DimensionMismatch, match="jet shape"):
+        build_interpolant([JetPoint([0.05], [[0.008]])], params, 0.01)
+    with pytest.raises(DimensionMismatch, match="location shape"):
+        build_interpolant([JetPoint([0.05, 0.5], [[0.008], [0.05]])], params, 0.01)
+
+
+def test_load_rejects_malformed_files(tmp_path):
+    params = HolderParams(1, 2, 2.0, 2000.0, 1)
+    path = tmp_path / "itp.txt"
+    save_interpolant(build_interpolant([JetPoint([0.05], [[0.008], [0.05]])], params, 0.01), path)
+    magic, head, meta, node = path.read_text().splitlines()
+    assert node == "node 0 | 0.05 | 0.008;0.05"
+    # one jet row where (1,2) needs two
+    short = tmp_path / "short.txt"
+    short.write_text("\n".join([magic, head, meta, "node 0 | 0.05 | 0.008"]) + "\n")
+    with pytest.raises(DimensionMismatch):
+        load_interpolant(short)
+    # header lines without the eps/c2 line that must follow them, and lines
+    # that do not parse
+    for name, lines in (
+        ("header_only", [magic, head]),
+        ("magic_only", [magic]),
+        ("no_meta", [magic, head, node]),
+        ("no_c2", [magic, head, meta.split()[0], node]),
+        ("two_fields", [magic, head, meta, "node 0 | 0.05"]),
+        ("ragged_jet", [magic, head, meta, "node 0 | 0.05 | 0.008,0.1;0.05"]),
+        ("not_a_number", [magic, head, "eps=abc c2=1.5", node]),
+    ):
+        bad = tmp_path / f"{name}.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParamOrder):
+            load_interpolant(bad)
