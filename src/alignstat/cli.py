@@ -269,15 +269,28 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
         c2 = construction_c2(config.params())
     result = run_sweep(config, n_grid, trials=args.trials, workers=args.workers, c2=c2)
     write_records_csv(result.records, out_dir / "sweep.csv")
-    if result.fit is None:
-        raise DegenerateFit(
-            f"cannot fit a slope on {len(set(n_grid))} distinct n value(s) "
-            "with positive means"
-        )
     report = [
         f"problem = {args.problem}",
         f"target_rho = {result.target_rho!r}",
         "means = " + ", ".join(f"({n}, {m!r})" for n, m in result.means),
+    ]
+    if result.fit is None:
+        # the degenerate regime still gets its per-n summary before exit 3
+        zero = np.array([r.statistic == 0 for r in result.records]).reshape(len(n_grid), -1)
+        distinct = len(set(n_grid))
+        if distinct < 3:
+            reason = f"{distinct} distinct n value(s), need 3"
+        else:
+            reason = "zero mean at n = " + ", ".join(str(n) for n, m in result.means if m <= 0)
+        report += [
+            "zero_fraction = "
+            + ", ".join(f"({n}, {f!r})" for n, f in zip(n_grid, zero.mean(axis=1).tolist())),
+            f"slope = none ({reason})",
+        ]
+        (out_dir / "report.txt").write_text("\n".join(report) + "\n")
+        print("\n".join(report))
+        raise DegenerateFit(f"cannot fit a slope: {reason}")
+    report += [
         f"slope = {result.fit.slope!r}",
         f"stderr = {result.fit.stderr!r}",
         f"intercept = {result.fit.intercept!r}",

@@ -10,11 +10,14 @@ The distance used throughout is the largest canonical angle
 
 which equals acos of the smallest singular value of F_H^T F_K and is a
 metric on subspaces of fixed dimension.  Its sine is the largest singular
-value of N_K^T F_H, with N_K an orthonormal basis of the complement of K;
-small angles go through the sine, which keeps them accurate.  The scalar
-:func:`canonical_angle` is the reference; every batched angle goes
-through one blocked kernel (:func:`batch_canonical_angle`,
-:func:`min_canonical_angle`).
+value of N_K^T F_H, with N_K an orthonormal basis of the complement of K.
+The scalar :func:`canonical_angle` is the reference: it takes small
+angles through arcsin of the sine and the rest through arccos of the
+cosine.  Every batched angle goes through one blocked kernel
+(:func:`batch_canonical_angle`, :func:`min_canonical_angle`), which takes
+arctan2(sine, cosine), accurate at both ends, with both extreme singular
+values in closed form (plain square roots, no hypot) for vector and
+2-by-2 blocks, and one batched QR completion per chunk of centers.
 
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 frame stack to its chart-regular mask (:func:`chart_regular`) and the
@@ -232,6 +235,12 @@ def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
     entry block[a, b] is one contiguous array over the stack.  Closed
     forms for vectors and 2-by-2 blocks, a batched SVD otherwise; an
     empty block gives 0.  The smallest is taken over min(r, s) values.
+
+    For [[a, b], [c, e]] the largest value is
+    (sqrt((a+e)^2 + (b-c)^2) + sqrt((a-e)^2 + (b+c)^2)) / 2, taken with
+    plain squares: every caller passes entries of orthonormal frames or
+    their products, so |entry| <= 1 and nothing overflows.  The smallest
+    is |det| / largest, which keeps it accurate when it is tiny.
     """
     r, s = block.shape[:2]
     if r == 0 or s == 0:
@@ -240,10 +249,16 @@ def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
         return np.sqrt(np.sum(block * block, axis=(0, 1)))
     if r == 2 and s == 2:
         a, b, c, e = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
-        smax = 0.5 * (np.hypot(a + e, b - c) + np.hypot(a - e, b + c))
+        u = a + e
+        v = b - c
+        smax = np.sqrt(np.add(np.square(u, out=u), np.square(v, out=v), out=u))
+        u = a - e
+        v = b + c
+        smax += np.sqrt(np.add(np.square(u, out=u), np.square(v, out=v), out=u))
+        smax *= 0.5
         if largest:
             return smax
-        # |det| / smax keeps the small value accurate; a zero block gives 0
+        # a zero block gives 0
         det = np.abs(a * e - b * c)
         return np.divide(det, smax, out=np.zeros_like(det), where=smax > 0.0)
     svals = np.linalg.svd(np.moveaxis(block, (0, 1), (-2, -1)), compute_uv=False)
@@ -256,8 +271,9 @@ def _angle_block(q: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
     ``q`` holds the complete bases of c centers of dimension k2, ``frames``
     shape (t, d, k1).  With P = Q_j^T A_i, cos of the angle is the smallest
     singular value of the top k2-by-k1 block and sin the largest of the
-    bottom (d-k2)-by-k1 block; the angle comes from arcsin when cos >
-    ``_COS_SWITCH`` and from arccos otherwise, as in :func:`canonical_angle`.
+    bottom (d-k2)-by-k1 block; the angle is arctan2(sin, cos), which is
+    accurate at both ends: sin carries near-coincident pairs and cos
+    nearly orthogonal ones, and no clipping is needed.
     """
     c, d, _ = q.shape
     t, _, k1 = frames.shape
@@ -265,11 +281,7 @@ def _angle_block(q: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
     prod = (q.transpose(0, 2, 1) @ flat).reshape(c, d, k1, t).transpose(1, 2, 0, 3)
     cos = _extreme_singular_value(prod[:k2], largest=False)
     sin = _extreme_singular_value(prod[k2:], largest=True)
-    return np.where(
-        cos > _COS_SWITCH,
-        np.arcsin(np.clip(sin, 0.0, 1.0)),
-        np.arccos(np.clip(cos, 0.0, 1.0)),
-    )
+    return np.arctan2(sin, cos, out=sin)
 
 
 def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -305,9 +317,12 @@ def min_canonical_angle(
     looks at frames i > j; a center with no such frame gets angle inf and
     index -1.
 
-    Each center is completed to an orthonormal basis once, and blocks of
-    at most ``_PAIR_BUDGET`` pairs go through :func:`_angle_block` with
-    one matmul, so memory stays bounded whatever t and c are.
+    Blocks of at most ``_PAIR_BUDGET`` pairs go through
+    :func:`_angle_block` with one matmul, so memory stays bounded whatever
+    t and c are.  The centers are completed to orthonormal bases by one
+    batched QR per chunk of at most ``_PAIR_BUDGET`` centers (a whole
+    number of blocks), whose bases take at most ``_PAIR_BUDGET`` d^2
+    floats.
     """
     _check_pair_shapes(frames, centers)
     t, c, k2 = frames.shape[0], centers.shape[0], centers.shape[2]
@@ -315,9 +330,12 @@ def min_canonical_angle(
     arg = np.full(c, -1, dtype=np.int64)
     frame_step = max(1, min(t, _PAIR_BUDGET))
     center_step = max(1, _PAIR_BUDGET // frame_step)
+    chunk = _PAIR_BUDGET // center_step * center_step
     for c0 in range(0, c, center_step):
         c1 = min(c, c0 + center_step)
-        q = _complete_bases(centers[c0:c1])
+        if c0 % chunk == 0:
+            q_chunk = _complete_bases(centers[c0 : c0 + chunk])
+        q = q_chunk[c0 % chunk : c0 % chunk + (c1 - c0)]
         rows = np.arange(c0, c1)
         for f0 in range(c0 + 1 if later_only else 0, t, frame_step):
             f1 = min(t, f0 + frame_step)

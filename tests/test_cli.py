@@ -1,5 +1,6 @@
 """Command-line driver: outputs, exit codes, manifest round-trips."""
 
+import csv
 import platform
 
 import numpy as np
@@ -71,6 +72,31 @@ class TestExponentSweep:
             ["exponent-sweep", "--n-grid", "1000", "--trials", 4, "--out-dir", tmp_path]
         )
         assert rc == 3
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert report[0] == "problem = jets"
+        assert report[-1] == "slope = none (1 distinct n value(s), need 3)"
+
+    def test_zero_count_sweep_keeps_its_report(self, tmp_path):
+        rc = run_cli(
+            [
+                "exponent-sweep", "--problem", "oriented", "--k", 2, "--d", 4, "--n1", 0,
+                "--n-grid", "2000,8000,32000", "--trials", 30, "--out-dir", tmp_path,
+            ]
+        )
+        assert rc == 3
+        zeros = {2000: 0, 8000: 0, 32000: 0}
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                zeros[int(row["n"])] += row["statistic"] == "0"
+        report = dict(
+            line.split(" = ", 1) for line in (tmp_path / "report.txt").read_text().splitlines()
+        )
+        assert report["zero_fraction"] == ", ".join(
+            f"({n}, {z / 30!r})" for n, z in zeros.items()
+        )
+        empty = ", ".join(str(n) for n, z in zeros.items() if z == 30)
+        assert empty
+        assert report["slope"] == f"none (zero mean at n = {empty})"
 
     def test_worker_counts_byte_identical(self, tmp_path):
         common = [

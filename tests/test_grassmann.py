@@ -160,22 +160,44 @@ class TestAngleKernel:
             assert idx[j] == j + 1 + int(want[j, j + 1 :].argmin())
         assert angles[-1] == np.inf and idx[-1] == -1
 
-    def test_pair_budget_of_one_is_identical(self, monkeypatch):
+    @pytest.mark.parametrize("budget", [1, 3, 5])
+    def test_pair_budget_is_identical(self, monkeypatch, budget):
+        # 7 centers and 50 frames: no budget divides them, so the last
+        # block and the last chunk of centers are short; 2 frames give
+        # blocks of 2 centers and, at budget 5, chunks of 4
         rng = np.random.default_rng(62)
         frames = sample_uniform_frames(rng, 50, 2, 4)
         centers = sample_uniform_frames(rng, 7, 2, 4)
-        runs = []
-        for budget in (grassmann._PAIR_BUDGET, 1):
-            monkeypatch.setattr(grassmann, "_PAIR_BUDGET", budget)
-            runs.append(
-                (
-                    batch_canonical_angle(frames, centers[0]),
-                    *min_canonical_angle(frames, centers),
-                    *min_canonical_angle(frames, frames, later_only=True),
-                )
+
+        def run():
+            return (
+                batch_canonical_angle(frames, centers[0]),
+                *min_canonical_angle(frames, centers),
+                *min_canonical_angle(frames[:2], centers),
+                *min_canonical_angle(frames, frames, later_only=True),
             )
-        for default, one in zip(*runs):
-            assert np.array_equal(default, one)
+
+        default = run()
+        monkeypatch.setattr(grassmann, "_PAIR_BUDGET", budget)
+        for want, got in zip(default, run()):
+            assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("k1,k2,d", [(1, 1, 2), (1, 2, 3), (2, 2, 3), (2, 2, 4)])
+    def test_closed_form_shapes_never_call_svd(self, monkeypatch, k1, k2, d):
+        rng = np.random.default_rng(64)
+        frames = sample_uniform_frames(rng, 30, k1, d)
+        centers = sample_uniform_frames(rng, 4, k2, d)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("closed-form block fell back to np.linalg.svd")
+
+        monkeypatch.setattr(grassmann.np.linalg, "svd", no_svd)
+        batch_canonical_angle(frames, centers[0])
+        min_canonical_angle(frames, centers)
+        if k1 == k2:
+            min_canonical_angle(frames, frames, later_only=True)
+        if k1 == 2:
+            chart_regular(frames[:, :2, :])
 
     def test_shape_checks(self):
         frames = np.zeros((3, 4, 2))
@@ -185,6 +207,43 @@ class TestAngleKernel:
             min_canonical_angle(frames, np.zeros((1, 4, 1)))
         with pytest.raises(DimensionMismatch):
             batch_canonical_angle(frames, np.zeros((4, 1)))
+
+
+# the closed forms' error bound, fixed before their first comparison
+_SVAL_RTOL = 2e-15
+
+
+class TestExtremeSingularValue:
+    @staticmethod
+    def _stacks(r, s):
+        """Random, near-rank-1, tiny, zero and orthogonal (m, r, s) stacks."""
+        rng = np.random.default_rng(70 + 10 * r + s)
+        rank1 = rng.uniform(-1, 1, (300, r, 1)) * rng.uniform(-1, 1, (300, 1, s))
+        if min(r, s) == 1:
+            orthogonal = [sample_uniform_frames(rng, 50, 1, max(r, s)).reshape(50, r, s)]
+        else:
+            theta = rng.uniform(0, 2 * np.pi, 50)
+            rot = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)])
+            rot = rot.T.reshape(50, 2, 2)
+            orthogonal = [rot, rot * np.array([1.0, -1.0]), np.array([[[0.0, 1.0], [1.0, 0.0]]])]
+        return [
+            rng.uniform(-1, 1, (300, r, s)),
+            rank1 + 1e-10 * rng.standard_normal((300, r, s)),
+            1e-9 * rng.uniform(-1, 1, (300, r, s)),
+            np.zeros((5, r, s)),
+            *orthogonal,
+        ]
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 3), (3, 1), (4, 1), (2, 2)])
+    def test_matches_svd(self, r, s):
+        for stack in self._stacks(r, s):
+            svals = np.linalg.svd(stack, compute_uv=False)
+            block = np.ascontiguousarray(stack.transpose(1, 2, 0))
+            smax = grassmann._extreme_singular_value(block, largest=True)
+            smin = grassmann._extreme_singular_value(block, largest=False)
+            tol = _SVAL_RTOL * svals[:, 0]
+            assert np.all(np.abs(smax - svals[:, 0]) <= tol)
+            assert np.all(np.abs(smin - svals[:, -1]) <= tol)
 
 
 class TestPerturbationLemmas:
