@@ -274,30 +274,33 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
         f"target_rho = {result.target_rho!r}",
         "means = " + ", ".join(f"({n}, {m!r})" for n, m in result.means),
     ]
+    # per n, the regimes a slope hides: trials with no count, and trials
+    # whose cell width fell back to one clamped cell
+    for name, flags in (
+        ("zero_fraction", [r.statistic == 0 for r in result.records]),
+        ("clamped_fraction", [r.eps_clamped for r in result.records]),
+    ):
+        fractions = np.reshape(flags, (len(n_grid), -1)).mean(axis=1).tolist()
+        report.append(f"{name} = " + ", ".join(f"({n}, {f!r})" for n, f in zip(n_grid, fractions)))
     if result.fit is None:
-        # the degenerate regime still gets its per-n summary before exit 3
-        zero = np.array([r.statistic == 0 for r in result.records]).reshape(len(n_grid), -1)
         distinct = len(set(n_grid))
         if distinct < 3:
             reason = f"{distinct} distinct n value(s), need 3"
         else:
             reason = "zero mean at n = " + ", ".join(str(n) for n, m in result.means if m <= 0)
+        report.append(f"slope = none ({reason})")
+    else:
         report += [
-            "zero_fraction = "
-            + ", ".join(f"({n}, {f!r})" for n, f in zip(n_grid, zero.mean(axis=1).tolist())),
-            f"slope = none ({reason})",
+            f"slope = {result.fit.slope!r}",
+            f"stderr = {result.fit.stderr!r}",
+            f"intercept = {result.fit.intercept!r}",
+            f"slope_minus_target = {result.fit.slope - result.target_rho!r}",
         ]
-        (out_dir / "report.txt").write_text("\n".join(report) + "\n")
-        print("\n".join(report))
-        raise DegenerateFit(f"cannot fit a slope: {reason}")
-    report += [
-        f"slope = {result.fit.slope!r}",
-        f"stderr = {result.fit.stderr!r}",
-        f"intercept = {result.fit.intercept!r}",
-        f"slope_minus_target = {result.fit.slope - result.target_rho!r}",
-    ]
     (out_dir / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
+    if result.fit is None:
+        # the degenerate regime keeps its per-n report, then exits 3
+        raise DegenerateFit(f"cannot fit a slope: {reason}")
     print(f"wrote {out_dir / 'sweep.csv'} ({len(result.records)} records, "
           f"{result.elapsed_s:.1f}s)")
     return 0

@@ -230,6 +230,85 @@ class CellSelection:
     interpolant: object | None = None
 
 
+@dataclass(frozen=True)
+class CellGrid:
+    """The constants of the greedy statistic at one sample size: eps, the
+    cell width eps', the even-cell grid and the admissible jet box."""
+
+    eps: float
+    c2: float
+    eps_prime: float
+    clamped: bool
+    grid_max: int
+    per_axis: int
+    cells_total: int
+    bounds: tuple[tuple[float, float], ...]
+
+
+def cell_grid(
+    params: HolderParams, n: int, c2: float | None = None, clamp: bool = False
+) -> CellGrid:
+    """eps from ``n`` by the exponent balance and eps' = (c2 eps)^(1/alpha),
+    c2 as in ``cell_width``.
+
+    When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
+    set, in which case the whole cube is one cell and the grid is flagged.
+    """
+    if n < 1:
+        raise ParamOrder("n must be >= 1 (it sets the cell scale)")
+    eps = statistic_eps(params, n)
+    c2, eps_prime = cell_width(params, eps, c2)
+    clamped = False
+    if eps_prime > 0.5:
+        if not clamp:
+            raise EpsTooLarge(
+                f"cell width {eps_prime:.4g} > 1/2 at n={n}; pass clamp=True to "
+                "fall back to a single cell"
+            )
+        eps_prime = 1.0
+        clamped = True
+    grid_max = int(np.floor(1.0 / eps_prime))
+    per_axis = grid_max // 2 + 1
+    bounds = tuple(box_bounds(params, eps))
+    return CellGrid(eps, c2, eps_prime, clamped, grid_max, per_axis, per_axis**params.k, bounds)
+
+
+def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
+    """The samples whose jet fits the box and whose cell is even: their
+    indices (increasing), cell multi-indices and flat even-cell keys."""
+    # Filter progressively: the value box has selectivity ~eps/2 per output
+    # coordinate, so later rows only touch a small survivor set.
+    alive = np.arange(len(xs))
+    for row, (lo, hi) in enumerate(grid.bounds):
+        vals = ys[alive, row, :]
+        alive = alive[np.all((vals >= lo) & (vals <= hi), axis=1)]
+        if alive.size == 0:
+            break
+    cells = np.floor(xs[alive] / grid.eps_prime).astype(np.int64)
+    keep = np.all((cells % 2 == 0) & (cells >= 0) & (cells <= grid.grid_max), axis=1)
+    alive = alive[keep]
+    cells = cells[keep]
+    key = np.ravel_multi_index(tuple(cells.T // 2), (grid.per_axis,) * xs.shape[1])
+    return alive, cells, key
+
+
+def cell_counts(
+    grid: CellGrid, xs: np.ndarray, ys: np.ndarray, owner: np.ndarray, owners: int
+) -> np.ndarray:
+    """The greedy count of many sample sets at once, from one box filter.
+
+    ``owner[i]`` in [0, owners) names the set sample i belongs to; the
+    result holds, per set, the number of distinct even cells with an
+    admissible sample.  The distinct (set, cell) pairs come from a sort
+    and an adjacent difference.
+    """
+    alive, _, key = _box_cells(grid, xs, ys)
+    pair = np.sort(owner[alive] * grid.cells_total + key)
+    new = np.ones(pair.size, dtype=bool)
+    np.not_equal(pair[1:], pair[:-1], out=new[1:])
+    return np.bincount(pair[new] // grid.cells_total, minlength=owners)
+
+
 def greedy_cell_statistic(
     samples: JetSamples,
     params: HolderParams,
@@ -253,61 +332,31 @@ def greedy_cell_statistic(
     set, in which case the whole cube is one cell and the result is
     flagged.
     """
-    if n < 1:
-        raise ParamOrder("n must be >= 1 (it sets the cell scale)")
-    eps = statistic_eps(params, n)
-    c2, eps_prime = cell_width(params, eps, c2)
-    clamped = False
-    if eps_prime > 0.5:
-        if not clamp:
-            raise EpsTooLarge(
-                f"cell width {eps_prime:.4g} > 1/2 at n={n}; pass clamp=True to "
-                "fall back to a single cell"
-            )
-        eps_prime = 1.0
-        clamped = True
-    grid_max = int(np.floor(1.0 / eps_prime))
-    per_axis = grid_max // 2 + 1
-    cells_total = per_axis**params.k
-
-    # Filter progressively: the value box has selectivity ~eps/2 per output
-    # coordinate, so later rows only touch a small survivor set.
-    bounds = box_bounds(params, eps)
-    alive = np.arange(len(samples))
-    for row, (lo, hi) in enumerate(bounds):
-        vals = samples.ys[alive, row, :]
-        keep = np.all((vals >= lo) & (vals <= hi), axis=1)
-        alive = alive[keep]
-        if alive.size == 0:
-            break
-    cells = np.floor(samples.xs[alive] / eps_prime).astype(np.int64)
-    keep = np.all((cells % 2 == 0) & (cells >= 0) & (cells <= grid_max), axis=1)
-    alive = alive[keep]
-    cells = cells[keep]
+    grid = cell_grid(params, n, c2, clamp)
+    alive, cells, key = _box_cells(grid, samples.xs, samples.ys)
 
     # First survivor per cell, kept in first-seen order (materialize feeds
     # the nodes in this order): unique flat cell keys, first indices sorted.
     # Most null trials have no survivor left, so skip the numpy calls then.
     selected: dict[tuple[int, ...], int] = {}
     if alive.size:
-        key = np.ravel_multi_index(tuple(cells.T // 2), (per_axis,) * params.k)
         first = np.sort(np.unique(key, return_index=True)[1])
         selected = dict(zip(map(tuple, cells[first].tolist()), alive[first].tolist()))
 
     interpolant = None
     if materialize:
-        if clamped:
+        if grid.clamped:
             raise EpsTooLarge("cannot certify a clamped selection with an interpolant")
         nodes = [samples[i] for i in selected.values()]
-        interpolant = build_interpolant(nodes, params, eps, c2=c2)
+        interpolant = build_interpolant(nodes, params, grid.eps, c2=grid.c2)
     return CellSelection(
-        eps=eps,
-        eps_prime=eps_prime,
-        c2=c2,
+        eps=grid.eps,
+        eps_prime=grid.eps_prime,
+        c2=grid.c2,
         selected=selected,
         count=len(selected),
-        cells_total=cells_total,
-        eps_clamped=clamped,
+        cells_total=grid.cells_total,
+        eps_clamped=grid.clamped,
         interpolant=interpolant,
     )
 

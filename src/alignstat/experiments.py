@@ -3,12 +3,20 @@
 Reproducibility contract: every trial draws from a generator seeded by
 SeedSequence([master_seed, n_index, trial]), so a sweep's output depends
 only on its configuration and master seed, never on the worker count or
-scheduling order.  Results come back in (n_index, trial) order.  The wall
-time column in CSV output is written as 0 to keep files byte-identical
-across reruns; measured times are reported separately.
+scheduling order.  Results come back in (n_index, trial) order.  Trials
+are not timed: the CSV's millis column is written as 0, so files stay
+byte-identical across reruns, and a sweep reports only its total wall
+time (``SweepResult.elapsed_s``).
 
 One keyed trial engine: sweeps, calibration and power all run their
-trials through ``_run_trials``, one seeded ``run_trial`` per key.
+trials through ``_run_trials``.  It runs blocks of consecutive keys that
+share (n_index, n).  A block computes the n-constants once (eps, the cell
+grid, the box, the planted map); then each key draws from its own stream
+exactly what ``run_trial`` draws, and the drawn samples of many trials go
+through one box filter and one count of distinct (trial, cell) pairs,
+flushed every ``_BLOCK_SAMPLES`` samples so memory stays bounded.  The
+count of a trial does not depend on which other trials share its block,
+so any cut into blocks, and any worker count, gives the same records.
 Calibration runs the null configuration at keys (seed, 0, t) for
 t < T, so its statistics are exactly those of a T-trial null sweep at
 the same n; power continues the trial index at (seed, 0, T + t), so the
@@ -39,6 +47,7 @@ at small eps.
 from __future__ import annotations
 
 import csv
+import itertools
 import time
 from dataclasses import dataclass, replace
 from io import StringIO
@@ -46,7 +55,10 @@ from io import StringIO
 import numpy as np
 
 from .detection import (
+    CellGrid,
     FitResult,
+    cell_counts,
+    cell_grid,
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
@@ -58,7 +70,7 @@ from .detection import (
     statistic_eps,
 )
 from .errors import ParamOrder
-from .holder import GraphLift, HolderParams, JetSamples, box_bounds, constant_function
+from .holder import GraphLift, HolderParams, JetSamples, constant_function
 
 EXPERIMENT_C2 = 1.0 + 1e-6
 
@@ -115,8 +127,8 @@ class RunRecord:
     """One Monte Carlo trial's outputs, CSV-serializable.
 
     ``eps_clamped`` flags trials where eps' exceeded 1/2 and the statistic
-    fell back to a single cell; it is carried on the record but not in the
-    CSV schema.
+    fell back to a single cell; it is not in the CSV schema, and
+    ``exponent-sweep`` reports its fraction per n in ``report.txt``.
     """
 
     trial: int
@@ -132,7 +144,6 @@ class RunRecord:
     statistic: int
     cells_total: int
     seed: int
-    millis: int
     eps_clamped: bool = False
 
 
@@ -159,6 +170,44 @@ def _trial_rng(master_seed: int, n_index: int, trial: int) -> np.random.Generato
     return np.random.default_rng(np.random.SeedSequence([master_seed, n_index, trial]))
 
 
+def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
+    """What every trial at sample size n shares: the params, the cell grid
+    and the map whose jets are planted (None when n1 = 0)."""
+    if n < 1 or config.n1 > n:
+        raise ParamOrder(f"need n >= 1 and n1 <= n, got n={n}, n1={config.n1}")
+    params = config.params()
+    grid = cell_grid(params, n, c2, clamp=True)
+    g = None
+    if config.n1 > 0:
+        f = default_alternative(replace(config, n=n))
+        g = f if config.problem == "jets" else f.g
+    return params, grid, g
+
+
+def _trial_samples(
+    config: ExperimentConfig, params: HolderParams, n: int, grid: CellGrid, g, rng
+) -> JetSamples:
+    """One trial's draws, in stream order (see run_trial)."""
+    lo, hi = grid.bounds[0]
+    m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
+    values = rng.uniform(lo, hi, size=(m, params.dim_out))
+    if config.problem == "jets":
+        samples = generate_null_jets(m, params, rng)
+        samples.ys[:, 0, :] = values
+    else:
+        oriented = generate_null_oriented(m, config.k, config.d, rng)
+        oriented.z[:, config.k :] = values
+        samples, _ = oriented_to_jets(oriented, params)
+    if g is not None:
+        planted = generate_alt_jets(config.n1, config.n1, g, params, rng, check=False)
+        samples = JetSamples(
+            params,
+            np.concatenate([samples.xs, planted.xs]),
+            np.concatenate([samples.ys, planted.ys]),
+        )
+    return samples
+
+
 def run_trial(
     config: ExperimentConfig,
     n: int,
@@ -182,70 +231,87 @@ def run_trial(
     Dg(x)) exactly.  The draws (n1 locations, one permutation) are those
     of ``generate_alt_oriented``.
     """
-    if n < 1 or config.n1 > n:
-        raise ParamOrder(f"need n >= 1 and n1 <= n, got n={n}, n1={config.n1}")
-    params = config.params()
-    lo, hi = box_bounds(params, statistic_eps(params, n))[0]
-    m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
-    values = rng.uniform(lo, hi, size=(m, params.dim_out))
-    if config.problem == "jets":
-        samples = generate_null_jets(m, params, rng)
-        samples.ys[:, 0, :] = values
-    else:
-        oriented = generate_null_oriented(m, config.k, config.d, rng)
-        oriented.z[:, config.k :] = values
-        samples, _ = oriented_to_jets(oriented, params)
-    if config.n1 > 0:
-        f = default_alternative(replace(config, n=n))
-        g = f if config.problem == "jets" else f.g
-        planted = generate_alt_jets(config.n1, config.n1, g, params, rng, check=False)
-        samples = JetSamples(
-            params,
-            np.concatenate([samples.xs, planted.xs]),
-            np.concatenate([samples.ys, planted.ys]),
-        )
+    params, grid, g = _trial_constants(config, n, c2)
+    samples = _trial_samples(config, params, n, grid, g, rng)
     return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
 
 
-def _sweep_task(payload) -> RunRecord:
-    config, n_index, n, trial, c2 = payload
-    rng = _trial_rng(config.seed, n_index, trial)
-    t0 = time.perf_counter()
-    sel = run_trial(config, n, rng, c2=c2)
-    return RunRecord(
-        trial=trial,
-        problem=config.problem,
-        k=config.k,
-        d=config.d,
-        alpha=config.alpha,
-        beta=config.beta,
-        r0=config.r0,
-        n=n,
-        n1=config.n1,
-        eps=sel.eps,
-        statistic=sel.count,
-        cells_total=sel.cells_total,
-        seed=config.seed,
-        millis=int((time.perf_counter() - t0) * 1000),
-        eps_clamped=sel.eps_clamped,
-    )
+# Samples per count in a block of trials: the drawn samples are counted
+# and dropped whenever they pass this many, so a block holds at most this
+# many plus one trial's, whatever its trial count.
+_BLOCK_SAMPLES = 2**12
+
+
+def _run_block(payload) -> list[RunRecord]:
+    """The trials of consecutive keys that share (n_index, n), in key order.
+
+    Every trial draws from its own key's stream exactly as run_trial does;
+    the block computes the n-constants once and counts the samples of
+    many trials with one box filter and one cell count.
+    """
+    config, keys, c2 = payload
+    n_index, n, _ = keys[0]
+    params, grid, g = _trial_constants(config, n, c2)
+    counts: list[int] = []
+    xs, ys, sizes = [], [], []
+    pending = 0
+    for i, (_, _, trial) in enumerate(keys):
+        rng = _trial_rng(config.seed, n_index, trial)
+        samples = _trial_samples(config, params, n, grid, g, rng)
+        xs.append(samples.xs)
+        ys.append(samples.ys)
+        sizes.append(len(samples))
+        pending += len(samples)
+        if pending >= _BLOCK_SAMPLES or i == len(keys) - 1:
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            flushed = cell_counts(grid, np.concatenate(xs), np.concatenate(ys), owner, len(sizes))
+            counts += flushed.tolist()
+            xs, ys, sizes = [], [], []
+            pending = 0
+    return [
+        RunRecord(
+            trial=trial,
+            problem=config.problem,
+            k=config.k,
+            d=config.d,
+            alpha=config.alpha,
+            beta=config.beta,
+            r0=config.r0,
+            n=n,
+            n1=config.n1,
+            eps=grid.eps,
+            statistic=count,
+            cells_total=grid.cells_total,
+            seed=config.seed,
+            eps_clamped=grid.clamped,
+        )
+        for (_, _, trial), count in zip(keys, counts)
+    ]
 
 
 def _run_trials(
     config: ExperimentConfig, keys, workers: int = 1, c2: float = EXPERIMENT_C2
 ) -> list[RunRecord]:
-    """One seeded trial per (n_index, n, trial) key, records in key order."""
+    """One seeded trial per (n_index, n, trial) key, records in key order.
+
+    The keys run in blocks of consecutive keys that share (n_index, n).
+    A pool gets the blocks cut to about an eighth of each worker's share
+    of the keys; every cut gives the same records.
+    """
     if workers < 1:
         raise ParamOrder(f"need workers >= 1, got {workers}")
-    tasks = [(config, n_index, n, trial, c2) for n_index, n, trial in keys]
+    size = max(1, len(keys) if workers == 1 else len(keys) // (workers * 8))
+    blocks = []
+    for _, run in itertools.groupby(keys, key=lambda key: key[:2]):
+        run = list(run)
+        blocks += [(config, run[i : i + size], c2) for i in range(0, len(run), size)]
     if workers > 1:
         # imported on demand, so that a serial run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            return list(pool.map(_sweep_task, tasks, chunksize=chunk))
-    return [_sweep_task(t) for t in tasks]
+            return [r for records in pool.map(_run_block, blocks) for r in records]
+    return [r for block in blocks for r in _run_block(block)]
 
 
 @dataclass
@@ -291,7 +357,7 @@ def run_sweep(
 
 
 def records_to_csv(records) -> str:
-    """Deterministic CSV text; the millis column is zeroed (see module doc)."""
+    """Deterministic CSV text; the millis column is 0 (see module doc)."""
     buf = StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

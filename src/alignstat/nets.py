@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, inf
 
 import numpy as np
 
@@ -216,6 +216,8 @@ def ball_measure_estimate(
     h: Subspace, eps: float, trials: int, rng: np.random.Generator
 ) -> MeasureEstimate:
     """Fraction of uniform subspaces within angle eps of ``h``."""
+    if not 0 < eps < inf:
+        raise ParamOrder(f"need a finite eps > 0, got {eps}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
     frames = sample_uniform_frames(rng, trials, h.dim_sub, h.dim_ambient)
@@ -232,6 +234,8 @@ def chart_cube_measure_estimate(
     Chart-singular draws (a null event) count as misses and are reported
     in the ``singular`` field.
     """
+    if not 0 < eps < inf:
+        raise ParamOrder(f"need a finite eps > 0, got {eps}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
     yt, ok = chart_slopes(sample_uniform_frames(rng, trials, k, d))

@@ -67,6 +67,22 @@ class TestExponentSweep:
         assert "target_rho = 0.25" in report
         assert "slope = " in report
 
+    def test_report_has_per_n_fractions(self, tmp_path):
+        # eps' > 1/2 up to n = 16 at (1, 2): the first three n are one clamped cell
+        argv = ["exponent-sweep", "--n-grid", "2,3,4,300", "--n1", 1, "--trials", 20,
+                "--seed", 5, "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        zeros = dict.fromkeys((2, 3, 4, 300), 0)
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                zeros[int(row["n"])] += row["statistic"] == "0"
+        report = dict(
+            line.split(" = ", 1) for line in (tmp_path / "report.txt").read_text().splitlines()
+        )
+        assert report["zero_fraction"] == ", ".join(f"({n}, {z / 20!r})" for n, z in zeros.items())
+        assert report["clamped_fraction"] == "(2, 1.0), (3, 1.0), (4, 1.0), (300, 0.0)"
+        assert "slope" in report
+
     def test_degenerate_grid_exits_nonzero(self, tmp_path):
         rc = run_cli(
             ["exponent-sweep", "--n-grid", "1000", "--trials", 4, "--out-dir", tmp_path]
@@ -110,11 +126,12 @@ class TestExponentSweep:
             "--seed",
             21,
         ]
-        assert run_cli(common + ["--workers", 1, "--out-dir", tmp_path / "w1"]) == 0
-        assert run_cli(common + ["--workers", 4, "--out-dir", tmp_path / "w4"]) == 0
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            assert run_cli(common + ["--workers", workers, "--out-dir", out]) == 0
         a = (tmp_path / "w1" / "sweep.csv").read_bytes()
-        b = (tmp_path / "w4" / "sweep.csv").read_bytes()
-        assert a == b
+        assert a == (tmp_path / "w2" / "sweep.csv").read_bytes()
+        assert a == (tmp_path / "w4" / "sweep.csv").read_bytes()
 
     def test_manifest_round_trip(self, tmp_path):
         first = tmp_path / "first"
@@ -297,6 +314,10 @@ class TestPower:
         ["exponent-sweep", "--workers", -2],
         ["exponent-sweep", "--c2", 0],
         ["exponent-sweep", "--c2", 0.5],
+        ["volume-scan", "--eps-grid", -0.1],
+        ["volume-scan", "--eps-grid", "0.2,0"],
+        ["volume-scan", "--eps-grid", "nan"],
+        ["volume-scan", "--eps-grid", "inf"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

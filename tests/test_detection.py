@@ -245,6 +245,24 @@ class TestGreedyStatistic:
             # first-seen order: materialize feeds the nodes in this order
             assert list(sel.selected.values()) == sorted(oracle.values())
 
+    def test_cell_counts_match_the_exhaustive_scan_per_owner(self):
+        # unsorted owner labels; owner 5 has no sample; values drawn in the
+        # box, so that the slope rows decide
+        rng = np.random.default_rng(16)
+        p23 = HolderParams(2, 3, 2.0, 0.3, 1)
+        for params, n, m in [(P12, 2000, 300), (p23, 30000, 600)]:
+            grid = detection.cell_grid(params, n, UNIT_C2)
+            samples = generate_null_jets(m, params, rng)
+            samples.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(m, params.dim_out))
+            owner = rng.integers(0, 5, size=m)
+            counts = detection.cell_counts(grid, samples.xs, samples.ys, owner, 6)
+            want = [
+                len(brute_cell_scan(samples.take(owner == o), params, grid.eps, grid.eps_prime))
+                for o in range(6)
+            ]
+            assert counts.tolist() == want
+            assert sum(want) > 5
+
     def test_small_sample_oracle_all_subsets(self):
         # <= 12 samples on a fixed coarse grid (n=50 sets the scale)
         rng = np.random.default_rng(13)

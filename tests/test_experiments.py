@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -142,13 +141,14 @@ class TestKeyedEngine:
         cfg = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 2000, 50, 17, 120)
         want = [r.statistic for r in run_sweep(replace(cfg, n1=0), [cfg.n], trials=120).records]
         seen = []
+        cell_counts = experiments.cell_counts
 
         def recording(*args, **kwargs):
-            sel = run_trial(*args, **kwargs)
-            seen.append(sel.count)
-            return sel
+            counts = cell_counts(*args, **kwargs)
+            seen.extend(counts.tolist())
+            return counts
 
-        monkeypatch.setattr(experiments, "run_trial", recording)
+        monkeypatch.setattr(experiments, "cell_counts", recording)
         thr = null_quantile_threshold(cfg, 0.05, 120)
         assert seen == want
         assert thr.trials == 120
@@ -178,9 +178,8 @@ class TestKeyedEngine:
         it = iter(counts)
         monkeypatch.setattr(
             experiments,
-            "run_trial",
-            lambda *a, **kw: SimpleNamespace(count=next(it), eps=0.1, cells_total=5,
-                                             eps_clamped=False),
+            "cell_counts",
+            lambda grid, xs, ys, owner, owners: np.array([next(it) for _ in range(owners)]),
         )
         thr = Threshold(value=2.0, tie_gamma=0.25, level=0.05, trials=100)
         power = power_estimate(small_config(), thr, len(counts))
@@ -204,6 +203,50 @@ class TestKeyedEngine:
 
         for path in Path(alignstat.__file__).parent.glob("*.py"):
             assert ".spawn(" not in path.read_text(), path.name
+
+
+class TestBlockEngine:
+    """_run_trials counts a block of keys with one box filter; every trial
+    must keep the count run_trial gives on its own key."""
+
+    @pytest.mark.parametrize(
+        "problem,k,d,n1,grid",
+        [
+            ("jets", 1, 2, 0, [300, 3000, 30000]),
+            ("jets", 1, 3, 0, [3000, 30000]),
+            ("jets", 2, 3, 0, [2000, 20000]),
+            ("jets", 1, 2, 40, [1000, 10000]),
+            ("oriented", 1, 2, 0, [1000, 10000]),
+            ("oriented", 1, 2, 25, [1000, 10000]),
+            ("oriented", 2, 3, 30, [2000, 20000]),
+            ("jets", 1, 2, 1, [2, 3, 4]),  # eps' > 1/2: one clamped cell
+        ],
+    )
+    def test_block_counts_equal_run_trial(self, problem, k, d, n1, grid):
+        config = ExperimentConfig(problem, k, d, 2.0, 1.0, 1, max(grid), n1, 13, 25)
+        records = run_sweep(config, grid).records
+        assert len(records) == len(grid) * 25
+        for record in records:
+            n_index = grid.index(record.n)
+            rng = experiments._trial_rng(config.seed, n_index, record.trial)
+            sel = run_trial(config, record.n, rng)
+            assert record.statistic == sel.count
+            assert (record.eps, record.cells_total, record.eps_clamped) == (
+                sel.eps, sel.cells_total, sel.eps_clamped)
+        assert any(r.eps_clamped for r in records) == (grid == [2, 3, 4])
+        assert sum(r.statistic for r in records) > 0
+
+    def test_block_budget_and_cut_are_identical(self, monkeypatch):
+        config = ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 10_000, 20, 5, 40)
+
+        def run(workers):
+            records = run_sweep(config, [1000, 10_000], trials=20, workers=workers).records
+            return np.array([(r.n, r.trial, r.statistic, r.cells_total) for r in records])
+
+        default = run(1)
+        assert np.array_equal(default, run(2))  # the pool gets blocks of 2 trials
+        monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 1)  # one count per trial
+        assert np.array_equal(default, run(1))
 
 
 class TestThinnedTrial:

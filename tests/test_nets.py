@@ -271,6 +271,15 @@ class TestChartCubeMeasure:
         assert slope == pytest.approx(2.0, rel=0.10)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
+def test_measure_radius_must_be_finite_and_positive(eps):
+    rng = np.random.default_rng(43)
+    with pytest.raises(ParamOrder):
+        ball_measure_estimate(line(1, 0), eps, 10, rng)
+    with pytest.raises(ParamOrder):
+        chart_cube_measure_estimate(1, 2, eps, 10, rng)
+
+
 def test_span_bound_deterministic_and_modest():
     # the maximal-volume normal form proves c1 = 1 for every (k, d)
     for k, d in [(1, 2), (2, 3), (2, 4), (3, 4), (3, 7)]:
