@@ -139,13 +139,15 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _coerce(value: str, like) -> object:
+def _coerce(key: str, value: str, like) -> object:
+    """A config file's ``value`` for ``key``, as the type of its default ``like``."""
     if isinstance(like, bool):
         return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
+    if isinstance(like, (int, float)):
+        try:
+            return type(like)(value)
+        except ValueError as exc:
+            raise CliConfigError(f"bad {type(like).__name__} {value!r} for {key!r}") from exc
     return value
 
 
@@ -164,7 +166,7 @@ def parse_args(argv) -> argparse.Namespace:
                 raise CliConfigError(f"unknown config key {key!r}")
         # flags override the file: re-parse with file values as defaults
         defaults = {
-            key: _coerce(val, vars(args)[key]) if vars(args)[key] is not None else val
+            key: _coerce(key, val, vars(args)[key]) if vars(args)[key] is not None else val
             for key, val in file_values.items()
         }
         args = _build_parser(defaults).parse_args(argv)

@@ -14,7 +14,10 @@ actual interpolant through the selected nodes) and, for k = 1, a dynamic
 program maximizing the number of samples inside the discrepancy tube of a
 quantized jet profile (the computable surrogate of the net upper bound).
 The smoothness rules hold per output coordinate, so one separable DP
-serves every d - k; its ``state_cap`` is its only size limit.
+serves every d - k.  Its ``state_cap`` bounds the state count, not its
+memory: the weights table holds one float per (x-cell, state) pair, up
+to ceil(eps^(-1/2)) times ``state_cap`` floats, plus a temporary of the
+same size.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -30,19 +33,18 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     DegenerateFit,
-    EpsTooLarge,
     NotInClass,
     ParamOrder,
     Unsupported,
 )
 from .grassmann import OrientedPoint, Subspace, chart_slopes, sample_uniform_frames
 from .holder import (
+    CellGrid,
     GraphLift,
     HolderParams,
     JetSamples,
-    box_bounds,
     build_interpolant,
-    cell_width,
+    cell_grid,
     holder_membership_check,
     multi_index_set,
     phi_tube_radii,
@@ -83,6 +85,8 @@ def exponent_rho_dir(k: int, d: int) -> Fraction:
 
 def statistic_eps(params: HolderParams, n: int) -> float:
     """The balance point eps(n) = n^(-alpha / (k + alpha (d-k) w))."""
+    if n < 1:
+        raise ParamOrder(f"need n >= 1 (it sets the cell scale), got n={n}")
     w, _ = exponent_rho(params.k, params.d, params.alpha, params.r0)
     expo = params.alpha / (params.k + params.alpha * (params.d - params.k) * float(w))
     return float(n) ** (-expo)
@@ -230,49 +234,6 @@ class CellSelection:
     interpolant: object | None = None
 
 
-@dataclass(frozen=True)
-class CellGrid:
-    """The constants of the greedy statistic at one sample size: eps, the
-    cell width eps', the even-cell grid and the admissible jet box."""
-
-    eps: float
-    c2: float
-    eps_prime: float
-    clamped: bool
-    grid_max: int
-    per_axis: int
-    cells_total: int
-    bounds: tuple[tuple[float, float], ...]
-
-
-def cell_grid(
-    params: HolderParams, n: int, c2: float | None = None, clamp: bool = False
-) -> CellGrid:
-    """eps from ``n`` by the exponent balance and eps' = (c2 eps)^(1/alpha),
-    c2 as in ``cell_width``.
-
-    When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
-    set, in which case the whole cube is one cell and the grid is flagged.
-    """
-    if n < 1:
-        raise ParamOrder("n must be >= 1 (it sets the cell scale)")
-    eps = statistic_eps(params, n)
-    c2, eps_prime = cell_width(params, eps, c2)
-    clamped = False
-    if eps_prime > 0.5:
-        if not clamp:
-            raise EpsTooLarge(
-                f"cell width {eps_prime:.4g} > 1/2 at n={n}; pass clamp=True to "
-                "fall back to a single cell"
-            )
-        eps_prime = 1.0
-        clamped = True
-    grid_max = int(np.floor(1.0 / eps_prime))
-    per_axis = grid_max // 2 + 1
-    bounds = tuple(box_bounds(params, eps))
-    return CellGrid(eps, c2, eps_prime, clamped, grid_max, per_axis, per_axis**params.k, bounds)
-
-
 def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
     """The samples whose jet fits the box and whose cell is even: their
     indices (increasing), cell multi-indices and flat even-cell keys."""
@@ -284,7 +245,7 @@ def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
         alive = alive[np.all((vals >= lo) & (vals <= hi), axis=1)]
         if alive.size == 0:
             break
-    cells = np.floor(xs[alive] / grid.eps_prime).astype(np.int64)
+    cells = grid.cells(xs[alive])
     keep = np.all((cells % 2 == 0) & (cells >= 0) & (cells <= grid.grid_max), axis=1)
     alive = alive[keep]
     cells = cells[keep]
@@ -319,20 +280,19 @@ def greedy_cell_statistic(
 ) -> CellSelection:
     """Count even grid cells holding a sample whose jet fits the cell box.
 
-    eps is set from ``n`` by the exponent balance, the cell width is
-    eps' = (c2 eps)^(1/alpha), and within each even-indexed cell the
+    The grid is ``holder.cell_grid`` at eps = ``statistic_eps(params, n)``
+    (c2 and ``clamp`` as there), and within each even-indexed cell the
     lowest-index admissible sample wins.  With ``materialize`` the
-    selected nodes are fed to build_interpolant, certifying the count as
-    a lower bound for the maximal interpolation number.
+    selected nodes are fed to build_interpolant, which reads the same
+    grid, certifying the count as a lower bound for the maximal
+    interpolation number; a clamped grid cannot be certified
+    (EpsTooLarge).
 
     c2 defaults to the class-certifying construction constant; pass an
     explicit value above 1 (e.g. just above) to trade the same-beta
-    certificate for practical cell counts; c2 <= 1 raises ParamOrder.
-    When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
-    set, in which case the whole cube is one cell and the result is
-    flagged.
+    certificate for practical cell counts.
     """
-    grid = cell_grid(params, n, c2, clamp)
+    grid = cell_grid(params, statistic_eps(params, n), c2, clamp)
     alive, cells, key = _box_cells(grid, samples.xs, samples.ys)
 
     # First survivor per cell, kept in first-seen order (materialize feeds
@@ -345,8 +305,6 @@ def greedy_cell_statistic(
 
     interpolant = None
     if materialize:
-        if grid.clamped:
-            raise EpsTooLarge("cannot certify a clamped selection with an interpolant")
         nodes = [samples[i] for i in selected.values()]
         interpolant = build_interpolant(nodes, params, grid.eps, c2=grid.c2)
     return CellSelection(

@@ -55,10 +55,8 @@ from io import StringIO
 import numpy as np
 
 from .detection import (
-    CellGrid,
     FitResult,
     cell_counts,
-    cell_grid,
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
@@ -70,7 +68,7 @@ from .detection import (
     statistic_eps,
 )
 from .errors import ParamOrder
-from .holder import GraphLift, HolderParams, JetSamples, constant_function
+from .holder import CellGrid, GraphLift, HolderParams, JetSamples, cell_grid, constant_function
 
 EXPERIMENT_C2 = 1.0 + 1e-6
 
@@ -173,10 +171,10 @@ def _trial_rng(master_seed: int, n_index: int, trial: int) -> np.random.Generato
 def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
     """What every trial at sample size n shares: the params, the cell grid
     and the map whose jets are planted (None when n1 = 0)."""
-    if n < 1 or config.n1 > n:
-        raise ParamOrder(f"need n >= 1 and n1 <= n, got n={n}, n1={config.n1}")
+    if config.n1 > n:
+        raise ParamOrder(f"need n1 <= n, got n={n}, n1={config.n1}")
     params = config.params()
-    grid = cell_grid(params, n, c2, clamp=True)
+    grid = cell_grid(params, statistic_eps(params, n), c2, clamp=True)
     g = None
     if config.n1 > 0:
         f = default_alternative(replace(config, n=n))

@@ -293,26 +293,63 @@ def construction_c2(params: HolderParams) -> float:
     return max(1.0 + 1e-6, (c3 / params.beta) ** (params.alpha / (params.alpha - params.r)))
 
 
-def cell_width(params: HolderParams, eps: float, c2: float | None = None) -> tuple[float, float]:
-    """(c2, eps') with eps' = (c2 eps)^(1/alpha); c2 defaults to
-    ``construction_c2(params)`` and must exceed 1."""
+@dataclass(frozen=True)
+class CellGrid:
+    """The cell rule at one eps, read by the interpolant and by the greedy
+    count it certifies: cells of width eps' = (c2 eps)^(1/alpha), one node
+    per even cell (so bump supports never overlap), and the admissible
+    jet box ``bounds``, one (lo, hi) per index row: the value row in
+    [eps/2, eps], weight-|s| rows in [0, eps^(1-|s|/alpha)].  A
+    ``clamped`` grid is the whole cube as one cell (eps' = 1), which no
+    interpolant accepts."""
+
+    eps: float
+    c2: float
+    eps_prime: float
+    clamped: bool
+    grid_max: int
+    per_axis: int
+    cells_total: int
+    bounds: tuple[tuple[float, float], ...]
+
+    def cells(self, xs: np.ndarray) -> np.ndarray:
+        """Integer cell multi-indices floor(x / eps') of the locations xs."""
+        return np.floor(xs / self.eps_prime).astype(np.int64)
+
+
+def cell_grid(
+    params: HolderParams, eps: float, c2: float | None = None, clamp: bool = False
+) -> CellGrid:
+    """The cell grid at eps; c2 defaults to ``construction_c2(params)`` and
+    must exceed 1.
+
+    When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
+    set, in which case the whole cube is one cell and the grid is flagged.
+    """
     if c2 is None:
         c2 = construction_c2(params)
     if not c2 > 1:
         raise ParamOrder(f"need c2 > 1, got c2={c2}")
-    return c2, (c2 * eps) ** (1.0 / params.alpha)
-
-
-def box_bounds(params: HolderParams, eps: float) -> list[tuple[float, float]]:
-    """Admissible coordinate box per index row: value in [eps/2, eps],
-    weight-|s| derivatives in [0, eps^(1-|s|/alpha)]."""
-    out = []
+    if not eps > 0:
+        raise ParamOrder(f"need eps > 0, got eps={eps}")
+    eps_prime = (c2 * eps) ** (1.0 / params.alpha)
+    clamped = eps_prime > 0.5
+    if clamped and not clamp:
+        raise EpsTooLarge(f"cell width {eps_prime:.4g} > 1/2; decrease eps (or increase beta)")
+    if clamped:
+        eps_prime = 1.0
+    grid_max = int(np.floor(1.0 / eps_prime))
+    per_axis = grid_max // 2 + 1
+    bounds = []
     for s in params.index_set():
         if sum(s) == 0:
-            out.append((eps / 2.0, eps))
+            bounds.append((eps / 2.0, eps))
         else:
-            out.append((0.0, eps ** (1.0 - sum(s) / params.alpha)))
-    return out
+            bounds.append((0.0, eps ** (1.0 - sum(s) / params.alpha)))
+    cells_total = per_axis**params.k
+    return CellGrid(
+        float(eps), float(c2), eps_prime, clamped, grid_max, per_axis, cells_total, tuple(bounds)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -331,27 +368,21 @@ class HolderInterpolant:
     def __init__(
         self,
         params: HolderParams,
-        eps: float,
-        c2: float,
+        grid: CellGrid,
         nodes: list[JetPoint],
         cells: list[MultiIndex],
     ):
         self.params = params
-        self.eps = float(eps)
-        self.c2 = float(c2)
-        self.eps_prime = (self.c2 * self.eps) ** (1.0 / params.alpha)
+        self.eps = grid.eps
+        self.c2 = grid.c2
+        self.eps_prime = grid.eps_prime
         self.nodes = list(nodes)
         self.cells = list(cells)
-        k = params.k
         self._mis = params.index_set()
         self._pow = np.array([self.eps_prime ** sum(s) for s in self._mis])
-        if self.nodes:
-            self._xs = np.stack([p.x for p in self.nodes])
-            raw = np.stack([p.y for p in self.nodes])  # (m, |S|, dim_out)
-            self._coefs = raw * self._pow[None, :, None]
-        else:
-            self._xs = np.zeros((0, k))
-            self._coefs = np.zeros((0, len(self._mis), params.dim_out))
+        self._xs = np.reshape([p.x for p in self.nodes], (-1, params.k))
+        raw = np.reshape([p.y for p in self.nodes], (-1, len(self._mis), params.dim_out))
+        self._coefs = raw * self._pow[None, :, None]
 
     def jet_grid(self, xs: np.ndarray, t_list=None) -> np.ndarray:
         """Derivative values at many points: shape (npts, len(t_list), d-k).
@@ -365,8 +396,6 @@ class HolderInterpolant:
             t_list = self._mis
         k, r0 = self.params.k, self.params.r0
         out = np.zeros((xs.shape[0], len(t_list), self.params.dim_out))
-        if not self.nodes:
-            return out
         max_ord = max(max(t) for t in t_list)
         pow_t = np.array([self.eps_prime ** sum(t) for t in t_list])
         # (i, s) exponents and (i, t) orders, for one gather per coordinate
@@ -408,13 +437,8 @@ def build_interpolant(
     eps'-grid, with jets inside the admissible box of their cell.  With no
     nodes this returns the zero map, which is trivially in the class.
     """
-    c2, eps_prime = cell_width(params, eps, c2)
-    if eps_prime > 0.5:
-        raise EpsTooLarge(
-            f"cell width {eps_prime:.4g} > 1/2; decrease eps (or increase beta)"
-        )
+    grid = cell_grid(params, eps, c2)
     nodes = list(nodes)
-    bounds = box_bounds(params, eps)
     cells: list[MultiIndex] = []
     seen: set[MultiIndex] = set()
     jet_shape = (len(params.index_set()), params.dim_out)
@@ -426,19 +450,19 @@ def build_interpolant(
             )
         if np.any(p.x < 0.0) or np.any(p.x > 1.0):
             raise OutOfDomain(f"node location {p.x} outside the unit cube")
-        cell = tuple(int(c) for c in np.floor(p.x / eps_prime))
+        cell = tuple(grid.cells(p.x).tolist())
         if any(c % 2 != 0 for c in cell):
             raise CellCollision(f"node cell {cell} is not on the even grid")
         if cell in seen:
             raise CellCollision(f"two nodes share cell {cell}")
         seen.add(cell)
         cells.append(cell)
-        for row, (lo, hi) in enumerate(bounds):
+        for row, (lo, hi) in enumerate(grid.bounds):
             if np.any(p.y[row] < lo) or np.any(p.y[row] > hi):
                 raise BoxViolation(
                     f"jet row {row} = {p.y[row]} outside box [{lo:.4g}, {hi:.4g}]"
                 )
-    return HolderInterpolant(params, eps, c2, nodes, cells)
+    return HolderInterpolant(params, grid, nodes, cells)
 
 
 # ---------------------------------------------------------------------------

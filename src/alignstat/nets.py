@@ -203,6 +203,15 @@ def covering_radius_estimate(
     return worst
 
 
+# Frames per draw in the measure estimators, so memory stays flat at any
+# trial count; chunked draws take the stream exactly as one draw does.
+_MEASURE_CHUNK = 2**16
+
+
+def _chunk_sizes(trials: int) -> list[int]:
+    return [min(_MEASURE_CHUNK, trials - start) for start in range(0, trials, _MEASURE_CHUNK)]
+
+
 @dataclass
 class MeasureEstimate:
     p_hat: float
@@ -220,8 +229,10 @@ def ball_measure_estimate(
         raise ParamOrder(f"need a finite eps > 0, got {eps}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    frames = sample_uniform_frames(rng, trials, h.dim_sub, h.dim_ambient)
-    hits = int(np.sum(batch_canonical_angle(frames, h.frame) <= eps))
+    hits = 0
+    for size in _chunk_sizes(trials):
+        frames = sample_uniform_frames(rng, size, h.dim_sub, h.dim_ambient)
+        hits += int(np.count_nonzero(batch_canonical_angle(frames, h.frame) <= eps))
     p = hits / trials
     return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits)
 
@@ -238,9 +249,12 @@ def chart_cube_measure_estimate(
         raise ParamOrder(f"need a finite eps > 0, got {eps}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
-    yt, ok = chart_slopes(sample_uniform_frames(rng, trials, k, d))
-    singular = int(trials - np.count_nonzero(ok))
-    hits = int(np.count_nonzero(np.all((yt >= 0.0) & (yt <= eps), axis=(1, 2))))
+    hits = regular = 0
+    for size in _chunk_sizes(trials):
+        yt, ok = chart_slopes(sample_uniform_frames(rng, size, k, d))
+        regular += int(np.count_nonzero(ok))
+        hits += int(np.count_nonzero(np.all((yt >= 0.0) & (yt <= eps), axis=(1, 2))))
+    singular = trials - regular
     p = hits / trials
     return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits, singular)
 

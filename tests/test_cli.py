@@ -209,6 +209,16 @@ class TestExponentSweep:
         rc = run_cli(["exponent-sweep", "--config", cfg, "--out-dir", tmp_path])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "command,line", [("power", "trials = abc"), ("volume-scan", "k = 1.5")]
+    )
+    def test_unparsable_config_value_is_config_error(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = run_cli([command, "--config", cfg, "--out-dir", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestVolumeScan:
     def test_writes_rows(self, tmp_path):

@@ -40,6 +40,7 @@ from alignstat.holder import (
     JetPoint,
     JetSamples,
     PolyJetFunction,
+    cell_grid,
     constant_function,
     discrepancy_phi,
     evaluate_jet,
@@ -97,6 +98,12 @@ class TestExponents:
             exponent_rho(2, 2, 2, 1)
         with pytest.raises(ParamOrder):
             exponent_rho(1, 2, 2, 2)  # r0 > r
+
+
+@pytest.mark.parametrize("n", [0, -4])
+def test_statistic_eps_needs_a_positive_n(n):
+    with pytest.raises(ParamOrder):
+        statistic_eps(P12, n)
 
 
 class TestNullJets:
@@ -251,7 +258,7 @@ class TestGreedyStatistic:
         rng = np.random.default_rng(16)
         p23 = HolderParams(2, 3, 2.0, 0.3, 1)
         for params, n, m in [(P12, 2000, 300), (p23, 30000, 600)]:
-            grid = detection.cell_grid(params, n, UNIT_C2)
+            grid = cell_grid(params, statistic_eps(params, n), UNIT_C2)
             samples = generate_null_jets(m, params, rng)
             samples.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(m, params.dim_out))
             owner = rng.integers(0, 5, size=m)
@@ -278,6 +285,23 @@ class TestGreedyStatistic:
             greedy_cell_statistic(samples, P12, 50)  # certifying c2, beta=1
         sel = greedy_cell_statistic(samples, P12, 50, clamp=True)
         assert sel.eps_clamped and sel.cells_total == 1 and sel.count in (0, 1)
+        with pytest.raises(EpsTooLarge):
+            greedy_cell_statistic(samples, P12, 50, clamp=True, materialize=True)
+
+    def test_materialized_interpolant_reads_the_statistic_grid(self):
+        params = HolderParams(1, 2, 2.0, 2000.0, 1)
+        n, m = 10_000, 40
+        eps = statistic_eps(params, n)  # eps' just above 0.1
+        rng = np.random.default_rng(18)
+        ys = np.stack(
+            [rng.uniform(eps / 2, eps, (m, 1)), rng.uniform(0.0, math.sqrt(eps), (m, 1))], axis=1
+        )
+        samples = JetSamples(params, rng.random((m, 1)), ys)
+        sel = greedy_cell_statistic(samples, params, n, materialize=True)
+        itp = sel.interpolant
+        assert sel.count >= 3
+        assert (itp.eps, itp.c2, itp.eps_prime) == (sel.eps, sel.c2, sel.eps_prime)
+        assert itp.cells == list(sel.selected)
 
     def test_monotone_in_samples(self):
         rng = np.random.default_rng(15)

@@ -32,7 +32,7 @@ from alignstat.experiments import (
     run_sweep,
     run_trial,
 )
-from alignstat.holder import box_bounds, holder_membership_check
+from alignstat.holder import holder_membership_check
 
 
 def small_config(problem="jets", n=400, n1=0, seed=99, trials=30):
@@ -327,7 +327,8 @@ def frame_route_trial(config, n, rng):
     on the lift and reduced through the chart together with the null
     draws: run_trial's route before it planted jets."""
     params = config.params()
-    lo, hi = box_bounds(params, statistic_eps(params, n))[0]
+    eps = statistic_eps(params, n)
+    lo, hi = eps / 2.0, eps  # the value row of the cell box
     m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
     values = rng.uniform(lo, hi, size=(m, params.dim_out))
     oriented = generate_null_oriented(m, config.k, config.d, rng)

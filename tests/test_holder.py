@@ -180,6 +180,22 @@ class TestBuildInterpolant:
         with pytest.raises(BoxViolation):
             build_interpolant([JetPoint([0.05], [[0.008], [-0.01]])], params, 0.01)
 
+    @pytest.mark.parametrize(
+        "index,x,y,error",
+        [
+            (2, 0.15, [[0.008], [0.05]], CellCollision),  # odd cell 1
+            (3, 0.26, [[0.007], [0.01]], CellCollision),  # cell 2, as node 1
+            (2, 0.45, [[0.5], [0.05]], BoxViolation),  # value above eps
+        ],
+    )
+    def test_bad_node_after_good_ones(self, index, x, y, error):
+        params = HolderParams(1, 2, 2.0, 2000.0, 1)  # eps' just above 0.1
+        nodes = [JetPoint([x0], [[0.008], [0.05]]) for x0 in (0.05, 0.25, 0.45, 0.65)]
+        assert build_interpolant(nodes, params, 0.01).cells == [(0,), (2,), (4,), (6,)]
+        nodes[index] = JetPoint([x], y)
+        with pytest.raises(error):
+            build_interpolant(nodes, params, 0.01)
+
     def test_eps_too_large(self):
         with pytest.raises(EpsTooLarge):
             build_interpolant([], P12, 0.3)  # certifying c2 makes eps' huge

@@ -6,6 +6,7 @@ from math import ceil, comb
 import numpy as np
 import pytest
 
+from alignstat import nets
 from alignstat.errors import BudgetExceeded, EmptyFamily, ParamOrder
 from alignstat.grassmann import (
     Subspace,
@@ -269,6 +270,21 @@ class TestChartCubeMeasure:
         ]
         slope = np.polyfit(np.log(eps_grid), np.log(ps), 1)[0]
         assert slope == pytest.approx(2.0, rel=0.10)
+
+
+@pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4), (3, 5)])
+def test_measure_estimates_do_not_depend_on_the_chunk(monkeypatch, k, d):
+    # both estimators draw from one generator, as volume-scan does, so the
+    # second one also sees where the chunked draws left the stream
+    def estimates():
+        rng = np.random.default_rng(47)
+        ball = ball_measure_estimate(Subspace(np.eye(d)[:, :k]), 1.2, 200, rng)
+        return ball, chart_cube_measure_estimate(k, d, 3.0, 200, rng)
+
+    whole = estimates()
+    assert all(est.hits > 0 for est in whole)
+    monkeypatch.setattr(nets, "_MEASURE_CHUNK", 7)
+    assert estimates() == whole
 
 
 @pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
