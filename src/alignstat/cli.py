@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import platform
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -243,33 +244,23 @@ def _resolve_c2(text: str) -> float | None:
     if text == "experiment":
         return EXPERIMENT_C2
     if text == "class":
-        return None  # let the statistic derive the certifying value
+        return None  # cell_grid derives the class-certifying value
     try:
         return float(text)
     except ValueError as exc:
         raise CliConfigError(f"bad --c2 value {text!r}") from exc
 
 
+def _experiment_config(args, n: int) -> ExperimentConfig:
+    """The command's options as a run config at sample size n."""
+    names = [f.name for f in fields(ExperimentConfig) if f.name != "n"]
+    return ExperimentConfig(n=n, **{name: getattr(args, name) for name in names})
+
+
 def cmd_exponent_sweep(args, out_dir: Path) -> int:
     n_grid = _number_list(args.n_grid, int)
-    config = ExperimentConfig(
-        args.problem,
-        args.k,
-        args.d,
-        args.alpha,
-        args.beta,
-        args.r0,
-        max(n_grid),
-        args.n1,
-        args.seed,
-        args.trials,
-    )
-    c2 = _resolve_c2(args.c2)
-    if c2 is None:
-        from .holder import construction_c2
-
-        c2 = construction_c2(config.params())
-    result = run_sweep(config, n_grid, trials=args.trials, workers=args.workers, c2=c2)
+    config = _experiment_config(args, max(n_grid))
+    result = run_sweep(config, n_grid, workers=args.workers, c2=_resolve_c2(args.c2))
     write_records_csv(result.records, out_dir / "sweep.csv")
     report = [
         f"problem = {args.problem}",
@@ -280,7 +271,7 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
     # whose cell width fell back to one clamped cell
     for name, flags in (
         ("zero_fraction", [r.statistic == 0 for r in result.records]),
-        ("clamped_fraction", [r.eps_clamped for r in result.records]),
+        ("clamped_fraction", [r.grid.clamped for r in result.records]),
     ):
         fractions = np.reshape(flags, (len(n_grid), -1)).mean(axis=1).tolist()
         report.append(f"{name} = " + ", ".join(f"({n}, {f!r})" for n, f in zip(n_grid, fractions)))
@@ -359,18 +350,7 @@ def cmd_nets_demo(args, out_dir: Path) -> int:
 
 
 def cmd_power(args, out_dir: Path) -> int:
-    config = ExperimentConfig(
-        args.problem,
-        args.k,
-        args.d,
-        args.alpha,
-        args.beta,
-        args.r0,
-        args.n,
-        args.n1,
-        args.seed,
-        args.trials,
-    )
+    config = _experiment_config(args, args.n)
     threshold = null_quantile_threshold(config, args.level, args.trials)
     power = power_estimate(config, threshold, args.trials)
     rows = [

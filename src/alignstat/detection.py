@@ -14,10 +14,10 @@ actual interpolant through the selected nodes) and, for k = 1, a dynamic
 program maximizing the number of samples inside the discrepancy tube of a
 quantized jet profile (the computable surrogate of the net upper bound).
 The smoothness rules hold per output coordinate, so one separable DP
-serves every d - k.  Its ``state_cap`` bounds the state count, not its
-memory: the weights table holds one float per (x-cell, state) pair, up
-to ceil(eps^(-1/2)) times ``state_cap`` floats, plus a temporary of the
-same size.
+serves every d - k.  Its ``_DP_STATE_CAP`` bounds the state count, not
+its memory: the weights table holds one float per (x-cell, state) pair,
+up to ceil(eps^(-1/2)) times ``_DP_STATE_CAP`` floats, plus a temporary
+of the same size.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -325,29 +325,18 @@ def greedy_cell_statistic(
 
 
 def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    """Window maximum with the given radius along one axis (doubling trick)."""
-    if radius <= 0:
-        return arr
-    out = arr
-    shift = 1
-    remaining = radius
-    # out[i] = max over |j - i| <= covered of arr[j]; grow covered to radius
-    covered = 0
+    """Window maximum with the given radius along one axis: out[i] is the
+    max of arr[j] over |j - i| <= radius, j inside the array."""
+    out = arr.copy()
+    lead = (slice(None),) * axis
+    covered = 0  # out[i] is the max over |j - i| <= covered
     while covered < radius:
-        step = min(shift, remaining)
-        up = np.roll(out, step, axis=axis)
-        down = np.roll(out, -step, axis=axis)
-        # roll wraps; mask the wrapped slots with -inf
-        idx_front = [slice(None)] * out.ndim
-        idx_front[axis] = slice(0, step)
-        idx_back = [slice(None)] * out.ndim
-        idx_back[axis] = slice(out.shape[axis] - step, out.shape[axis])
-        up[tuple(idx_front)] = -np.inf
-        down[tuple(idx_back)] = -np.inf
-        out = np.maximum(out, np.maximum(up, down))
+        # a shift past covered + 1 would miss entries near the ends
+        step = min(covered + 1, radius - covered)
+        later, earlier = lead + (slice(step, None),), lead + (slice(None, -step),)
+        np.maximum(out[later], out[earlier], out=out[later])
+        np.maximum(out[earlier], out[later], out=out[earlier])
         covered += step
-        shift = covered
-        remaining = radius - covered
     return out
 
 
@@ -355,12 +344,14 @@ def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
 # one chunk take a few megabytes at any d - k.
 _DP_CHUNK = 2**14
 
+# Largest product-state count (nv nu)^(d-k) the tube DP accepts.
+_DP_STATE_CAP = 250_000
+
 
 def tube_dp_statistic(
     samples: JetSamples,
     beta: float,
     eps: float,
-    state_cap: int = 250_000,
 ) -> int:
     """Max number of samples inside the discrepancy tube of a quantized profile.
 
@@ -374,7 +365,7 @@ def tube_dp_statistic(
     to the integer rules |j' - j - i| <= beta and |i' - i| <= beta.  The
     maximum over admissible profiles is the longest path in the
     cell-by-cell lattice of the (nv nu)^(d-k) product states, whose count
-    ``state_cap`` bounds.
+    ``_DP_STATE_CAP`` bounds.
     """
     params = samples.params
     if params.k != 1 or params.alpha != 2.0 or params.r0 != 1:
@@ -388,8 +379,8 @@ def tube_dp_statistic(
     nu_half = int(math.floor(beta / delta))
     nu = 2 * nu_half + 1
     n_states = (nv * nu) ** dim_out
-    if n_states > state_cap:
-        raise BudgetExceeded(f"state count {n_states} exceeds cap {state_cap}")
+    if n_states > _DP_STATE_CAP:
+        raise BudgetExceeded(f"state count {n_states} exceeds cap {_DP_STATE_CAP}")
     if len(samples) == 0:
         return 0
     step_radius = int(math.floor(beta))

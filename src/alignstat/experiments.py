@@ -17,6 +17,8 @@ through one box filter and one count of distinct (trial, cell) pairs,
 flushed every ``_BLOCK_SAMPLES`` samples so memory stays bounded.  The
 count of a trial does not depend on which other trials share its block,
 so any cut into blocks, and any worker count, gives the same records.
+A record refers to the run's config and the block's cell grid.  Pools
+are capped at the usable CPUs and at one process per block.
 Calibration runs the null configuration at keys (seed, 0, t) for
 t < T, so its statistics are exactly those of a T-trial null sweep at
 the same n; power continues the trial index at (seed, 0, T + t), so the
@@ -48,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import os
 import time
 from dataclasses import dataclass, replace
 from io import StringIO
@@ -122,27 +125,19 @@ class ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """One Monte Carlo trial's outputs, CSV-serializable.
+    """One Monte Carlo trial: its n, index and count, with the run's config
+    and the cell grid at eps(n), which all trials of the run or the n share.
 
-    ``eps_clamped`` flags trials where eps' exceeded 1/2 and the statistic
+    ``grid.clamped`` flags trials where eps' exceeded 1/2 and the statistic
     fell back to a single cell; it is not in the CSV schema, and
     ``exponent-sweep`` reports its fraction per n in ``report.txt``.
     """
 
-    trial: int
-    problem: str
-    k: int
-    d: int
-    alpha: float
-    beta: float
-    r0: int
+    config: ExperimentConfig
     n: int
-    n1: int
-    eps: float
+    trial: int
+    grid: CellGrid
     statistic: int
-    cells_total: int
-    seed: int
-    eps_clamped: bool = False
 
 
 def default_alternative(config: ExperimentConfig):
@@ -266,43 +261,29 @@ def _run_block(payload) -> list[RunRecord]:
             counts += flushed.tolist()
             xs, ys, sizes = [], [], []
             pending = 0
-    return [
-        RunRecord(
-            trial=trial,
-            problem=config.problem,
-            k=config.k,
-            d=config.d,
-            alpha=config.alpha,
-            beta=config.beta,
-            r0=config.r0,
-            n=n,
-            n1=config.n1,
-            eps=grid.eps,
-            statistic=count,
-            cells_total=grid.cells_total,
-            seed=config.seed,
-            eps_clamped=grid.clamped,
-        )
-        for (_, _, trial), count in zip(keys, counts)
-    ]
+    return [RunRecord(config, n, trial, grid, count) for (_, _, trial), count in zip(keys, counts)]
 
 
 def _run_trials(
-    config: ExperimentConfig, keys, workers: int = 1, c2: float = EXPERIMENT_C2
+    config: ExperimentConfig, keys, workers: int = 1, c2: float | None = EXPERIMENT_C2
 ) -> list[RunRecord]:
     """One seeded trial per (n_index, n, trial) key, records in key order.
 
     The keys run in blocks of consecutive keys that share (n_index, n).
-    A pool gets the blocks cut to about an eighth of each worker's share
-    of the keys; every cut gives the same records.
+    ``workers`` is capped at the usable CPUs, and a pool gets the blocks
+    cut to about an eighth of each worker's share of the keys, with at
+    most one process per block; every cut gives the same records.
     """
     if workers < 1:
         raise ParamOrder(f"need workers >= 1, got {workers}")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
     size = max(1, len(keys) if workers == 1 else len(keys) // (workers * 8))
     blocks = []
     for _, run in itertools.groupby(keys, key=lambda key: key[:2]):
         run = list(run)
         blocks += [(config, run[i : i + size], c2) for i in range(0, len(run), size)]
+    workers = min(workers, len(blocks))
     if workers > 1:
         # imported on demand, so that a serial run does not pay for it
         from concurrent.futures import ProcessPoolExecutor
@@ -326,12 +307,13 @@ def run_sweep(
     n_grid,
     trials: int | None = None,
     workers: int = 1,
-    c2: float = EXPERIMENT_C2,
+    c2: float | None = EXPERIMENT_C2,
 ) -> SweepResult:
     """Trials at every n in the grid; per-n mean statistic and slope fit.
 
     The per-trial seeds depend only on (master seed, n index, trial), so
-    any worker count produces identical records.
+    any worker count produces identical records.  ``c2=None`` sizes the
+    cells with the class-certifying ``construction_c2``.
     """
     n_grid = [int(n) for n in n_grid]
     if trials is None:
@@ -360,21 +342,22 @@ def records_to_csv(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
+        c = r.config
         writer.writerow(
             [
                 r.trial,
-                r.problem,
-                r.k,
-                r.d,
-                repr(float(r.alpha)),
-                repr(float(r.beta)),
-                r.r0,
+                c.problem,
+                c.k,
+                c.d,
+                repr(float(c.alpha)),
+                repr(float(c.beta)),
+                c.r0,
                 r.n,
-                r.n1,
-                repr(float(r.eps)),
+                c.n1,
+                repr(float(r.grid.eps)),
                 r.statistic,
-                r.cells_total,
-                r.seed,
+                r.grid.cells_total,
+                c.seed,
                 0,
             ]
         )

@@ -196,15 +196,17 @@ def covering_radius_estimate(
     if len(fam) == 0:
         raise EmptyFamily("family has no members")
     d, k = fam.frames.shape[1:]
-    frames = sample_uniform_frames(rng, probes, k, d)
-    nearest, _ = min_canonical_angle(fam.frames, frames)
-    worst = float(np.max(nearest, initial=0.0))
+    worst = 0.0
+    for size in _chunk_sizes(probes):
+        nearest, _ = min_canonical_angle(fam.frames, sample_uniform_frames(rng, size, k, d))
+        worst = max(worst, float(np.max(nearest)))
     fam.probe_radius = worst if fam.probe_radius is None else max(fam.probe_radius, worst)
     return worst
 
 
-# Frames per draw in the measure estimators, so memory stays flat at any
-# trial count; chunked draws take the stream exactly as one draw does.
+# Frames per draw in the covering probes and the measure estimators, so
+# memory stays flat at any probe or trial count; chunked draws take the
+# stream exactly as one draw does.
 _MEASURE_CHUNK = 2**16
 
 

@@ -342,7 +342,21 @@ class TestTubeDP:
 
         samples = generate_null_jets(5, P12, np.random.default_rng(30))
         with pytest.raises(BudgetExceeded):
-            tube_dp_statistic(samples, 1000.0, 1e-4, state_cap=10_000)
+            tube_dp_statistic(samples, 1000.0, 1e-4)
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 9, 12])
+    def test_window_max_matches_brute_force(self, radius):
+        # axis lengths 9 and 7: radius 9 and 12 reach past both ends
+        rng = np.random.default_rng(23)
+        arr = rng.normal(size=(9, 7, 2))
+        arr[rng.random(arr.shape) < 0.3] = -np.inf
+        for axis in (0, 1):
+            moved = np.moveaxis(arr, axis, 0)
+            want = np.stack([
+                moved[max(0, i - radius) : i + radius + 1].max(axis=0) for i in range(len(moved))
+            ])
+            got = detection._sliding_max(arr, radius, axis)
+            assert np.array_equal(got, np.moveaxis(want, 0, axis))
 
     def test_dominates_greedy(self):
         rng = np.random.default_rng(17)

@@ -1,6 +1,8 @@
 """Sweep drivers: reproducibility, calibration level, power, CSV schema."""
 
+import concurrent.futures
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from alignstat.experiments import (
     run_sweep,
     run_trial,
 )
-from alignstat.holder import holder_membership_check
+from alignstat.holder import cell_grid, holder_membership_check
 
 
 def small_config(problem="jets", n=400, n1=0, seed=99, trials=30):
@@ -231,9 +233,9 @@ class TestBlockEngine:
             rng = experiments._trial_rng(config.seed, n_index, record.trial)
             sel = run_trial(config, record.n, rng)
             assert record.statistic == sel.count
-            assert (record.eps, record.cells_total, record.eps_clamped) == (
+            assert (record.grid.eps, record.grid.cells_total, record.grid.clamped) == (
                 sel.eps, sel.cells_total, sel.eps_clamped)
-        assert any(r.eps_clamped for r in records) == (grid == [2, 3, 4])
+        assert any(r.grid.clamped for r in records) == (grid == [2, 3, 4])
         assert sum(r.statistic for r in records) > 0
 
     def test_block_budget_and_cut_are_identical(self, monkeypatch):
@@ -241,12 +243,68 @@ class TestBlockEngine:
 
         def run(workers):
             records = run_sweep(config, [1000, 10_000], trials=20, workers=workers).records
-            return np.array([(r.n, r.trial, r.statistic, r.cells_total) for r in records])
+            return np.array([(r.n, r.trial, r.statistic, r.grid.cells_total) for r in records])
 
         default = run(1)
         assert np.array_equal(default, run(2))  # the pool gets blocks of 2 trials
         monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 1)  # one count per trial
         assert np.array_equal(default, run(1))
+
+
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        configs = [ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 3000, 0, 8, trials)
+                   for trials in (30, 1)]
+        serial = [run_sweep(config, [1000, 3000]).records for config in configs]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for config, want in zip(configs, serial):
+            assert run_sweep(config, [1000, 3000], workers=5000).records == want
+        # 30 trials: 4 processes; 1 trial per n: 2 blocks, one process each
+        assert pools == [4, 2]
+
+
+class TestRecords:
+    """A record refers to its run's config and its n's cell grid."""
+
+    def test_records_refer_to_config_and_grid(self):
+        config = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 3000, 10, 21, 6)
+        params = config.params()
+        for workers in (1, 2):
+            records = run_sweep(config, [1000, 3000], workers=workers).records
+            assert [(r.n, r.trial) for r in records] == [
+                (n, t) for n in (1000, 3000) for t in range(6)]
+            for record in records:
+                assert record.config == config
+                eps = statistic_eps(params, record.n)
+                assert record.grid == cell_grid(params, eps, EXPERIMENT_C2, clamp=True)
+
+    def test_csv_rows_come_from_their_own_config(self):
+        jets = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 500, 0, 31, 2)
+        oriented = ExperimentConfig("oriented", 1, 3, 2.0, 1.5, 1, 700, 5, 32, 2)
+        records = run_sweep(jets, [500]).records + run_sweep(oriented, [700]).records
+        rows = [line.split(",") for line in records_to_csv(records).splitlines()[1:]]
+        for row, record in zip(rows, records):
+            c = record.config
+            want = [c.problem, c.k, c.d, repr(c.alpha), repr(c.beta), c.r0, record.n, c.n1]
+            assert row[1:9] == [str(v) for v in want]
+            assert row[12] == str(c.seed)
+        assert [row[1] for row in rows] == ["jets"] * 2 + ["oriented"] * 2
 
 
 class TestThinnedTrial:

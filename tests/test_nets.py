@@ -174,6 +174,16 @@ class TestScalarOracles:
         want = max(min(canonical_angle(Subspace(p), m) for m in fam) for p in probes)
         assert radius == pytest.approx(want, abs=1e-12)
 
+    def test_chunked_probes_match_one_draw(self, monkeypatch):
+        # 40 probes in chunks of 7: the stream and the angles do not change
+        def estimate():
+            fam = covering_family(2, 3, 0.5)
+            return covering_radius_estimate(fam, 40, np.random.default_rng(9)), fam.probe_radius
+
+        whole = estimate()
+        monkeypatch.setattr(nets, "_MEASURE_CHUNK", 7)
+        assert estimate() == whole
+
     def test_probe_radius_is_a_running_maximum(self):
         fam = covering_family(1, 2, 0.25)
         assert fam.probe_radius is None
