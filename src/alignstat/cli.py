@@ -22,6 +22,7 @@ requested sizes counts as one), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import math
 import platform
 import sys
 from dataclasses import fields
@@ -171,6 +172,8 @@ def parse_args(argv) -> argparse.Namespace:
             for key, val in file_values.items()
         }
         args = _build_parser(defaults).parse_args(argv)
+    if args.seed < 0:
+        raise CliConfigError(f"need seed >= 0, got seed={args.seed}")
     return args
 
 
@@ -226,6 +229,10 @@ def _svg_segments(z: np.ndarray, frames: np.ndarray, length: float) -> str:
 def cmd_render_stimulus(args, out_dir: Path) -> int:
     if args.d != 2 or args.k != 1:
         raise UnsupportedDims("stimulus rendering requires d=2, k=1")
+    if not 0 <= args.n1 <= args.n:
+        raise ParamOrder(f"need 0 <= n1 <= n, got n1={args.n1}, n={args.n}")
+    if not 0 < args.segment_length < math.inf:
+        raise ParamOrder(f"need finite segment length > 0, got {args.segment_length}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     if args.n1 > 0:
         params = HolderParams(1, 2, 2.0, max(args.beta, 1.0), 1)

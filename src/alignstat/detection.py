@@ -15,9 +15,10 @@ program maximizing the number of samples inside the discrepancy tube of a
 quantized jet profile (the computable surrogate of the net upper bound).
 The smoothness rules hold per output coordinate, so one separable DP
 serves every d - k.  Its ``_DP_STATE_CAP`` bounds the state count, not
-its memory: the weights table holds one float per (x-cell, state) pair,
-up to ceil(eps^(-1/2)) times ``_DP_STATE_CAP`` floats, plus a temporary
-of the same size.
+its memory: the weights table holds one int count per (x-cell, state)
+pair, up to ceil(eps^(-1/2)) times ``_DP_STATE_CAP`` counts, with no
+temporary of the same size; the covered indices it is counted from take
+about 4^(d-k) ints per sample.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -340,8 +341,9 @@ def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
-# Samples per weight-step chunk of the tube DP: the candidate arrays of
-# one chunk take a few megabytes at any d - k.
+# Tube-DP samples per chunk at d - k = 1, divided by 9^(d-k-1) beyond: a
+# chunk's candidate arrays take a few megabytes at any d - k.  All chunks
+# fill one int table of ceil(eps^(-1/2)) x states counts, no temporary.
 _DP_CHUNK = 2**14
 
 # Largest product-state count (nv nu)^(d-k) the tube DP accepts.
@@ -370,8 +372,10 @@ def tube_dp_statistic(
     params = samples.params
     if params.k != 1 or params.alpha != 2.0 or params.r0 != 1:
         raise Unsupported("the tube DP is implemented for k=1, alpha=2, r0=1 jets only")
-    if not 0 < eps:
-        raise ParamOrder("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ParamOrder(f"need finite eps > 0, got eps={eps}")
+    if not 0 <= beta < math.inf:
+        raise ParamOrder(f"need finite beta >= 0, got beta={beta}")
     dim_out = params.dim_out
     delta = math.sqrt(eps)
     n_cells = max(1, math.ceil(1.0 / delta))
@@ -389,42 +393,36 @@ def tube_dp_statistic(
     # nearest level, so the 3 slope levels around it and, for each, the 3
     # value levels around its nearest value level hold every covered
     # (j, i) pair, also when a value sits on a level boundary.  Each
-    # candidate is tested with the tube rule itself, in the same float
-    # expressions, so boundary values count exactly as the rule says.
-    # The valid pairs extend each (sample, partial index) entry, one
-    # coordinate at a time, to the flat index
-    # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half.
-    # Samples enter in chunks of ``_DP_CHUNK``, so the candidate arrays
-    # stay bounded whatever n is; the chunks' counts add up.
-    weights = np.zeros(n_cells * n_states)
+    # candidate is tested with the tube rule itself, so boundary values
+    # count exactly as the rule says.  Per sample, the flat index
+    # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half,
+    # and its mask grow by broadcasting over the 9 candidates of each
+    # coordinate; chunks of samples keep these 9^(d-k) columns at a few
+    # megabytes, and one bincount of the valid indices builds the table.
+    chunk = max(1, _DP_CHUNK // 9 ** (dim_out - 1))
+    keys = []
     around = np.arange(-1, 2)
-    for start in range(0, len(samples), _DP_CHUNK):
-        xs = samples.xs[start : start + _DP_CHUNK, 0]
-        ys = samples.ys[start : start + _DP_CHUNK]
+    for start in range(0, len(samples), chunk):
+        xs = samples.xs[start : start + chunk, 0]
+        ys = samples.ys[start : start + chunk]
         n = len(xs)
         cells = np.clip(np.floor(xs / delta).astype(np.int64), 0, n_cells - 1)
         dx = (xs - cells * delta)[:, None, None]
-        flat = cells
-        owner = np.arange(n)
+        flat = cells[:, None]
+        ok = np.ones((n, 1), dtype=bool)
         for comp in range(dim_out):
             y0 = ys[:, 0, comp, None, None]
-            y1 = ys[:, 1, comp, None]
-            i = np.rint(y1 / delta).astype(np.int64) + around
+            y1 = ys[:, 1, comp, None, None]
+            i = np.rint(y1 / delta).astype(np.int64) + around[:, None]
             i_ok = (np.abs(y1 - i * delta) <= delta) & (i >= -nu_half) & (i <= nu_half)
-            i = i[:, :, None]
             tilt = i * delta * dx
             j = np.rint((y0 - tilt) / eps).astype(np.int64) + around
-            gap = j * eps  # y0 - (j eps + tilt), in place: the mask's largest arrays
-            gap += tilt
-            np.subtract(y0, gap, out=gap)
-            valid = np.abs(gap, out=gap) <= eps
-            valid &= i_ok[:, :, None]
-            valid &= (j >= 0) & (j < nv)
-            state = (j * nu + i + nu_half).reshape(n, 9)
-            rows, cand = np.nonzero(valid.reshape(n, 9)[owner])
-            flat = flat[rows] * (nv * nu) + state[owner[rows], cand]
-            owner = owner[rows]
-        weights += np.bincount(flat, minlength=n_cells * n_states)
+            valid = (np.abs(y0 - (j * eps + tilt)) <= eps) & i_ok & (j >= 0) & (j < nv)
+            state = (j * nu + i + nu_half).reshape(n, 1, 9)
+            flat = (flat[:, :, None] * (nv * nu) + state).reshape(n, -1)
+            ok = (ok[:, :, None] & valid.reshape(n, 1, 9)).reshape(n, -1)
+        keys.append(flat[ok])
+    weights = np.bincount(np.concatenate(keys), minlength=n_cells * n_states)
     weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
     # Predecessor max: A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a

@@ -328,6 +328,11 @@ class TestPower:
         ["volume-scan", "--eps-grid", "0.2,0"],
         ["volume-scan", "--eps-grid", "nan"],
         ["volume-scan", "--eps-grid", "inf"],
+        ["nets-demo", "--seed", -1],
+        ["volume-scan", "--seed", -1],
+        ["render-stimulus", "--seed", -1],
+        ["render-stimulus", "--n", 5, "--n1", -3],
+        ["render-stimulus", "--segment-length", "nan"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

@@ -1,6 +1,7 @@
 """Generators, both statistics, exponent formulas, moments, tail, fit."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -419,6 +420,48 @@ class TestTubeDP:
         )
         assert _brute_force_dp(samples, beta, eps) == 1
         assert tube_dp_statistic(samples, beta, eps) == 1
+
+    def test_boundary_values_follow_the_tube_rule_two_outputs(self):
+        # the same two samples as a second output coordinate, behind a
+        # first coordinate that one state covers for both
+        beta, eps = 1.0, 0.3
+        slope = math.sqrt(eps)
+        samples = JetSamples(
+            HolderParams(1, 3, 2.0, beta, 1),
+            np.array([[0.1], [0.0]]),
+            np.array([[[0.5, 0.9], [0.0, slope]], [[0.5, 1.2], [0.0, -slope]]]),
+        )
+        assert _brute_force_dp(samples, beta, eps) == 1
+        assert tube_dp_statistic(samples, beta, eps) == 1
+
+    @pytest.mark.parametrize(
+        "beta,eps",
+        [(-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1.0, 0.0), (1.0, -0.1),
+         (1.0, math.inf), (1.0, math.nan)],
+    )
+    def test_bad_beta_or_eps(self, beta, eps):
+        samples = generate_null_jets(5, P12, np.random.default_rng(31))
+        with pytest.raises(ParamOrder):
+            tube_dp_statistic(samples, beta, eps)
+
+    def test_zero_beta_is_a_valid_dp(self):
+        samples = generate_null_jets(8, P12, np.random.default_rng(32))
+        assert tube_dp_statistic(samples, 0.0, 0.2) == _brute_force_dp(samples, 0.0, 0.2)
+
+    def test_weights_peak_is_one_table(self):
+        # one int count per (x-cell, state) pair and no temporary of that size
+        eps = 1e-3
+        samples = generate_null_jets(1000, P12, np.random.default_rng(33))
+        delta = math.sqrt(eps)
+        n_states = (int(1 / eps) + 1) * (2 * int(1 / delta) + 1)
+        table_bytes = math.ceil(1 / delta) * n_states * 8
+        tracemalloc.start()
+        try:
+            tube_dp_statistic(samples, 1.0, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * table_bytes
 
 
 def _brute_force_dp(samples, beta, eps):
