@@ -1,12 +1,15 @@
 """Seeded experiment drivers: sweeps over n, calibration, and power.
 
-Reproducibility contract: every trial draws from a generator seeded by
-SeedSequence([master_seed, n_index, trial]), so a sweep's output depends
-only on its configuration and master seed, never on the worker count or
-scheduling order.  Results come back in (n_index, trial) order.  Trials
-are not timed: the CSV's millis column is written as 0, so files stay
-byte-identical across reruns, and a sweep reports only its total wall
-time (``SweepResult.elapsed_s``).
+Reproducibility contract: every trial draws from the stream of
+``default_rng(SeedSequence([master_seed, n_index, trial]))``, so a
+sweep's output depends only on its configuration and master seed, never
+on the worker count or scheduling order.  A block of trials builds one
+generator and sets it to each key's state in turn; the states of the
+whole block come from one run of SeedSequence's hash on arrays.
+Results come back in (n_index, trial) order.  Trials are not timed: the
+CSV's millis column is written as 0, so files stay byte-identical across
+reruns, and a sweep reports only its total wall time
+(``SweepResult.elapsed_s``).
 
 One keyed trial engine: sweeps, calibration and power all run their
 trials through ``_run_trials``.  It runs blocks of consecutive keys that
@@ -52,6 +55,7 @@ import csv
 import itertools
 import os
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from io import StringIO
 
@@ -63,7 +67,6 @@ from .detection import (
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
-    generate_alt_jets,
     generate_null_jets,
     generate_null_oriented,
     greedy_cell_statistic,
@@ -159,8 +162,101 @@ def default_alternative(config: ExperimentConfig):
     return GraphLift(g, params)
 
 
-def _trial_rng(master_seed: int, n_index: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([master_seed, n_index, trial]))
+# numpy's SeedSequence hash (pool of 4 uint32 words) and PCG64's LCG
+# multiplier: _key_states reproduces default_rng(SeedSequence(entropy)).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+
+
+def _words(value: int) -> list[int]:
+    """The little-endian uint32 words of a nonnegative int; 0 is one word."""
+    words = [value & _MASK32]
+    while value > _MASK32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _pool_words(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence's 8 output words (``generate_state(4, uint64)`` as
+    little-endian uint32 pairs) for each column of an (L, m) uint32
+    entropy array.  Every column has L >= 4 words: entropy shorter than
+    the pool hashes as if padded with zero words up to 4, and no further.
+    """
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, len(entropy)):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    out = np.empty((2 * _POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        out[i] = value ^ (value >> 16)
+    return out
+
+
+# Keys hashed at once: enough to amortize the array hash, few enough that
+# a long block does not hold the state dicts of all its keys.
+_KEY_CHUNK = 2**10
+
+
+def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
+    """The PCG64 state of ``default_rng(SeedSequence([seed, n_index, t]))``
+    for each trial t in turn, with the SeedSequence hash run on arrays of
+    up to ``_KEY_CHUNK`` keys.
+
+    The entropy is the uint32 words of the three ints; keys with different
+    word counts hash as separate groups.  PCG64 seeds from the 8 words as
+    128-bit (state, increment) and takes one LCG step on each side of
+    adding the state: Python ints do the 128-bit arithmetic.
+    """
+    head = _words(seed) + _words(n_index)
+    for start in range(0, len(trials), _KEY_CHUNK):
+        chunk = trials[start : start + _KEY_CHUNK]
+        groups: dict[int, list[int]] = {}
+        for i, trial in enumerate(chunk):
+            groups.setdefault(len(_words(trial)), []).append(i)
+        states: list[dict | None] = [None] * len(chunk)
+        for width, rows in groups.items():
+            entropy = np.zeros((max(_POOL_SIZE, len(head) + width), len(rows)), dtype=np.uint32)
+            entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+            for w in range(width):
+                entropy[len(head) + w] = [chunk[i] >> (32 * w) & _MASK32 for i in rows]
+            words = _pool_words(entropy).astype(np.uint64)
+            u64 = (words[0::2] | words[1::2] << np.uint64(32)).T.tolist()
+            for i, (s_hi, s_lo, i_hi, i_lo) in zip(rows, u64):
+                inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+                state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+                states[i] = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+        yield from states
 
 
 def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
@@ -192,11 +288,11 @@ def _trial_samples(
         oriented.z[:, config.k :] = values
         samples, _ = oriented_to_jets(oriented, params)
     if g is not None:
-        planted = generate_alt_jets(config.n1, config.n1, g, params, rng, check=False)
+        xs1 = rng.random((config.n1, config.k))
         samples = JetSamples(
             params,
-            np.concatenate([samples.xs, planted.xs]),
-            np.concatenate([samples.ys, planted.ys]),
+            np.concatenate([samples.xs, xs1]),
+            np.concatenate([samples.ys, g.jet_grid(xs1, params.index_set())]),
         )
     return samples
 
@@ -221,8 +317,8 @@ def run_trial(
     The n1 planted points enter as jets of the alternative's map g for
     both problems: the tangent space of x -> (x, g(x)) has graph chart
     Dg(x), so an oriented point on the lift reduces to the jet (x, g(x),
-    Dg(x)) exactly.  The draws (n1 locations, one permutation) are those
-    of ``generate_alt_oriented``.
+    Dg(x)) exactly.  Their draws are the n1 locations, after the null
+    draws; the count does not depend on the order of the samples.
     """
     params, grid, g = _trial_constants(config, n, c2)
     samples = _trial_samples(config, params, n, grid, g, rng)
@@ -238,9 +334,10 @@ _BLOCK_SAMPLES = 2**12
 def _run_block(payload) -> list[RunRecord]:
     """The trials of consecutive keys that share (n_index, n), in key order.
 
-    Every trial draws from its own key's stream exactly as run_trial does;
-    the block computes the n-constants once and counts the samples of
-    many trials with one box filter and one cell count.
+    Every trial draws from its own key's stream exactly as run_trial does,
+    through one generator set to each key's state; the block computes the
+    n-constants once and counts the samples of many trials with one box
+    filter and one cell count.
     """
     config, keys, c2 = payload
     n_index, n, _ = keys[0]
@@ -248,8 +345,10 @@ def _run_block(payload) -> list[RunRecord]:
     counts: list[int] = []
     xs, ys, sizes = [], [], []
     pending = 0
-    for i, (_, _, trial) in enumerate(keys):
-        rng = _trial_rng(config.seed, n_index, trial)
+    rng = np.random.Generator(np.random.PCG64())
+    states = _key_states(config.seed, n_index, [trial for _, _, trial in keys])
+    for i, state in enumerate(states):
+        rng.bit_generator.state = state
         samples = _trial_samples(config, params, n, grid, g, rng)
         xs.append(samples.xs)
         ys.append(samples.ys)

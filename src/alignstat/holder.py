@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, inf
 
 import numpy as np
 
@@ -108,10 +108,10 @@ class HolderParams:
     def __post_init__(self):
         if self.k < 1 or self.d <= self.k:
             raise ParamOrder(f"need 1 <= k < d, got k={self.k}, d={self.d}")
-        if not self.alpha > 1:
-            raise ParamOrder(f"need alpha > 1, got {self.alpha}")
-        if not self.beta > 0:
-            raise ParamOrder(f"need beta > 0, got {self.beta}")
+        if not 1 < self.alpha < inf:
+            raise ParamOrder(f"need finite alpha > 1, got {self.alpha}")
+        if not 0 < self.beta < inf:
+            raise ParamOrder(f"need finite beta > 0, got {self.beta}")
         if not 1 <= self.r0 <= self.r:
             raise ParamOrder(
                 f"need 1 <= r0 <= r = {self.r}, got r0={self.r0} (alpha={self.alpha})"
@@ -321,15 +321,15 @@ def cell_grid(
     params: HolderParams, eps: float, c2: float | None = None, clamp: bool = False
 ) -> CellGrid:
     """The cell grid at eps; c2 defaults to ``construction_c2(params)`` and
-    must exceed 1.
+    must be finite and exceed 1.
 
     When eps' would exceed 1/2, raises EpsTooLarge unless ``clamp`` is
     set, in which case the whole cube is one cell and the grid is flagged.
     """
     if c2 is None:
         c2 = construction_c2(params)
-    if not c2 > 1:
-        raise ParamOrder(f"need c2 > 1, got c2={c2}")
+    if not 1 < c2 < inf:
+        raise ParamOrder(f"need finite c2 > 1, got c2={c2}")
     if not eps > 0:
         raise ParamOrder(f"need eps > 0, got eps={eps}")
     eps_prime = (c2 * eps) ** (1.0 / params.alpha)

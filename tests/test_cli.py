@@ -333,6 +333,13 @@ class TestPower:
         ["render-stimulus", "--seed", -1],
         ["render-stimulus", "--n", 5, "--n1", -3],
         ["render-stimulus", "--segment-length", "nan"],
+        ["exponent-sweep", "--c2", "inf"],
+        ["exponent-sweep", "--beta", "inf"],
+        ["exponent-sweep", "--alpha", "inf"],
+        ["exponent-sweep", "--problem", "oriented", "--beta", "inf"],
+        ["power", "--beta", "inf"],
+        ["power", "--alpha", "inf"],
+        ["power", "--problem", "oriented", "--beta", "inf"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

@@ -13,7 +13,6 @@ from scipy import stats as sps
 from alignstat.detection import (
     OrientedSamples,
     generate_alt_jets,
-    generate_alt_oriented,
     generate_null_jets,
     generate_null_oriented,
     greedy_cell_statistic,
@@ -34,11 +33,16 @@ from alignstat.experiments import (
     run_sweep,
     run_trial,
 )
-from alignstat.holder import cell_grid, holder_membership_check
+from alignstat.holder import JetSamples, cell_grid, holder_membership_check
 
 
 def small_config(problem="jets", n=400, n1=0, seed=99, trials=30):
     return ExperimentConfig(problem, 1, 2, 2.0, 1.0, 1, n, n1, seed, trials)
+
+
+def key_rng(seed, n_index, trial):
+    """The stream of key (seed, n_index, trial), built by numpy itself."""
+    return np.random.default_rng(np.random.SeedSequence([seed, n_index, trial]))
 
 
 class TestConfig:
@@ -163,12 +167,12 @@ class TestKeyedEngine:
         cfg = ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 1000, 20, 23, 100)
         keys = []
 
-        def recording(seed, n_index, trial):
-            keys.append((seed, n_index, trial))
-            return trial_rng(seed, n_index, trial)
+        def recording(seed, n_index, trials):
+            keys.extend((seed, n_index, trial) for trial in trials)
+            return key_states(seed, n_index, trials)
 
-        trial_rng = experiments._trial_rng
-        monkeypatch.setattr(experiments, "_trial_rng", recording)
+        key_states = experiments._key_states
+        monkeypatch.setattr(experiments, "_key_states", recording)
         thr = null_quantile_threshold(cfg, 0.05, 100)
         calibration, keys[:] = list(keys), []
         power_estimate(cfg, thr, 60)
@@ -230,8 +234,7 @@ class TestBlockEngine:
         assert len(records) == len(grid) * 25
         for record in records:
             n_index = grid.index(record.n)
-            rng = experiments._trial_rng(config.seed, n_index, record.trial)
-            sel = run_trial(config, record.n, rng)
+            sel = run_trial(config, record.n, key_rng(config.seed, n_index, record.trial))
             assert record.statistic == sel.count
             assert (record.grid.eps, record.grid.cells_total, record.grid.clamped) == (
                 sel.eps, sel.cells_total, sel.eps_clamped)
@@ -277,6 +280,90 @@ class TestBlockEngine:
             assert run_sweep(config, [1000, 3000], workers=5000).records == want
         # 30 trials: 4 processes; 1 trial per n: 2 blocks, one process each
         assert pools == [4, 2]
+
+    @pytest.mark.parametrize("problem,k,d", [("jets", 1, 2), ("oriented", 1, 2), ("oriented", 2, 3)])
+    @pytest.mark.parametrize("n1", [1, 25, 3000])
+    def test_count_does_not_depend_on_planted_order(self, problem, k, d, n1):
+        """The engine plants in draw order; generate_alt_jets permutes all
+        points with one last draw.  The counts must agree key by key."""
+        config = ExperimentConfig(problem, k, d, 2.0, 1.0, 1, 6000, n1, 19, 8)
+        params = config.params()
+        grid = cell_grid(params, statistic_eps(params, config.n), EXPERIMENT_C2, clamp=True)
+        f = default_alternative(config)
+        g = f if problem == "jets" else f.g
+        lo, hi = grid.bounds[0]
+        records = run_sweep(config, [config.n]).records
+        for record in records:
+            rng = key_rng(config.seed, 0, record.trial)
+            m = int(rng.binomial(config.n - n1, (hi - lo) ** params.dim_out))
+            values = rng.uniform(lo, hi, size=(m, params.dim_out))
+            if problem == "jets":
+                null = generate_null_jets(m, params, rng)
+                null.ys[:, 0, :] = values
+            else:
+                oriented = generate_null_oriented(m, k, d, rng)
+                oriented.z[:, k:] = values
+                null, _ = oriented_to_jets(oriented, params)
+            planted = generate_alt_jets(n1, n1, g, params, rng, check=False)
+            samples = JetSamples(
+                params,
+                np.concatenate([null.xs, planted.xs]),
+                np.concatenate([null.ys, planted.ys]),
+            )
+            sel = greedy_cell_statistic(samples, params, config.n, c2=EXPERIMENT_C2, clamp=True)
+            assert record.statistic == sel.count
+        assert sum(r.statistic for r in records) > 0  # the planted points fill cells
+
+
+class TestKeyStreams:
+    """A block sets one generator to each key's state; every state must be
+    the one numpy's SeedSequence gives the key."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**70])
+    @pytest.mark.parametrize("n_index", [0, 2**33])
+    def test_states_equal_numpy_seed_sequence(self, seed, n_index):
+        trials = list(range(100)) + [2**32 - 1, 2**32]  # one and two words in one call
+        want = [np.random.PCG64(np.random.SeedSequence([seed, n_index, t])).state for t in trials]
+        assert list(experiments._key_states(seed, n_index, trials)) == want
+
+    @staticmethod
+    def first_draws(rng):
+        return [
+            rng.binomial(1000, 0.3),
+            *rng.uniform(0.2, 0.4, size=3),
+            *rng.random(2),
+            *rng.standard_normal(3),
+        ]
+
+    def test_block_draws_equal_the_key_streams(self, monkeypatch):
+        config = small_config(seed=2**40 + 7, trials=50)
+        draws = []
+
+        def recording(config, params, n, grid, g, rng):
+            draws.append(self.first_draws(rng))
+            return JetSamples(
+                params,
+                np.zeros((0, params.k)),
+                np.zeros((0, len(params.index_set()), params.dim_out)),
+            )
+
+        monkeypatch.setattr(experiments, "_trial_samples", recording)
+        monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)  # keys hashed 7 at a time
+        records = run_sweep(config, [config.n]).records
+        assert [r.statistic for r in records] == [0] * 50
+        assert draws == [self.first_draws(key_rng(config.seed, 0, t)) for t in range(50)]
+
+    def test_one_generator_per_block(self, monkeypatch):
+        made = []
+        generator = np.random.Generator
+
+        def counting(bit_generator):
+            made.append(bit_generator)
+            return generator(bit_generator)
+
+        monkeypatch.setattr(np.random, "Generator", counting)
+        run_sweep(small_config(trials=30), [300, 400])  # one block per n
+        assert len(made) == 2
 
 
 class TestRecords:
@@ -392,10 +479,10 @@ def frame_route_trial(config, n, rng):
     oriented = generate_null_oriented(m, config.k, config.d, rng)
     oriented.z[:, config.k :] = values
     lift = default_alternative(replace(config, n=n))
-    planted = generate_alt_oriented(config.n1, config.n1, lift, rng)
+    xs1 = rng.random((config.n1, config.k))
     oriented = OrientedSamples(
-        np.concatenate([oriented.z, planted.z]),
-        np.concatenate([oriented.frames, planted.frames]),
+        np.concatenate([oriented.z, lift.point_grid(xs1)]),
+        np.concatenate([oriented.frames, lift.tangent_frames(xs1)]),
     )
     samples, _ = oriented_to_jets(oriented, params)
     return greedy_cell_statistic(samples, params, n, c2=EXPERIMENT_C2, clamp=True)
@@ -406,8 +493,8 @@ def test_planted_jets_match_the_frame_route(k, d):
     config = ExperimentConfig("oriented", k, d, 2.0, 1.0, 1, 20_000, 5, 17, 100)
     counts = []
     for trial in range(100):
-        new = run_trial(config, config.n, experiments._trial_rng(config.seed, 0, trial))
-        old = frame_route_trial(config, config.n, experiments._trial_rng(config.seed, 0, trial))
+        new = run_trial(config, config.n, key_rng(config.seed, 0, trial))
+        old = frame_route_trial(config, config.n, key_rng(config.seed, 0, trial))
         assert new.count == old.count
         assert new.selected == old.selected
         counts.append(new.count)

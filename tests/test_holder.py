@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from itertools import product
-from math import comb
+from math import comb, inf, nan
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from alignstat.holder import (
     PolyJetFunction,
     build_interpolant,
     bump_basis,
+    cell_grid,
     constant_function,
     construction_c2,
     discrepancy_phi,
@@ -74,6 +75,18 @@ class TestHolderParams:
     def test_r0_must_fit_under_r(self):
         with pytest.raises(ParamOrder):
             HolderParams(1, 2, 2.0, 1.0, 2)  # r0=2 > r=1
+
+    @pytest.mark.parametrize(
+        "alpha,beta", [(inf, 1.0), (nan, 1.0), (1.0, 1.0), (2.0, inf), (2.0, nan), (2.0, 0.0)]
+    )
+    def test_alpha_and_beta_must_be_finite(self, alpha, beta):
+        with pytest.raises(ParamOrder):
+            HolderParams(1, 2, alpha, beta, 1)
+
+    @pytest.mark.parametrize("c2", [inf, nan, 1.0])
+    def test_cell_grid_needs_a_finite_c2_above_one(self, c2):
+        with pytest.raises(ParamOrder):
+            cell_grid(HolderParams(1, 2, 2.0, 1.0, 1), 0.01, c2, clamp=True)
 
 
 class TestDiscrepancyPhi:
