@@ -17,8 +17,8 @@ The smoothness rules hold per output coordinate, so one separable DP
 serves every d - k.  Its ``_DP_STATE_CAP`` bounds the state count, not
 its memory: the weights table holds one int count per (x-cell, state)
 pair, up to ceil(eps^(-1/2)) times ``_DP_STATE_CAP`` counts, with no
-temporary of the same size; the covered indices it is counted from take
-about 4^(d-k) ints per sample.
+temporary of the same size; each chunk of samples adds its covered
+indices into it, so n does not change the memory.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -38,7 +38,7 @@ from .errors import (
     ParamOrder,
     Unsupported,
 )
-from .grassmann import OrientedPoint, Subspace, chart_slopes, sample_uniform_frames
+from .grassmann import chart_slopes, sample_uniform_frames
 from .holder import (
     CellGrid,
     GraphLift,
@@ -159,13 +159,6 @@ class OrientedSamples:
     def __len__(self) -> int:
         return self.z.shape[0]
 
-    def __getitem__(self, i: int) -> OrientedPoint:
-        return OrientedPoint(self.z[i], Subspace(self.frames[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
 
 def generate_null_oriented(n: int, k: int, d: int, rng: np.random.Generator) -> OrientedSamples:
     """Locations uniform on the cube, orientations uniform on G(k, d)."""
@@ -240,12 +233,13 @@ def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
     indices (increasing), cell multi-indices and flat even-cell keys."""
     # Filter progressively: the value box has selectivity ~eps/2 per output
     # coordinate, so later rows only touch a small survivor set.
-    alive = np.arange(len(xs))
+    alive = np.arange(len(ys))
     for row, (lo, hi) in enumerate(grid.bounds):
         vals = ys[alive, row, :]
         alive = alive[np.all((vals >= lo) & (vals <= hi), axis=1)]
         if alive.size == 0:
             break
+    alive = np.concatenate([alive, np.arange(len(ys), len(xs))])
     cells = grid.cells(xs[alive])
     keep = np.all((cells % 2 == 0) & (cells >= 0) & (cells <= grid.grid_max), axis=1)
     alive = alive[keep]
@@ -261,8 +255,9 @@ def cell_counts(
 
     ``owner[i]`` in [0, owners) names the set sample i belongs to; the
     result holds, per set, the number of distinct even cells with an
-    admissible sample.  The distinct (set, cell) pairs come from a sort
-    and an adjacent difference.
+    admissible sample.  Locations in ``xs`` past ``len(ys)`` carry no jet
+    and count by their cell alone, as a planted in-box jet would.  The
+    distinct (set, cell) pairs come from a sort and an adjacent difference.
     """
     alive, _, key = _box_cells(grid, xs, ys)
     pair = np.sort(owner[alive] * grid.cells_total + key)
@@ -343,7 +338,7 @@ def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
 
 # Tube-DP samples per chunk at d - k = 1, divided by 9^(d-k-1) beyond: a
 # chunk's candidate arrays take a few megabytes at any d - k.  All chunks
-# fill one int table of ceil(eps^(-1/2)) x states counts, no temporary.
+# fill one int table of ceil(eps^(-1/2)) x states counts.
 _DP_CHUNK = 2**14
 
 # Largest product-state count (nv nu)^(d-k) the tube DP accepts.
@@ -398,9 +393,9 @@ def tube_dp_statistic(
     # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half,
     # and its mask grow by broadcasting over the 9 candidates of each
     # coordinate; chunks of samples keep these 9^(d-k) columns at a few
-    # megabytes, and one bincount of the valid indices builds the table.
+    # megabytes, and each chunk adds its valid indices into the table.
     chunk = max(1, _DP_CHUNK // 9 ** (dim_out - 1))
-    keys = []
+    weights = np.zeros(n_cells * n_states, dtype=np.int64)
     around = np.arange(-1, 2)
     for start in range(0, len(samples), chunk):
         xs = samples.xs[start : start + chunk, 0]
@@ -421,8 +416,7 @@ def tube_dp_statistic(
             state = (j * nu + i + nu_half).reshape(n, 1, 9)
             flat = (flat[:, :, None] * (nv * nu) + state).reshape(n, -1)
             ok = (ok[:, :, None] & valid.reshape(n, 1, 9)).reshape(n, -1)
-        keys.append(flat[ok])
-    weights = np.bincount(np.concatenate(keys), minlength=n_cells * n_states)
+        np.add.at(weights, flat[ok], 1)
     weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
     # Predecessor max: A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a

@@ -14,7 +14,7 @@ reruns, and a sweep reports only its total wall time
 One keyed trial engine: sweeps, calibration and power all run their
 trials through ``_run_trials``.  It runs blocks of consecutive keys that
 share (n_index, n).  A block computes the n-constants once (eps, the cell
-grid, the box, the planted map); then each key draws from its own stream
+grid, the box); then each key draws from its own stream
 exactly what ``run_trial`` draws, and the drawn samples of many trials go
 through one box filter and one count of distinct (trial, cell) pairs,
 flushed every ``_BLOCK_SAMPLES`` samples so memory stays bounded.  The
@@ -31,14 +31,12 @@ rejection weight: 1 above the threshold, tie_gamma at it, 0 below.
 Thinned trials: run_trial generates only the null draws that can pass
 the value box (their number is binomial, their values uniform on the
 box) plus the planted points: a few draws per cell instead of n.  The
-greedy count has the same law as on n full draws.  Output at a given seed
-differs from that of the earlier full-draw engine, which consumed the
-random stream differently.
+greedy count has the same law as on n full draws.
 
-Planted points enter as the jets of the alternative's map, for both
-problems.  A point planted on a lifted graph x -> (x, g(x)) has tangent
-space with graph chart Dg(x), so it reduces to the jet (x, g(x), Dg(x))
-exactly; no tangent frame is built and no chart is solved for it.
+Planted points enter the block's count as locations alone, for both
+problems: the default alternative is a constant map whose jet lies in
+every cell box, so only a planted point's cell decides.  run_trial, the
+reference, plants the map's jets and box-filters them.
 
 Cell sizing: sweeps use c2 = 1 + 1e-6 (EXPERIMENT_C2) rather than the
 class-certifying construction constant.  The certifying c2 grows like
@@ -260,41 +258,27 @@ def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
 
 
 def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
-    """What every trial at sample size n shares: the params, the cell grid
-    and the map whose jets are planted (None when n1 = 0)."""
+    """What every trial at sample size n shares: the params and the cell grid."""
     if config.n1 > n:
         raise ParamOrder(f"need n1 <= n, got n={n}, n1={config.n1}")
     params = config.params()
-    grid = cell_grid(params, statistic_eps(params, n), c2, clamp=True)
-    g = None
-    if config.n1 > 0:
-        f = default_alternative(replace(config, n=n))
-        g = f if config.problem == "jets" else f.g
-    return params, grid, g
+    return params, cell_grid(params, statistic_eps(params, n), c2, clamp=True)
 
 
 def _trial_samples(
-    config: ExperimentConfig, params: HolderParams, n: int, grid: CellGrid, g, rng
+    config: ExperimentConfig, params: HolderParams, n: int, grid: CellGrid, rng
 ) -> JetSamples:
-    """One trial's draws, in stream order (see run_trial)."""
+    """One trial's null draws that can pass the value box (see run_trial)."""
     lo, hi = grid.bounds[0]
     m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
     values = rng.uniform(lo, hi, size=(m, params.dim_out))
     if config.problem == "jets":
         samples = generate_null_jets(m, params, rng)
         samples.ys[:, 0, :] = values
-    else:
-        oriented = generate_null_oriented(m, config.k, config.d, rng)
-        oriented.z[:, config.k :] = values
-        samples, _ = oriented_to_jets(oriented, params)
-    if g is not None:
-        xs1 = rng.random((config.n1, config.k))
-        samples = JetSamples(
-            params,
-            np.concatenate([samples.xs, xs1]),
-            np.concatenate([samples.ys, g.jet_grid(xs1, params.index_set())]),
-        )
-    return samples
+        return samples
+    oriented = generate_null_oriented(m, config.k, config.d, rng)
+    oriented.z[:, config.k :] = values
+    return oriented_to_jets(oriented, params)[0]
 
 
 def run_trial(
@@ -314,14 +298,19 @@ def run_trial(
     else from the null law.  The count has the same law as on n full
     draws.
 
-    The n1 planted points enter as jets of the alternative's map g for
-    both problems: the tangent space of x -> (x, g(x)) has graph chart
-    Dg(x), so an oriented point on the lift reduces to the jet (x, g(x),
-    Dg(x)) exactly.  Their draws are the n1 locations, after the null
-    draws; the count does not depend on the order of the samples.
+    The n1 planted points follow the null draws: their locations xs1 carry
+    the jets of the alternative's map g for both problems (an oriented
+    point on the lift x -> (x, g(x)) reduces to the jet (x, g(x), Dg(x))
+    exactly).  The block engine counts them by location alone; this
+    reference plants and box-filters their jets.
     """
-    params, grid, g = _trial_constants(config, n, c2)
-    samples = _trial_samples(config, params, n, grid, g, rng)
+    params, grid = _trial_constants(config, n, c2)
+    null = _trial_samples(config, params, n, grid, rng)
+    xs1 = rng.random((config.n1, config.k))
+    alternative = default_alternative(replace(config, n=n))
+    g = alternative if config.problem == "jets" else alternative.g
+    ys1 = g.jet_grid(xs1, params.index_set())
+    samples = JetSamples(params, np.concatenate([null.xs, xs1]), np.concatenate([null.ys, ys1]))
     return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
 
 
@@ -337,28 +326,34 @@ def _run_block(payload) -> list[RunRecord]:
     Every trial draws from its own key's stream exactly as run_trial does,
     through one generator set to each key's state; the block computes the
     n-constants once and counts the samples of many trials with one box
-    filter and one cell count.
+    filter and one cell count, where planted points enter as locations
+    alone (the default alternative's jet lies in every cell box).
     """
     config, keys, c2 = payload
     n_index, n, _ = keys[0]
-    params, grid, g = _trial_constants(config, n, c2)
+    params, grid = _trial_constants(config, n, c2)
     counts: list[int] = []
-    xs, ys, sizes = [], [], []
+    xs, ys, planted, sizes = [], [], [], []
     pending = 0
     rng = np.random.Generator(np.random.PCG64())
     states = _key_states(config.seed, n_index, [trial for _, _, trial in keys])
     for i, state in enumerate(states):
         rng.bit_generator.state = state
-        samples = _trial_samples(config, params, n, grid, g, rng)
+        samples = _trial_samples(config, params, n, grid, rng)
         xs.append(samples.xs)
         ys.append(samples.ys)
         sizes.append(len(samples))
-        pending += len(samples)
+        if config.n1:
+            planted.append(rng.random((config.n1, config.k)))
+        pending += len(samples) + config.n1
         if pending >= _BLOCK_SAMPLES or i == len(keys) - 1:
-            owner = np.repeat(np.arange(len(sizes)), sizes)
-            flushed = cell_counts(grid, np.concatenate(xs), np.concatenate(ys), owner, len(sizes))
+            trials = np.arange(len(sizes))
+            owner = np.concatenate([np.repeat(trials, sizes), np.repeat(trials, config.n1)])
+            flushed = cell_counts(
+                grid, np.concatenate(xs + planted), np.concatenate(ys), owner, len(sizes)
+            )
             counts += flushed.tolist()
-            xs, ys, sizes = [], [], []
+            xs, ys, planted, sizes = [], [], [], []
             pending = 0
     return [RunRecord(config, n, trial, grid, count) for (_, _, trial), count in zip(keys, counts)]
 

@@ -288,9 +288,12 @@ def bump_basis(params: HolderParams) -> BumpBasis:
 @lru_cache(maxsize=None)
 def construction_c2(params: HolderParams) -> float:
     """The class-certifying cell-scaling constant for these parameters:
-    the smallest c2 > 1 with c3 c2^(r/alpha - 1) <= beta."""
+    the smallest c2 > 1 with c3 c2^(r/alpha - 1) <= beta; inf on overflow."""
     c3 = bump_basis(params).construction_c3()
-    return max(1.0 + 1e-6, (c3 / params.beta) ** (params.alpha / (params.alpha - params.r)))
+    try:
+        return max(1.0 + 1e-6, (c3 / params.beta) ** (params.alpha / (params.alpha - params.r)))
+    except OverflowError:
+        return inf
 
 
 @dataclass(frozen=True)

@@ -340,6 +340,8 @@ class TestPower:
         ["power", "--beta", "inf"],
         ["power", "--alpha", "inf"],
         ["power", "--problem", "oriented", "--beta", "inf"],
+        ["exponent-sweep", "--c2", "class", "--beta", 1e-200, "--trials", 2,
+         "--n-grid", "100,200,300"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

@@ -463,6 +463,20 @@ class TestTubeDP:
             tracemalloc.stop()
         assert peak < 1.6 * table_bytes
 
+    def test_covered_indices_are_added_into_the_table(self):
+        # (1,3) at eps 0.15: a table of 3 x 35^2 counts and about ten
+        # covered indices per sample; held for one final bincount, the
+        # indices of these 2e5 samples peaked at 35 MB
+        params = HolderParams(1, 3, 2.0, 1.0, 1)
+        samples = generate_null_jets(200_000, params, np.random.default_rng(34))
+        tracemalloc.start()
+        try:
+            tube_dp_statistic(samples, 1.0, 0.15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 def _brute_force_dp(samples, beta, eps):
     """Exhaustive enumeration over all admissible state paths.

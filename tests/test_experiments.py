@@ -111,6 +111,46 @@ class TestDefaultAlternative:
         z = lift.point_grid(np.array([[0.25]]))
         assert z.shape == (1, 2)
 
+    @pytest.mark.parametrize("alpha,r0", [(2.0, 1), (3.0, 2)])
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3)])
+    def test_jet_lies_in_every_box(self, k, d, alpha, r0):
+        # the block engine counts planted points by their cell alone
+        acceptance = [500, 1000, 2000, 3000, 10000, 20000, 30000, 40000, 80000, 100000,
+                      160000, 300000]
+        clamped = []
+        for n in [1, 2, 3, 4] + acceptance:
+            cfg = ExperimentConfig("jets", k, d, alpha, 1.0, r0, n, 1, 0, 1)
+            params = cfg.params()
+            jets = default_alternative(cfg).jet_grid(np.random.default_rng(n).random((20, k)),
+                                                     params.index_set())
+            for c2 in (EXPERIMENT_C2, None):
+                grid = cell_grid(params, statistic_eps(params, n), c2, clamp=True)
+                clamped.append(grid.clamped)
+                for row, (lo, hi) in enumerate(grid.bounds):
+                    assert np.all((lo <= jets[:, row]) & (jets[:, row] <= hi)), (n, c2, row)
+        assert any(clamped) and not all(clamped)
+
+    @pytest.mark.parametrize("k,d,n", [(1, 2, 3000), (2, 3, 30000)])
+    def test_trailing_locations_count_as_its_jets(self, k, d, n):
+        cfg = ExperimentConfig("jets", k, d, 2.0, 1.0, 1, n, 1, 0, 1)
+        params = cfg.params()
+        grid = cell_grid(params, statistic_eps(params, n), EXPERIMENT_C2)
+        rng = np.random.default_rng(40 + k)
+        null = generate_null_jets(400, params, rng)
+        null.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(400, params.dim_out))
+        # past the cube on both sides, so past grid_max too; odd cells too
+        xs1 = rng.uniform(-0.1, 1.2, size=(40, k))
+        ys1 = default_alternative(cfg).jet_grid(xs1, params.index_set())
+        owner = rng.integers(0, 5, size=440)  # unsorted; owner 5 has no sample
+        xs = np.concatenate([null.xs, xs1])
+        got = experiments.cell_counts(grid, xs, null.ys, owner, 6)
+        want = experiments.cell_counts(grid, xs, np.concatenate([null.ys, ys1]), owner, 6)
+        assert got.tolist() == want.tolist()
+        cells = grid.cells(xs1)
+        assert np.any(cells > grid.grid_max) and np.any(cells % 2 == 1)
+        alone = experiments.cell_counts(grid, xs1, ys1[:0], owner[400:], 6)
+        assert 0 < alone.sum() < want.sum() and want[5] == 0
+
 
 class TestCalibrationAndPower:
     def test_null_rejection_rate_matches_level(self):
@@ -339,7 +379,7 @@ class TestKeyStreams:
         config = small_config(seed=2**40 + 7, trials=50)
         draws = []
 
-        def recording(config, params, n, grid, g, rng):
+        def recording(config, params, n, grid, rng):
             draws.append(self.first_draws(rng))
             return JetSamples(
                 params,
