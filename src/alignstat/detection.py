@@ -136,7 +136,12 @@ def generate_alt_jets(
 
 
 class OrientedSamples:
-    """Batch of (location, orientation) observations."""
+    """Batch of (location, orientation) observations.
+
+    ``frames[i]`` is any basis of the i-th k-plane, shape (d, k): only its
+    span is read, through the graph chart.  The generators store
+    orthonormal frames.
+    """
 
     def __init__(self, z: np.ndarray, frames: np.ndarray):
         z = np.asarray(z, dtype=float)
@@ -191,22 +196,29 @@ def oriented_to_jets(
     """Reduce oriented observations to first-order jets via the graph chart.
 
     X is the first k coordinates of Z, the value rows the last d-k, and
-    the slope rows come from the chart of W.  Chart-singular draws (a null
-    event) are dropped; the count of drops is returned alongside.
+    the slope rows come from the chart of W, read from whatever basis
+    ``samples.frames`` holds.  Chart-singular draws (a null event) are
+    dropped; the count of drops is returned alongside.
     """
     if params.alpha != 2 or params.r0 != 1:
         raise ParamOrder("the oriented reduction produces (alpha=2, r0=1) jets")
-    k, d = samples.k, samples.d
-    if (params.k, params.d) != (k, d):
+    if (params.k, params.d) != (samples.k, samples.d):
         raise ParamOrder("params dimensions do not match the samples")
     yt, ok = chart_slopes(samples.frames)
     dropped = int(len(samples) - np.count_nonzero(ok))
-    z = samples.z[ok]
-    n_idx = len(params.index_set())
-    ys = np.empty((z.shape[0], n_idx, params.dim_out))
+    return chart_jets(params, samples.z, yt, ok), dropped
+
+
+def chart_jets(params: HolderParams, z: np.ndarray, yt: np.ndarray, ok: np.ndarray) -> JetSamples:
+    """The jets of :func:`oriented_to_jets` from locations ``z`` (n, d) and
+    the ``chart_slopes`` output ``(yt, ok)`` of their orientations: the
+    chart-regular rows, each as (z[:k], z[k:], yt)."""
+    z = z[ok]
+    k = params.k
+    ys = np.empty((z.shape[0], len(params.index_set()), params.dim_out))
     ys[:, 0, :] = z[:, k:]
     ys[:, 1:, :] = yt
-    return JetSamples(params, z[:, :k], ys), dropped
+    return JetSamples(params, z[:, :k], ys)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +242,7 @@ class CellSelection:
 
 def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
     """The samples whose jet fits the box and whose cell is even: their
-    indices (increasing), cell multi-indices and flat even-cell keys."""
+    indices (increasing) and flat even-cell keys, both 1-D."""
     # Filter progressively: the value box has selectivity ~eps/2 per output
     # coordinate, so later rows only touch a small survivor set.
     alive = np.arange(len(ys))
@@ -240,12 +252,13 @@ def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
         if alive.size == 0:
             break
     alive = np.concatenate([alive, np.arange(len(ys), len(xs))])
-    cells = grid.cells(xs[alive])
-    keep = np.all((cells % 2 == 0) & (cells >= 0) & (cells <= grid.grid_max), axis=1)
-    alive = alive[keep]
-    cells = cells[keep]
-    key = np.ravel_multi_index(tuple(cells.T // 2), (grid.per_axis,) * xs.shape[1])
-    return alive, cells, key
+    # per axis: even cell inside the grid, and the key's next digit c // 2;
+    # take and compress are the fast forms of these gathers
+    keep, key = True, 0
+    for c in grid.cells(np.take(xs, alive, axis=0)).T:
+        keep = keep & ((c & 1) == 0) & (c >= 0) & (c <= grid.grid_max)
+        key = key * grid.per_axis + (c >> 1)
+    return np.compress(keep, alive), np.compress(keep, key)
 
 
 def cell_counts(
@@ -259,11 +272,11 @@ def cell_counts(
     and count by their cell alone, as a planted in-box jet would.  The
     distinct (set, cell) pairs come from a sort and an adjacent difference.
     """
-    alive, _, key = _box_cells(grid, xs, ys)
-    pair = np.sort(owner[alive] * grid.cells_total + key)
+    alive, key = _box_cells(grid, xs, ys)
+    pair = np.sort(np.take(owner, alive) * grid.cells_total + key)
     new = np.ones(pair.size, dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=new[1:])
-    return np.bincount(pair[new] // grid.cells_total, minlength=owners)
+    return np.bincount(np.compress(new, pair) // grid.cells_total, minlength=owners)
 
 
 def greedy_cell_statistic(
@@ -289,15 +302,17 @@ def greedy_cell_statistic(
     certificate for practical cell counts.
     """
     grid = cell_grid(params, statistic_eps(params, n), c2, clamp)
-    alive, cells, key = _box_cells(grid, samples.xs, samples.ys)
+    alive, key = _box_cells(grid, samples.xs, samples.ys)
 
     # First survivor per cell, kept in first-seen order (materialize feeds
-    # the nodes in this order): unique flat cell keys, first indices sorted.
-    # Most null trials have no survivor left, so skip the numpy calls then.
+    # the nodes in this order): unique flat cell keys, first indices sorted;
+    # only those survivors get their cell multi-index.  Most null trials
+    # have no survivor left, so skip the numpy calls then.
     selected: dict[tuple[int, ...], int] = {}
     if alive.size:
-        first = np.sort(np.unique(key, return_index=True)[1])
-        selected = dict(zip(map(tuple, cells[first].tolist()), alive[first].tolist()))
+        first = alive[np.sort(np.unique(key, return_index=True)[1])]
+        cells = grid.cells(samples.xs[first])
+        selected = dict(zip(map(tuple, cells.tolist()), first.tolist()))
 
     interpolant = None
     if materialize:

@@ -31,7 +31,11 @@ rejection weight: 1 above the threshold, tie_gamma at it, 0 below.
 Thinned trials: run_trial generates only the null draws that can pass
 the value box (their number is binomial, their values uniform on the
 box) plus the planted points: a few draws per cell instead of n.  The
-greedy count has the same law as on n full draws.
+greedy count has the same law as on n full draws.  An oriented draw
+makes generate_null_oriented's draws, but reads each chart straight off
+the Gaussian basis (grassmann.sample_uniform_charts) instead of from an
+orthonormal frame, and assembles the jets with detection.chart_jets, the
+assembly of oriented_to_jets; the chart does not depend on the basis.
 
 Planted points enter the block's count as locations alone, for both
 problems: the default alternative is a constant map whose jet lies in
@@ -62,16 +66,16 @@ import numpy as np
 from .detection import (
     FitResult,
     cell_counts,
+    chart_jets,
     exponent_rho,
     exponent_rho_dir,
     fit_scaling_exponent,
     generate_null_jets,
-    generate_null_oriented,
     greedy_cell_statistic,
-    oriented_to_jets,
     statistic_eps,
 )
 from .errors import ParamOrder
+from .grassmann import sample_uniform_charts
 from .holder import CellGrid, GraphLift, HolderParams, JetSamples, cell_grid, constant_function
 
 EXPERIMENT_C2 = 1.0 + 1e-6
@@ -276,9 +280,11 @@ def _trial_samples(
         samples = generate_null_jets(m, params, rng)
         samples.ys[:, 0, :] = values
         return samples
-    oriented = generate_null_oriented(m, config.k, config.d, rng)
-    oriented.z[:, config.k :] = values
-    return oriented_to_jets(oriented, params)[0]
+    # generate_null_oriented's draws, with the charts read off the raw
+    # Gaussian bases (sample_uniform_charts)
+    z = rng.random((m, config.d))
+    z[:, config.k :] = values
+    return chart_jets(params, z, *sample_uniform_charts(rng, m, config.k, config.d))
 
 
 def run_trial(

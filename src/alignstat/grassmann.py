@@ -20,9 +20,13 @@ values in closed form (plain square roots, no hypot) for vector and
 2-by-2 blocks, and one batched QR completion per chunk of centers.
 
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
-frame stack to its chart-regular mask (:func:`chart_regular`) and the
-transposed charts B A^{-1}, in closed form for k <= 2.  The oriented
-reduction, the chart-cube measure and :func:`graph_chart` all call it.
+stack of bases to its chart-regular mask (:func:`chart_regular`) and the
+transposed charts B A^{-1}, in closed form for k <= 2.  The chart does
+not depend on the basis, so the oriented reduction and :func:`graph_chart`
+read it from orthonormal frames, while the trial engine and the
+chart-cube measure read it straight from the Gaussian draw
+(:func:`sample_uniform_charts`) with no orthonormalization.  Uniform
+frames (:func:`sample_uniform_frames`) remain for the angle kernel.
 """
 
 from __future__ import annotations
@@ -180,12 +184,14 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
     Equivalent in distribution to repeated :func:`sample_uniform_subspace`
-    but vectorized; used by the Monte Carlo estimators.  The frame is the
-    Q factor of a Gaussian d-by-k matrix with R's diagonal positive, the
-    sign convention that makes the distribution exactly invariant.  For
-    k >= 2 it comes from Gram-Schmidt over the k columns, each column
-    projected off the earlier ones twice ("twice is enough"), vectorized
-    over the whole batch.
+    but vectorized; used wherever the frame itself is needed (the angle
+    kernel's ball measure and covering probes, the oriented generators),
+    while chart-only draws take :func:`sample_uniform_charts`.  The frame
+    is the Q factor of a Gaussian d-by-k matrix with R's diagonal
+    positive, the sign convention that makes the distribution exactly
+    invariant.  For k >= 2 it comes from Gram-Schmidt over the k columns,
+    each column projected off the earlier ones twice ("twice is enough"),
+    vectorized over the whole batch.
     """
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -202,6 +208,22 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
                 v -= cols[i] * np.einsum("dt,dt->t", cols[i], v)
         v /= np.sqrt(np.einsum("dt,dt->t", v, v))
     return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+
+def sample_uniform_charts(
+    rng: np.random.Generator, m: int, k: int, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Graph charts of ``m`` uniform k-planes: ``chart_slopes`` of the draw.
+
+    Makes exactly the draw :func:`sample_uniform_frames` makes, so the
+    stream advances the same, and skips the orthonormalization: the span
+    of a Gaussian d-by-k matrix is uniform on G(k, d), and the chart
+    B A^{-1} of a plane does not depend on the basis it is read from
+    (Chikuse 2003).  The charts equal those of the frames up to rounding.
+    """
+    if not 1 <= k <= d:
+        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
+    return chart_slopes(rng.standard_normal((m, d, k)))
 
 
 # (center, frame) pairs whose d-by-k1 products one block of the angle
@@ -378,7 +400,11 @@ def chart_regular(a: np.ndarray) -> np.ndarray:
 
     True where the smallest singular value exceeds RANK_TOL: |a| for
     k = 1, the closed form |det| / sigma_max for k = 2, a batched SVD
-    otherwise.  The one chart-singularity criterion of the package.
+    otherwise.  The one chart-singularity criterion of the package.  For
+    the top block of an orthonormal frame RANK_TOL is a fixed tolerance;
+    for a block of a non-orthonormal basis (the raw Gaussian draws of
+    :func:`sample_uniform_charts`) the singular value scales with the
+    basis, and the test only screens out a null event.
     """
     if a.shape[1] == 1:
         return np.abs(a[:, 0, 0]) > RANK_TOL
@@ -388,13 +414,14 @@ def chart_regular(a: np.ndarray) -> np.ndarray:
 def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transposed graph charts of a frame stack: ``(yt, ok)``.
 
-    ``frames`` has shape (m, d, k); A is the top k-by-k and B the bottom
-    (d-k)-by-k block of each frame.  ``ok = chart_regular(A)``, and for
-    the frames where it holds ``yt = A^{-T} B^T``, shape (sum(ok), k,
-    d-k), the transpose of the chart y = B A^{-1}: row j of yt[i] is the
-    slope vector of axis j.  Closed forms b / a for k = 1 and the 2-by-2
-    adjugate over the determinant for k = 2, a batched solve otherwise.
-    The one chart kernel of the package.
+    ``frames`` has shape (m, d, k), any basis of each plane; A is the top
+    k-by-k and B the bottom (d-k)-by-k block of each frame.
+    ``ok = chart_regular(A)``, and for the frames where it holds
+    ``yt = A^{-T} B^T``, shape (sum(ok), k, d-k), the transpose of the
+    chart y = B A^{-1}: row j of yt[i] is the slope vector of axis j.
+    Closed forms b / a for k = 1 and the 2-by-2 adjugate over the
+    determinant for k = 2, a batched solve otherwise.  The one chart
+    kernel of the package.
     """
     k = frames.shape[2]
     a = frames[:, :k, :]

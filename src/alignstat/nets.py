@@ -26,7 +26,11 @@ the angle as arctan2(sin, cos), and holds at most a fixed pair budget of
 products in memory.
 
 Monte Carlo estimators for the invariant measure of metric balls and of
-chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.
+chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.  Both
+draw 2^16 planes at a time.  The ball estimator orthonormalizes its
+draws, since the angle kernel reads frames; the cube estimator reads the
+chart straight off each Gaussian draw, since the chart of a plane does
+not depend on its basis.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .grassmann import (
     RANK_TOL,
     Subspace,
     batch_canonical_angle,
-    chart_slopes,
     min_canonical_angle,
+    sample_uniform_charts,
     sample_uniform_frames,
 )
 
@@ -204,7 +208,7 @@ def covering_radius_estimate(
     return worst
 
 
-# Frames per draw in the covering probes and the measure estimators, so
+# Planes per draw in the covering probes and the measure estimators, so
 # memory stays flat at any probe or trial count; chunked draws take the
 # stream exactly as one draw does.
 _MEASURE_CHUNK = 2**16
@@ -244,16 +248,20 @@ def chart_cube_measure_estimate(
 ) -> MeasureEstimate:
     """Fraction of uniform subspaces whose chart entries all lie in [0, eps].
 
+    The charts come straight from the Gaussian draws
+    (``grassmann.sample_uniform_charts``), with no frames built.
     Chart-singular draws (a null event) count as misses and are reported
     in the ``singular`` field.
     """
+    if not 1 <= k < d:
+        raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
     if not 0 < eps < inf:
         raise ParamOrder(f"need a finite eps > 0, got {eps}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
     hits = regular = 0
     for size in _chunk_sizes(trials):
-        yt, ok = chart_slopes(sample_uniform_frames(rng, size, k, d))
+        yt, ok = sample_uniform_charts(rng, size, k, d)
         regular += int(np.count_nonzero(ok))
         hits += int(np.count_nonzero(np.all((yt >= 0.0) & (yt <= eps), axis=(1, 2))))
     singular = trials - regular

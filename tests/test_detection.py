@@ -258,11 +258,14 @@ class TestGreedyStatistic:
         # box, so that the slope rows decide
         rng = np.random.default_rng(16)
         p23 = HolderParams(2, 3, 2.0, 0.3, 1)
-        for params, n, m in [(P12, 2000, 300), (p23, 30000, 600)]:
+        # three axes: eps' = 0.289 at n = 20000, two even cells per axis
+        p34 = HolderParams(3, 4, 2.0, 0.3, 1)
+        for params, n, m in [(P12, 2000, 300), (p23, 30000, 600), (p34, 20000, 1000)]:
             grid = cell_grid(params, statistic_eps(params, n), UNIT_C2)
             samples = generate_null_jets(m, params, rng)
             samples.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(m, params.dim_out))
             owner = rng.integers(0, 5, size=m)
+            assert not grid.clamped
             counts = detection.cell_counts(grid, samples.xs, samples.ys, owner, 6)
             want = [
                 len(brute_cell_scan(samples.take(owner == o), params, grid.eps, grid.eps_prime))

@@ -130,14 +130,18 @@ class TestDefaultAlternative:
                     assert np.all((lo <= jets[:, row]) & (jets[:, row] <= hi)), (n, c2, row)
         assert any(clamped) and not all(clamped)
 
-    @pytest.mark.parametrize("k,d,n", [(1, 2, 3000), (2, 3, 30000)])
+    @pytest.mark.parametrize("k,d,n", [(1, 2, 3000), (2, 3, 30000), (3, 4, 20000)])
     def test_trailing_locations_count_as_its_jets(self, k, d, n):
         cfg = ExperimentConfig("jets", k, d, 2.0, 1.0, 1, n, 1, 0, 1)
         params = cfg.params()
         grid = cell_grid(params, statistic_eps(params, n), EXPERIMENT_C2)
+        assert not grid.clamped
         rng = np.random.default_rng(40 + k)
         null = generate_null_jets(400, params, rng)
         null.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(400, params.dim_out))
+        # slopes on [-hi, hi]: about half of each entry passes its box
+        hi = grid.bounds[1][1]
+        null.ys[:, 1:, :] = rng.uniform(-hi, hi, size=(400, k, params.dim_out))
         # past the cube on both sides, so past grid_max too; odd cells too
         xs1 = rng.uniform(-0.1, 1.2, size=(40, k))
         ys1 = default_alternative(cfg).jet_grid(xs1, params.index_set())

@@ -20,6 +20,7 @@ from alignstat.grassmann import (
     min_canonical_angle,
     orthonormalize,
     sample_orthogonal_matrix,
+    sample_uniform_charts,
     sample_uniform_frames,
     sample_uniform_subspace,
     span_normal_form,
@@ -419,6 +420,26 @@ class TestChartSlopes:
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.linalg.cond(a) * max(
                 1.0, np.max(np.abs(ref))
             )
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 5)])
+    def test_raw_draw_charts_match_the_frames(self, k, d):
+        # the chart of a plane does not depend on its basis, so charts read
+        # off the raw Gaussian draw equal those of the orthonormalized
+        # frames up to rounding; tolerance fixed before the first run
+        tol = 1e-9
+        raw_rng, frame_rng = np.random.default_rng(60 + d), np.random.default_rng(60 + d)
+        yt, ok = sample_uniform_charts(raw_rng, 20_000, k, d)
+        ref, ref_ok = chart_slopes(sample_uniform_frames(frame_rng, 20_000, k, d))
+        assert np.array_equal(ok, ref_ok)
+        assert yt.shape == ref.shape == (np.count_nonzero(ok), k, d - k)
+        assert np.all(np.abs(yt - ref) <= tol * np.maximum(1.0, np.abs(ref)))
+        # both generators stand at the same stream position
+        assert raw_rng.random() == frame_rng.random()
+
+    @pytest.mark.parametrize("k,d", [(0, 2), (3, 2)])
+    def test_raw_draw_charts_check_dimensions(self, k, d):
+        with pytest.raises(DimensionMismatch):
+            sample_uniform_charts(np.random.default_rng(0), 5, k, d)
 
     def test_all_singular_stack(self):
         frames = np.zeros((4, 3, 2))

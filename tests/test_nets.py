@@ -306,6 +306,13 @@ def test_measure_radius_must_be_finite_and_positive(eps):
         chart_cube_measure_estimate(1, 2, eps, 10, rng)
 
 
+@pytest.mark.parametrize("k,d", [(0, 2), (2, 2), (3, 2)])
+def test_chart_cube_needs_a_proper_subspace_dimension(k, d):
+    # k = d has an empty chart, which every draw would hit
+    with pytest.raises(ParamOrder, match="need 1 <= k < d"):
+        chart_cube_measure_estimate(k, d, 0.1, 100, np.random.default_rng(44))
+
+
 def test_span_bound_deterministic_and_modest():
     # the maximal-volume normal form proves c1 = 1 for every (k, d)
     for k, d in [(1, 2), (2, 3), (2, 4), (3, 4), (3, 7)]:
