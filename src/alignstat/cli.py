@@ -1,19 +1,29 @@
 """Command-line driver: stimuli, sweeps, volume scans, net demos, power.
 
-Commands
---------
-render-stimulus   SVG of n oriented segments in the unit square (d=2, k=1)
-exponent-sweep    statistic means over an n grid + log-log slope report
-volume-scan       ball and chart-cube measure estimates over an eps grid
-nets-demo         packing/covering families: sizes, separation, radius
-power             null-calibrated threshold and power under the alternative
+Commands and their options
+--------------------------
+render-stimulus   SVG of n oriented segments in the unit square (d=2, k=1):
+                  --n --n1 --beta --segment-length
+exponent-sweep    statistic means over an n grid + log-log slope report:
+                  --problem --k --d --alpha --beta --r0 --n1 --n-grid
+                  --trials --workers --c2
+volume-scan       ball and chart-cube measure estimates over an eps grid:
+                  --k --d --trials --eps-grid
+nets-demo         packing/covering families: sizes, separation, radius:
+                  --k --d --eps-grid --probes --export-members
+power             null-calibrated threshold and power under the alternative:
+                  --problem --k --d --alpha --beta --r0 --n --n1 --trials
+                  --level
 
-Configuration is ``key = value`` text; command-line flags override file
-values, unknown keys are a hard error, and every run writes a manifest
-echoing the full effective configuration (a manifest is itself a valid
-config file, so re-running from it reproduces the outputs byte for byte).
-Its first line is a ``#`` comment naming the alignstat, numpy and Python
-versions.
+Every command also takes --seed, --out-dir and --config, and rejects any
+option it does not read.  A config file is ``key = value`` text that goes
+through the same parser as the flags: each line becomes ``--key=value``
+ahead of the command line, so flags override the file, and an unknown key
+or a bad value is the same error as a bad flag.  A boolean takes 1, true,
+yes or on, or 0, false, no or off.  Every run writes a manifest echoing the
+full effective configuration (a manifest is itself a valid config file, so
+re-running from it reproduces the outputs byte for byte).  Its first line
+is a ``#`` comment naming the alignstat, numpy and Python versions.
 
 Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
 requested sizes counts as one), 3 numerical error.
@@ -39,7 +49,6 @@ from .errors import (
     DegenerateFit,
     DimensionMismatch,
     ParamOrder,
-    UnsupportedDims,
 )
 from .experiments import (
     EXPERIMENT_C2,
@@ -60,76 +69,85 @@ from .nets import (
     packing_family,
 )
 
-COMMANDS = ("render-stimulus", "exponent-sweep", "volume-scan", "nets-demo", "power")
 
-# Option dests shared by every command (the common-flag contract).
-_COMMON = dict(
+def _truth(text: str) -> bool:
+    """A boolean option's value, from a flag or a config file."""
+    word = text.lower()
+    if word in ("1", "true", "yes", "on"):
+        return True
+    if word in ("0", "false", "no", "off"):
+        return False
+    raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+
+
+# Every option of every command; each command below names the ones it reads.
+_OPTIONS = dict(
     seed=dict(type=int, default=0, help="master seed"),
-    out_dir=dict(type=str, default="out", help="output directory"),
-    config=dict(type=str, default=None, help="key = value config file"),
-    trials=dict(type=int, default=100, help="Monte Carlo trials"),
+    out_dir=dict(default="out", help="output directory"),
+    config=dict(help="key = value config file"),
+    problem=dict(choices=("jets", "oriented"), default="jets"),
     k=dict(type=int, default=1),
     d=dict(type=int, default=2),
     alpha=dict(type=float, default=2.0),
     beta=dict(type=float, default=1.0),
     r0=dict(type=int, default=1),
-    n_grid=dict(type=str, default="1000,3000,10000,30000,100000"),
+    n=dict(type=int),
     n1=dict(type=int, default=0),
+    n_grid=dict(default="1000,3000,10000,30000,100000"),
+    trials=dict(type=int, default=100, help="Monte Carlo trials"),
+    eps_grid=dict(),
+    segment_length=dict(type=float, default=0.05),
+    workers=dict(type=int, default=1),
+    c2=dict(default="experiment", help="cell scaling: 'experiment' (1 + 1e-6), 'class', or a float"),
+    probes=dict(type=int, default=1000),
+    export_members=dict(type=_truth, nargs="?", const=True, default=False, metavar="BOOL"),
+    level=dict(type=float, default=0.05),
 )
 
+# command -> (the options it reads besides seed, out_dir and config, its
+# defaults for the options whose default differs between commands)
+COMMANDS = {
+    "render-stimulus": (("n", "n1", "beta", "segment_length"), dict(n=100)),
+    "exponent-sweep": (
+        ("problem", "k", "d", "alpha", "beta", "r0", "n1", "n_grid", "trials", "workers", "c2"), {}
+    ),
+    "volume-scan": (("k", "d", "trials", "eps_grid"), dict(eps_grid="0.4,0.2,0.1,0.05")),
+    "nets-demo": (("k", "d", "eps_grid", "probes", "export_members"), dict(eps_grid="0.4,0.2,0.1")),
+    "power": (
+        ("problem", "k", "d", "alpha", "beta", "r0", "n", "n1", "trials", "level"), dict(n=1000)
+    ),
+}
 
-def _build_parser(defaults=None) -> argparse.ArgumentParser:
-    """The full parser; ``defaults`` (dest -> value) replace the built-in
-    defaults of every command, so that flags still override them."""
-    parser = argparse.ArgumentParser(prog="alignstat", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        for dest, kw in _COMMON.items():
-            p.add_argument("--" + dest.replace("_", "-"), dest=dest, **kw)
+class _Parser(argparse.ArgumentParser):
+    """A parser whose every error, from a flag or a config key, exits 2."""
 
-    p = sub.add_parser("render-stimulus", help="draw oriented segments as SVG")
-    add_common(p)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--segment-length", dest="segment_length", type=float, default=0.05)
+    def error(self, message):
+        raise CliConfigError(message)
 
-    p = sub.add_parser("exponent-sweep", help="statistic scaling over an n grid")
-    add_common(p)
-    p.add_argument("--problem", choices=("jets", "oriented"), default="jets")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--c2",
-        type=str,
-        default="experiment",
-        help="cell scaling: 'experiment' (1 + 1e-6), 'class', or a float",
+
+def _build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: an unknown key such as `eps` must not match --eps-grid
+    parser = _Parser(
+        prog="alignstat", description=__doc__, allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-
-    p = sub.add_parser("volume-scan", help="ball and chart-cube measures vs eps")
-    add_common(p)
-    p.add_argument("--eps-grid", dest="eps_grid", type=str, default="0.4,0.2,0.1,0.05")
-
-    p = sub.add_parser("nets-demo", help="packing and covering families vs eps")
-    add_common(p)
-    p.add_argument("--eps-grid", dest="eps_grid", type=str, default="0.4,0.2,0.1")
-    p.add_argument("--probes", type=int, default=1000)
-    p.add_argument("--export-members", dest="export_members", action="store_true")
-
-    p = sub.add_parser("power", help="calibrated threshold and power")
-    add_common(p)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--level", type=float, default=0.05)
-    p.add_argument("--problem", choices=("jets", "oriented"), default="jets")
-    for p in sub.choices.values():
-        p.set_defaults(**(defaults or {}))
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (names, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, allow_abbrev=False)
+        for name in ("seed", "out_dir", "config") + names:
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
+        p.set_defaults(**defaults)
     return parser
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _config_tokens(path: str, command: str) -> list[str]:
+    """A config file's ``key = value`` lines as ``--key=value`` flags."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliConfigError(f"cannot read config file {path}: {exc}") from exc
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -137,41 +155,26 @@ def _parse_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise CliConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        values[key.replace("-", "_")] = value
-    return values
-
-
-def _coerce(key: str, value: str, like) -> object:
-    """A config file's ``value`` for ``key``, as the type of its default ``like``."""
-    if isinstance(like, bool):
-        return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, (int, float)):
-        try:
-            return type(like)(value)
-        except ValueError as exc:
-            raise CliConfigError(f"bad {type(like).__name__} {value!r} for {key!r}") from exc
-    return value
+        if key != "command":
+            tokens.append(f"--{key.replace('_', '-')}={value}")
+        elif value != command:
+            raise CliConfigError(f"config file is for command {value!r}, invoked {command!r}")
+    return tokens
 
 
 def parse_args(argv) -> argparse.Namespace:
+    argv = list(argv)
+    if argv and argv[0] in COMMANDS:
+        path = None  # the last --config wins, as in argparse
+        for i, token in enumerate(argv):
+            if token == "--config" and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+                path = argv[i + 1]
+            elif token.startswith("--config="):
+                path = token[len("--config="):]
+        if path is not None:
+            # file values first, so that argparse's last-wins lets flags override them
+            argv[1:1] = _config_tokens(path, argv[0])
     args = _build_parser().parse_args(argv)
-    if args.config:
-        file_values = _parse_config_file(args.config)
-        known = set(vars(args))
-        cmd = file_values.pop("command", None)
-        if cmd is not None and cmd != args.command:
-            raise CliConfigError(
-                f"config file is for command {cmd!r}, invoked {args.command!r}"
-            )
-        for key in file_values:
-            if key not in known:
-                raise CliConfigError(f"unknown config key {key!r}")
-        # flags override the file: re-parse with file values as defaults
-        defaults = {
-            key: _coerce(key, val, vars(args)[key]) if vars(args)[key] is not None else val
-            for key, val in file_values.items()
-        }
-        args = _build_parser(defaults).parse_args(argv)
     if args.seed < 0:
         raise CliConfigError(f"need seed >= 0, got seed={args.seed}")
     return args
@@ -183,12 +186,9 @@ def _provenance() -> str:
 
 
 def _write_manifest(args: argparse.Namespace, out_dir: Path) -> None:
-    skip = {"config"}
     lines = [_provenance(), f"command = {args.command}"]
-    for key in sorted(vars(args)):
-        if key in skip or key == "command":
-            continue
-        lines.append(f"{key} = {vars(args)[key]}")
+    lines += [f"{key} = {value}" for key, value in sorted(vars(args).items())
+              if key not in ("command", "config")]
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
@@ -227,15 +227,16 @@ def _svg_segments(z: np.ndarray, frames: np.ndarray, length: float) -> str:
 
 
 def cmd_render_stimulus(args, out_dir: Path) -> int:
-    if args.d != 2 or args.k != 1:
-        raise UnsupportedDims("stimulus rendering requires d=2, k=1")
     if not 0 <= args.n1 <= args.n:
         raise ParamOrder(f"need 0 <= n1 <= n, got n1={args.n1}, n={args.n}")
     if not 0 < args.segment_length < math.inf:
         raise ParamOrder(f"need finite segment length > 0, got {args.segment_length}")
+    # the planted map's values reach 0.5, so it fails membership below beta ~ 0.6
+    if not 1 <= args.beta < math.inf:
+        raise ParamOrder(f"need finite beta >= 1, got beta={args.beta}")
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     if args.n1 > 0:
-        params = HolderParams(1, 2, 2.0, max(args.beta, 1.0), 1)
+        params = HolderParams(1, 2, 2.0, args.beta, 1)
         lift = graph_lift(random_class_function(params, rng), params)
         samples = generate_alt_oriented(args.n, args.n1, lift, rng)
     else:
@@ -392,9 +393,7 @@ def main(argv=None) -> int:
             "power": cmd_power,
         }[args.command]
         return handler(args, out_dir)
-    except (
-        CliConfigError, UnsupportedDims, ParamOrder, DimensionMismatch, BudgetExceeded
-    ) as exc:
+    except (CliConfigError, ParamOrder, DimensionMismatch, BudgetExceeded) as exc:
         # Every parameter reaching the library here came from the command
         # line or a config file, so a violated ordering or dimension rule,
         # or a size over its budget, is a configuration error.

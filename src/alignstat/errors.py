@@ -66,9 +66,5 @@ class DegenerateFit(AlignstatError):
     """Regression input is too degenerate to fit a slope."""
 
 
-class UnsupportedDims(AlignstatError):
-    """A rendering or reduction step only exists for specific (k, d)."""
-
-
 class CliConfigError(AlignstatError):
     """Bad command-line or config-file input."""

@@ -2,12 +2,15 @@
 
 import csv
 import platform
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import alignstat
-from alignstat.cli import main
+from alignstat.cli import COMMANDS, main, parse_args
 
 
 def run_cli(args):
@@ -38,9 +41,11 @@ class TestRenderStimulus:
         assert rc == 0
         assert (tmp_path / "stimulus.svg").read_text().count("<line") == 0
 
-    def test_unsupported_dims(self, tmp_path):
+    def test_unsupported_dims(self, tmp_path, capsys):
+        # the stimulus is always (k, d) = (1, 2), so the command has no --d
         rc = run_cli(["render-stimulus", "--d", 3, "--out-dir", tmp_path])
         assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestExponentSweep:
@@ -342,8 +347,145 @@ class TestPower:
         ["power", "--problem", "oriented", "--beta", "inf"],
         ["exponent-sweep", "--c2", "class", "--beta", 1e-200, "--trials", 2,
          "--n-grid", "100,200,300"],
+        ["render-stimulus", "--n", 10, "--n1", 5, "--beta", -5],
+        ["render-stimulus", "--beta", 0.9],
+        ["render-stimulus", "--beta", "nan"],
+        ["nets-demo", "--export-members=maybe"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out-dir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+# The options each command stopped accepting, with a value it would once
+# have taken, and the keys each command's manifest must hold.
+_UNREAD = {
+    "render-stimulus": dict(trials=100, alpha=2.0, r0=1, n_grid="1000,3000", k=1, d=2),
+    "volume-scan": dict(alpha=2.0, beta=1.0, r0=1, n_grid="1000,3000", n1=0),
+    "nets-demo": dict(trials=100, alpha=2.0, beta=1.0, r0=1, n_grid="1000,3000", n1=0),
+    "power": dict(n_grid="1000,3000"),
+}
+_MANIFEST_KEYS = {
+    "render-stimulus": "beta n n1 out_dir seed segment_length",
+    "exponent-sweep": "alpha beta c2 d k n1 n_grid out_dir problem r0 seed trials workers",
+    "volume-scan": "d eps_grid k out_dir seed trials",
+    "nets-demo": "d eps_grid export_members k out_dir probes seed",
+    "power": "alpha beta d k level n n1 out_dir problem r0 seed trials",
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command,key,value", [(c, k, v) for c, opts in _UNREAD.items() for k, v in opts.items()]
+)
+def test_option_the_command_does_not_read_is_config_error(
+    tmp_path, capsys, command, key, value, via
+):
+    if via == "flag":
+        argv = [command, "--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv = [command, "--config", cfg]
+    assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_abbreviated_option_is_config_error(tmp_path, capsys, via):
+    # `eps` is a prefix of eps_grid, and `prob` of probes
+    for command, key in (("volume-scan", "eps"), ("nets-demo", "prob")):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0.1\n")
+        argv = [command, f"--{key}", "0.1"] if via == "flag" else [command, "--config", cfg]
+        assert run_cli(argv + ["--out-dir", tmp_path]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+_CHEAP_RUNS = {
+    "render-stimulus": (["--n", 60, "--n1", 20, "--beta", 1.5, "--segment-length", 0.03],
+                        ["stimulus.svg"]),
+    "exponent-sweep": (["--n-grid", "300,600,1200", "--trials", 5], ["sweep.csv", "report.txt"]),
+    "volume-scan": (["--k", 2, "--d", 3, "--eps-grid", "0.5,0.3", "--trials", 3000],
+                    ["volume.csv"]),
+    "nets-demo": (["--eps-grid", "0.5", "--probes", 50, "--export-members"],
+                  ["nets.csv", "packing_0.5.csv", "covering_0.5.csv"]),
+    "power": (["--n", 400, "--n1", 40, "--trials", 100, "--level", 0.1], ["power.csv"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_CHEAP_RUNS))
+def test_manifest_lists_exactly_the_command_options_and_reruns_it(tmp_path, command):
+    extra, outputs = _CHEAP_RUNS[command]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run_cli([command, *extra, "--seed", 9, "--out-dir", first]) == 0
+    lines = (first / "manifest.txt").read_text().splitlines()
+    assert lines[1] == f"command = {command}"
+    assert [ln.split(" = ")[0] for ln in lines[2:]] == _MANIFEST_KEYS[command].split()
+    assert run_cli([command, "--config", first / "manifest.txt", "--out-dir", second]) == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert (second / "manifest.txt").read_text() == "\n".join(lines).replace(
+        f"out_dir = {first}", f"out_dir = {second}") + "\n"
+
+
+@pytest.mark.parametrize(
+    "line,flags,members",
+    [
+        ("export_members = maybe", [], None),
+        ("export_members = 2", [], None),
+        ("export_members = yes", [], True),
+        ("export_members = off", [], False),
+        ("export_members = False", ["--export-members"], True),
+        ("export_members = true", ["--export-members=0"], False),
+    ],
+)
+def test_config_boolean_needs_a_true_or_false_spelling(tmp_path, capsys, line, flags, members):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    argv = ["nets-demo", "--config", cfg, "--eps-grid", 0.5, "--probes", 5, *flags]
+    rc = run_cli(argv + ["--out-dir", out])
+    if members is None:
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error:")
+    else:
+        assert rc == 0
+        assert (out / "packing_0.5.csv").exists() is members
+        assert f"export_members = {members}" in (out / "manifest.txt").read_text()
+
+
+_README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_examples_parse():
+    blocks = re.findall(r"```sh\n(.*?)```", _README, flags=re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    examples = [shlex.split(ln)[1:] for ln in lines if ln.startswith("alignstat ")]
+    assert sorted(argv[0] for argv in examples) == sorted(COMMANDS)
+    for argv in examples:
+        assert parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "text,start,stop",
+    [
+        (_README, "beyond those:", "A config file is flat"),
+        (alignstat.cli.__doc__, "Commands and their options", "Every command also takes"),
+    ],
+    ids=["readme", "docstring"],
+)
+def test_documented_options_match_the_table(text, start, stop):
+    section = text[text.index(start) : text.index(stop)]
+    commands = "|".join(map(re.escape, COMMANDS))
+    parts = re.split(rf"^\W*({commands})\W", section, flags=re.M)[1:]
+    documented = {
+        command: set(re.findall(r"--[a-z0-9-]+", body))
+        for command, body in zip(parts[::2], parts[1::2])
+    }
+    assert documented == {
+        command: {"--" + name.replace("_", "-") for name in names}
+        for command, (names, _) in COMMANDS.items()
+    }
