@@ -20,10 +20,12 @@ option it does not read.  A config file is ``key = value`` text that goes
 through the same parser as the flags: each line becomes ``--key=value``
 ahead of the command line, so flags override the file, and an unknown key
 or a bad value is the same error as a bad flag.  A boolean takes 1, true,
-yes or on, or 0, false, no or off.  Every run writes a manifest echoing the
-full effective configuration (a manifest is itself a valid config file, so
-re-running from it reproduces the outputs byte for byte).  Its first line
-is a ``#`` comment naming the alignstat, numpy and Python versions.
+yes or on, or 0, false, no or off.  Every run that completes (exit 0) or
+stops on a numerical error (exit 3) writes a manifest echoing the full
+effective configuration (a manifest is itself a valid config file, so
+re-running from it reproduces the outputs byte for byte); a rejected
+configuration (exit 2) writes none.  Its first line is a ``#`` comment
+naming the alignstat, numpy and Python versions.
 
 Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
 requested sizes counts as one), 3 numerical error.
@@ -32,6 +34,7 @@ requested sizes counts as one), 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import platform
 import sys
@@ -126,6 +129,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliConfigError(message)
 
 
+@functools.cache  # built once per process; parsing never mutates it
 def _build_parser() -> argparse.ArgumentParser:
     # no abbreviations: an unknown key such as `eps` must not match --eps-grid
     parser = _Parser(
@@ -381,10 +385,9 @@ def main(argv=None) -> int:
         return 2
     except SystemExit as exc:
         return int(exc.code or 0)
+    out_dir = Path(args.out_dir)
     try:
-        out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(args, out_dir)
         handler = {
             "render-stimulus": cmd_render_stimulus,
             "exponent-sweep": cmd_exponent_sweep,
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
             "nets-demo": cmd_nets_demo,
             "power": cmd_power,
         }[args.command]
-        return handler(args, out_dir)
+        code = handler(args, out_dir)
     except (CliConfigError, ParamOrder, DimensionMismatch, BudgetExceeded) as exc:
         # Every parameter reaching the library here came from the command
         # line or a config file, so a violated ordering or dimension rule,
@@ -401,7 +404,10 @@ def main(argv=None) -> int:
         return 2
     except AlignstatError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 3
+        code = 3
+    # a rejected configuration ran nothing, so only a run that ran gets a manifest
+    _write_manifest(args, out_dir)
+    return code
 
 
 if __name__ == "__main__":

@@ -170,7 +170,7 @@ def generate_null_oriented(n: int, k: int, d: int, rng: np.random.Generator) -> 
     if n < 0:
         raise ParamOrder("n must be >= 0")
     z = rng.random((n, d))
-    frames = sample_uniform_frames(rng, n, k, d) if n else np.zeros((0, d, k))
+    frames = sample_uniform_frames(rng, n, k, d)
     return OrientedSamples(z, frames)
 
 
@@ -182,10 +182,8 @@ def generate_alt_oriented(
         raise ParamOrder(f"need 0 <= n1 <= n, got n1={n1}, n={n}")
     background = generate_null_oriented(n - n1, f.k, f.d, rng)
     xs1 = rng.random((n1, f.k))
-    z1 = f.point_grid(xs1) if n1 else np.zeros((0, f.d))
-    frames1 = f.tangent_frames(xs1) if n1 else np.zeros((0, f.d, f.k))
-    z = np.concatenate([background.z, z1], axis=0)
-    frames = np.concatenate([background.frames, frames1], axis=0)
+    z = np.concatenate([background.z, f.point_grid(xs1)], axis=0)
+    frames = np.concatenate([background.frames, f.tangent_frames(xs1)], axis=0)
     perm = rng.permutation(n)
     return OrientedSamples(z[perm], frames[perm])
 

@@ -68,7 +68,6 @@ from .detection import (
     cell_counts,
     chart_jets,
     exponent_rho,
-    exponent_rho_dir,
     fit_scaling_exponent,
     generate_null_jets,
     greedy_cell_statistic,
@@ -429,10 +428,7 @@ def run_sweep(
     fit = None
     if len({n for n, _ in means}) >= 3 and all(m > 0 for _, m in means):
         fit = fit_scaling_exponent(means)
-    if config.problem == "oriented":
-        target = float(exponent_rho_dir(config.k, config.d))
-    else:
-        target = float(exponent_rho(config.k, config.d, config.alpha, config.r0)[1])
+    target = float(exponent_rho(config.k, config.d, config.alpha, config.r0)[1])
     return SweepResult(records, means, fit, target, elapsed)
 
 

@@ -19,14 +19,20 @@ arctan2(sine, cosine), accurate at both ends, with both extreme singular
 values in closed form (plain square roots, no hypot) for vector and
 2-by-2 blocks, and one batched QR completion per chunk of centers.
 
+Every uniform plane comes from one Gaussian draw, an (m, d, k) stack of
+independent standard normals, whose span is uniform on G(k, d)
+(Chikuse 2003).  :func:`sample_uniform_frames` reads it as orthonormal
+frames (one frame gives :func:`sample_uniform_subspace`, one d-by-d frame
+:func:`sample_orthogonal_matrix`), and :func:`sample_uniform_charts`
+reads it as graph charts.
+
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 stack of bases to its chart-regular mask (:func:`chart_regular`) and the
 transposed charts B A^{-1}, in closed form for k <= 2.  The chart does
 not depend on the basis, so the oriented reduction and :func:`graph_chart`
 read it from orthonormal frames, while the trial engine and the
-chart-cube measure read it straight from the Gaussian draw
-(:func:`sample_uniform_charts`) with no orthonormalization.  Uniform
-frames (:func:`sample_uniform_frames`) remain for the angle kernel.
+chart-cube measure read it straight from the Gaussian draw with no
+orthonormalization.
 """
 
 from __future__ import annotations
@@ -109,14 +115,6 @@ class ChartMatrix:
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
 
-    @property
-    def dim_sub(self) -> int:
-        return self.y.shape[1]
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.y.shape[0] + self.y.shape[1]
-
 
 def orthonormalize(raw: np.ndarray) -> Subspace:
     """Return the subspace spanned by the columns of ``raw``.
@@ -164,28 +162,18 @@ def canonical_angle(h: Subspace, kk: Subspace) -> float:
 
 
 def sample_uniform_subspace(rng: np.random.Generator, k: int, d: int) -> Subspace:
-    """Draw from the rotation-invariant distribution on G(k, d).
-
-    Realized by orthonormalizing a d-by-k matrix of independent standard
-    normals; invariance follows from the rotation invariance of the
-    Gaussian ensemble.
-    """
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
-    for _ in range(8):
-        try:
-            return orthonormalize(rng.standard_normal((d, k)))
-        except RankDeficient:  # pragma: no cover - probability-zero draw
-            continue
-    raise RankDeficient("repeated rank-deficient Gaussian draws")  # pragma: no cover
+    """One draw from the rotation-invariant distribution on G(k, d): the
+    single frame of :func:`sample_uniform_frames`."""
+    return Subspace(sample_uniform_frames(rng, 1, k, d)[0])
 
 
 def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int) -> np.ndarray:
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
-    Equivalent in distribution to repeated :func:`sample_uniform_subspace`
-    but vectorized; used wherever the frame itself is needed (the angle
-    kernel's ball measure and covering probes, the oriented generators),
+    The frame reading of the package's one Gaussian draw; used wherever
+    the frame itself is needed (the angle kernel's ball measure and
+    covering probes, the oriented generators, and, as single draws,
+    :func:`sample_uniform_subspace` and :func:`sample_orthogonal_matrix`),
     while chart-only draws take :func:`sample_uniform_charts`.  The frame
     is the Q factor of a Gaussian d-by-k matrix with R's diagonal
     positive, the sign convention that makes the distribution exactly
@@ -373,12 +361,9 @@ def min_canonical_angle(
 
 
 def sample_orthogonal_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
-    """Haar-distributed d-by-d orthogonal matrix (QR with sign fix)."""
-    g = rng.standard_normal((d, d))
-    q, r = np.linalg.qr(g)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0.0] = 1.0
-    return q * signs
+    """Haar-distributed d-by-d orthogonal matrix: the k = d case of
+    :func:`sample_uniform_frames`."""
+    return sample_uniform_frames(rng, 1, d, d)[0]
 
 
 def graph_chart(w: Subspace) -> ChartMatrix:
@@ -451,9 +436,8 @@ def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def chart_to_subspace(y: ChartMatrix | np.ndarray) -> Subspace:
     """Subspace spanned by the columns of [I_k ; y]."""
     arr = y.y if isinstance(y, ChartMatrix) else np.asarray(y, dtype=float)
-    k = arr.shape[1]
-    stacked = np.vstack([np.eye(k), arr])
-    return orthonormalize(stacked)
+    d = sum(arr.shape)
+    return subspace_from_normal_form(tuple(range(d)), arr, d)
 
 
 # Relative margin within which two pivot minors count as tied; far above

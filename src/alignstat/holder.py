@@ -176,10 +176,6 @@ class JetSamples:
     def __getitem__(self, i: int) -> JetPoint:
         return JetPoint(self.xs[i], self.ys[i])
 
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
     def take(self, idx) -> "JetSamples":
         return JetSamples(self.params, self.xs[idx], self.ys[idx])
 
@@ -500,9 +496,6 @@ class PolyJetFunction:
                 out[:, row, :] += scale * mono[:, None] * np.asarray(c, dtype=float)[None, :]
         return out
 
-    def jet_at(self, x: np.ndarray, t_list) -> np.ndarray:
-        return self.jet_grid(np.asarray(x, dtype=float)[None, :], t_list)[0]
-
 
 def constant_function(k: int, value: np.ndarray | float, dim_out: int | None = None) -> PolyJetFunction:
     value = np.atleast_1d(np.asarray(value, dtype=float))
@@ -594,7 +587,7 @@ def holder_membership_check(
     tol = params.beta * (1.0 + tol_rel)
     norms = {}
     for row, t in enumerate(t_all):
-        norms[t] = float(np.max(np.abs(jets[:, row, :]))) if len(xs) else 0.0
+        norms[t] = float(np.max(np.abs(jets[:, row, :])))
     # one contiguous row per coordinate, so each block reads whole planes
     coords = xs.T.copy()
     order_r = [jets[:, row, :].T.copy() for row, t in enumerate(t_all) if sum(t) == params.r]

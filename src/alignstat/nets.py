@@ -41,9 +41,8 @@ from math import comb, inf
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder, RankDeficient
+from .errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder
 from .grassmann import (
-    RANK_TOL,
     Subspace,
     batch_canonical_angle,
     min_canonical_angle,
@@ -95,7 +94,8 @@ def _grid_family(
 
     One member per sigma and n in levels^((d-k)k), sigma in the outer
     order and n in lexicographic order, orthonormalized by one batched
-    SVD.
+    SVD.  Each raw frame holds I_k on its pivot rows, so |raw v| >= |v|
+    and every member has full rank.
     """
     n_entries = (d - k) * k
     n_grid = np.stack(np.meshgrid(*[levels] * n_entries, indexing="ij"), axis=-1)
@@ -105,9 +105,7 @@ def _grid_family(
     for block, sigma in zip(raw, sigmas):
         block[:, np.array(sigma[:k]), np.arange(k)] = 1.0
         block[:, np.array(sigma[k:]), :] = slopes
-    frames, svals, _ = np.linalg.svd(raw.reshape(-1, d, k), full_matrices=False)
-    if np.any(svals[:, -1] <= RANK_TOL):
-        raise RankDeficient(f"a grid member has singular value <= {RANK_TOL:.0e}")
+    frames = np.linalg.svd(raw.reshape(-1, d, k), full_matrices=False)[0]
     frames.setflags(write=False)
     return SubspaceFamily(
         eps=eps,

@@ -215,7 +215,8 @@ class TestExponentSweep:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "command,line", [("power", "trials = abc"), ("volume-scan", "k = 1.5")]
+        "command,line",
+        [("power", "trials = abc"), ("volume-scan", "k = 1.5"), ("power", "trials 5")],
     )
     def test_unparsable_config_value_is_config_error(self, tmp_path, capsys, command, line):
         cfg = tmp_path / "bad.cfg"
@@ -351,11 +352,14 @@ class TestPower:
         ["render-stimulus", "--beta", 0.9],
         ["render-stimulus", "--beta", "nan"],
         ["nets-demo", "--export-members=maybe"],
+        ["exponent-sweep", "--n-grid", "1000,abc"],
+        ["exponent-sweep", "--c2", "huge"],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out-dir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "manifest.txt").exists()
 
 
 # The options each command stopped accepting, with a value it would once
@@ -489,3 +493,46 @@ def test_documented_options_match_the_table(text, start, stop):
         command: {"--" + name.replace("_", "-") for name in names}
         for command, (names, _) in COMMANDS.items()
     }
+
+
+def test_two_runs_build_one_parser(tmp_path):
+    alignstat.cli._build_parser.cache_clear()
+    for name in ("a", "b"):
+        assert run_cli(["render-stimulus", "--n", 3, "--out-dir", tmp_path / name]) == 0
+    info = alignstat.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["render-stimulus", "--n", 10, "--n1", 5, "--beta", -5], 2),
+        (["volume-scan", "--k", 3, "--d", 2], 2),
+        (["exponent-sweep", "--n-grid", "1000", "--trials", 4], 3),
+    ],
+)
+def test_only_a_run_that_ran_writes_a_manifest(tmp_path, argv, code):
+    assert run_cli(argv + ["--out-dir", tmp_path]) == code
+    written = {path.name for path in tmp_path.iterdir()}
+    # a rejected configuration ran nothing; a degenerate sweep keeps its outputs
+    assert written == (set() if code == 2 else {"manifest.txt", "report.txt", "sweep.csv"})
+
+
+@pytest.mark.parametrize("form", ["separate", "equals"])
+def test_config_path_in_either_form_is_read(tmp_path, capsys, form):
+    cfg = tmp_path / "run.cfg"
+    for text, code in ((None, 2), ("n = abc", 2), ("n = 7", 0)):
+        if text is not None:
+            cfg.write_text(text + "\n")
+        config = ["--config", cfg] if form == "separate" else [f"--config={cfg}"]
+        out = tmp_path / f"out{code}"
+        assert run_cli(["render-stimulus", *config, "--out-dir", out]) == code
+    # a missing file and a bad value are config errors; a good file sets n
+    assert capsys.readouterr().err.count("config error:") == 2
+    assert (out / "stimulus.svg").read_text().count("<line") == 7
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["power", "-h"]])
+def test_help_exits_zero(capsys, argv):
+    assert run_cli(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: alignstat")

@@ -160,6 +160,16 @@ class TestOriented:
             gram = s.frames[i].T @ s.frames[i]
             assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 4)])
+    def test_empty_draws_have_stack_shapes(self, k, d):
+        rng = np.random.default_rng(3)
+        null = generate_null_oriented(0, k, d, rng)
+        assert null.z.shape == (0, d) and null.frames.shape == (0, d, k)
+        lift = GraphLift(constant_function(k, np.full(d - k, 0.3)), HolderParams(k, d, 2.0, 1.0, 1))
+        for n1 in (0, 5):
+            s = generate_alt_oriented(5, n1, lift, rng)
+            assert s.z.shape == (5, d) and s.frames.shape == (5, d, k)
+
     def test_planted_point_on_graph_with_tangent(self):
         params = HolderParams(1, 2, 2.0, 4.0, 1)
         g = PolyJetFunction(1, 1, {(0,): np.array([0.3]), (2,): np.array([0.5])})
@@ -666,3 +676,40 @@ class TestPipelineConsistency:
             JetSamples(params, jets.xs.copy(), jets.ys.copy()), params, 500, c2=UNIT_C2
         )
         assert sel_a.selected == sel_b.selected
+
+
+def _samples12(n=3):
+    return detection.OrientedSamples(np.full((n, 2), 0.5), np.full((n, 2, 1), np.sqrt(0.5)))
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: exponent_rho(1.0, 2, 2, 1), "integers"),
+        (lambda: exponent_rho_dir(2, 2), "k < d"),
+        (lambda: generate_null_jets(-1, P12, np.random.default_rng(0)), "n must be"),
+        (lambda: generate_null_oriented(-1, 1, 2, np.random.default_rng(0)), "n must be"),
+        (
+            lambda: generate_alt_jets(3, 4, constant_function(1, 0.5), P12,
+                                      np.random.default_rng(0)),
+            "n1 <= n",
+        ),
+        (
+            lambda: generate_alt_oriented(3, 4, GraphLift(constant_function(1, 0.5), P12),
+                                          np.random.default_rng(0)),
+            "n1 <= n",
+        ),
+        (lambda: detection.OrientedSamples(np.zeros((3, 2)), np.zeros((2, 2, 1))), "must be"),
+        (lambda: detection.OrientedSamples(np.zeros((3, 2)), np.zeros((3, 3, 1))), "ambient"),
+        (lambda: oriented_to_jets(_samples12(), HolderParams(1, 2, 3.0, 1.0, 1)), "alpha=2"),
+        (lambda: oriented_to_jets(_samples12(), HolderParams(1, 3, 2.0, 1.0, 1)), "dimensions"),
+        (lambda: coupon_moments(0, 3), "l >= 1"),
+    ],
+    ids=["rho-float-k", "rho-dir-k-equals-d", "null-jets-negative-n",
+         "null-oriented-negative-n", "alt-jets-n1-above-n", "alt-oriented-n1-above-n",
+         "oriented-samples-counts", "oriented-samples-ambient", "reduce-alpha-3",
+         "reduce-dims", "coupon-no-cells"],
+)
+def test_input_checks_raise_param_order(call, match):
+    with pytest.raises(ParamOrder, match=match):
+        call()

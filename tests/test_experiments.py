@@ -58,6 +58,10 @@ class TestConfig:
         with pytest.raises(ParamOrder):
             ExperimentConfig("waves", 1, 2, 2.0, 1.0, 1, 10, 0, 0, 1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ParamOrder, match="seed"):
+            ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, 10, 0, -1, 1)
+
 
 class TestSweep:
     def test_worker_count_does_not_change_records(self):
@@ -182,6 +186,14 @@ class TestCalibrationAndPower:
         thr = null_quantile_threshold(cfg, 0.05, 150)
         power = power_estimate(cfg, thr, 150)
         assert power.power >= 0.99
+
+
+def test_calibration_needs_100_trials_and_power_one():
+    config = small_config()
+    with pytest.raises(ParamOrder, match="100 calibration"):
+        null_quantile_threshold(config, 0.05, 99)
+    with pytest.raises(ParamOrder, match="trials"):
+        power_estimate(config, Threshold(1.0, 0.0, 0.05, 100), 0)
 
 
 class TestKeyedEngine:

@@ -321,6 +321,23 @@ class TestUniformSampling:
             gram = np.einsum("tdi,tdj->tij", frames, frames)
             assert np.max(np.abs(gram - np.eye(k))) < 1e-13
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 4), (2, 4), (3, 3)])
+    def test_one_subspace_is_one_batch_frame(self, k, d):
+        # one Gaussian draw behind every sampler: same frame, same stream position
+        a, b = np.random.default_rng(70 + d), np.random.default_rng(70 + d)
+        assert np.array_equal(
+            sample_uniform_subspace(a, k, d).frame, sample_uniform_frames(b, 1, k, d)[0]
+        )
+        assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_orthogonal_matrix_is_one_square_frame(self, d):
+        a, b = np.random.default_rng(80 + d), np.random.default_rng(80 + d)
+        q = sample_orthogonal_matrix(a, d)
+        assert np.array_equal(q, sample_uniform_frames(b, 1, d, d)[0])
+        assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+        assert np.max(np.abs(q @ q.T - np.eye(d))) < 1e-13
+
     def test_batch_matches_single_distribution(self):
         rng = np.random.default_rng(6)
         frames = sample_uniform_frames(rng, 200, 2, 4)
@@ -539,3 +556,21 @@ class TestDiscrepancyPsi:
 
         with pytest.raises(OutOfDomain):
             OrientedPoint(np.array([1.2, 0.0]), line(1, 0))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: Subspace(np.ones((2, 3))), DimensionMismatch),
+        (lambda: Subspace(np.array([[1.0], [1.0]])), RankDeficient),
+        (lambda: OrientedPoint(np.zeros(2), Subspace(np.eye(3)[:, :1])), DimensionMismatch),
+        (lambda: ChartMatrix(np.zeros(3)), DimensionMismatch),
+        (lambda: orthonormalize(np.ones((2, 3))), DimensionMismatch),
+        (lambda: sample_uniform_frames(np.random.default_rng(0), 4, 3, 2), DimensionMismatch),
+    ],
+    ids=["wide-frame", "non-orthonormal-frame", "oriented-point-dims", "chart-not-2d",
+         "orthonormalize-wide", "frames-k-above-d"],
+)
+def test_input_checks(call, error):
+    with pytest.raises(error):
+        call()

@@ -25,8 +25,10 @@ from alignstat.errors import (
 )
 from alignstat.grassmann import canonical_angle, orthonormalize
 from alignstat.holder import (
+    GraphLift,
     HolderParams,
     JetPoint,
+    JetSamples,
     PolyJetFunction,
     build_interpolant,
     bump_basis,
@@ -619,6 +621,7 @@ def test_load_rejects_malformed_files(tmp_path):
     # header lines without the eps/c2 line that must follow them, and lines
     # that do not parse
     for name, lines in (
+        ("no_magic", [head, meta, node]),
         ("header_only", [magic, head]),
         ("magic_only", [magic]),
         ("no_meta", [magic, head, node]),
@@ -631,3 +634,50 @@ def test_load_rejects_malformed_files(tmp_path):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParamOrder):
             load_interpolant(bad)
+
+
+def test_jet_samples_iterate_as_jet_points_in_order():
+    rng = np.random.default_rng(4)
+    xs, ys = rng.random((5, 1)), rng.random((5, 2, 1))
+    points = list(JetSamples(P12, xs, ys))
+    assert len(points) == 5
+    for i, point in enumerate(points):
+        assert isinstance(point, JetPoint)
+        assert np.array_equal(point.x, xs[i]) and np.array_equal(point.y, ys[i])
+
+
+def test_one_dimensional_jets_are_one_output_column():
+    assert JetPoint([0.5], [0.3, 0.1]).y.shape == (2, 1)
+    a, b = np.array([0.3, 0.1]), np.array([0.2, 0.4])
+    assert discrepancy_phi(a, b, P12) == discrepancy_phi(a[:, None], b[:, None], P12)
+
+
+def test_angle_margin_is_void_for_curves():
+    lift = GraphLift(constant_function(1, 0.5), P12)
+    assert lift.angle_margin(np.array([[0.3], [0.6]])) == np.pi / 2
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: multi_index_set(0, 1), ParamOrder, "k >= 1"),
+        (lambda: JetSamples(P12, np.zeros((3, 2)), np.zeros((3, 2, 1))), ParamOrder, "xs"),
+        (lambda: JetSamples(P12, np.zeros((3, 1)), np.zeros((3, 3, 1))), ParamOrder, "ys"),
+        (lambda: cell_grid(P12, 0.0), ParamOrder, "eps > 0"),
+        (
+            lambda: build_interpolant([JetPoint([1.5], [[0.008], [0.05]])],
+                                      HolderParams(1, 2, 2.0, 2000.0, 1), 0.01),
+            OutOfDomain,
+            "outside",
+        ),
+        (lambda: holder_membership_check(constant_function(1, 0.5), P12, grid_n=1),
+         ParamOrder, "grid_n"),
+        (lambda: graph_lift(constant_function(1, 0.5), HolderParams(1, 2, 3.0, 1.0, 1)),
+         ParamOrder, "alpha = 2"),
+    ],
+    ids=["index-set-k-0", "samples-xs-shape", "samples-ys-shape", "cell-grid-eps-0",
+         "node-outside-cube", "membership-grid-1", "lift-alpha-3"],
+)
+def test_input_checks(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

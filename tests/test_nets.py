@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alignstat import nets
-from alignstat.errors import BudgetExceeded, EmptyFamily, ParamOrder
+from alignstat.errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder
 from alignstat.grassmann import (
     Subspace,
     canonical_angle,
@@ -353,3 +353,36 @@ def test_members_are_built_on_demand_from_the_read_only_stack(tmp_path):
         assert cells[3] == "|".join(map(str, fam.sigma[i]))
         assert cells[4] == "|".join(map(str, fam.n[i]))
         assert [float(v) for v in cells[5:]] == fam.frames[i].reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("build", [packing_family, covering_family])
+@pytest.mark.parametrize("k,d,eps", [(1, 2, 0.0), (1, 2, 1.5), (2, 2, 0.5), (0, 2, 0.5)])
+def test_families_check_eps_and_dimensions(build, k, d, eps):
+    with pytest.raises(ParamOrder):
+        build(k, d, eps)
+
+
+def test_probe_and_family_dimensions_must_match():
+    with pytest.raises(DimensionMismatch):
+        nearest_in_family(Subspace(np.eye(4)[:, :2]), packing_family(1, 2, 0.5))
+
+
+def test_covering_radius_needs_members():
+    empty = nets.SubspaceFamily(
+        0.5, "covering", np.zeros((0, 2, 1)), np.zeros((0, 2), int), np.zeros((0, 1), int)
+    )
+    with pytest.raises(EmptyFamily):
+        covering_radius_estimate(empty, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda rng: ball_measure_estimate(Subspace(np.eye(2)[:, :1]), 0.1, 0, rng),
+        lambda rng: chart_cube_measure_estimate(1, 2, 0.1, 0, rng),
+    ],
+    ids=["ball", "chart-cube"],
+)
+def test_measure_estimates_need_a_trial(estimate):
+    with pytest.raises(ParamOrder, match="trials"):
+        estimate(np.random.default_rng(0))
