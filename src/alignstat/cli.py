@@ -23,9 +23,10 @@ or a bad value is the same error as a bad flag.  A boolean takes 1, true,
 yes or on, or 0, false, no or off.  Every run that completes (exit 0) or
 stops on a numerical error (exit 3) writes a manifest echoing the full
 effective configuration (a manifest is itself a valid config file, so
-re-running from it reproduces the outputs byte for byte); a rejected
-configuration (exit 2) writes none.  Its first line is a ``#`` comment
-naming the alignstat, numpy and Python versions.
+re-running from it reproduces the outputs byte for byte).  Its first line
+is a ``#`` comment naming the alignstat, numpy and Python versions.  A
+rejected configuration (exit 2) writes none, and removes the output
+directory again if the run created it.
 
 Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
 requested sizes counts as one), 3 numerical error.
@@ -37,6 +38,7 @@ import argparse
 import functools
 import math
 import platform
+import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -386,6 +388,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out_dir = Path(args.out_dir)
+    # the outermost directory this run creates, removed again if it is rejected
+    created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {
@@ -401,6 +405,8 @@ def main(argv=None) -> int:
         # line or a config file, so a violated ordering or dimension rule,
         # or a size over its budget, is a configuration error.
         print(f"config error: {exc}", file=sys.stderr)
+        if created is not None:
+            shutil.rmtree(created)
         return 2
     except AlignstatError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -17,7 +17,12 @@ cosine.  Every batched angle goes through one blocked kernel
 (:func:`batch_canonical_angle`, :func:`min_canonical_angle`), which takes
 arctan2(sine, cosine), accurate at both ends, with both extreme singular
 values in closed form (plain square roots, no hypot) for vector and
-2-by-2 blocks, and one batched QR completion per chunk of centers.
+2-by-2 blocks, and one batched QR completion per chunk of centers.  The
+nearest-member search ranks pairs by the sine alone, which needs only
+the complement rows N^T A, then takes the exact arctan2 angle of each
+center's winning pair; a center whose winning sine exceeds
+``_COS_SWITCH``, where the sine no longer separates angles finely, is
+ranked again by the full angle.
 
 Every uniform plane comes from one Gaussian draw, an (m, d, k) stack of
 independent standard normals, whose span is uniform on G(k, d)
@@ -37,6 +42,7 @@ orthonormalization.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -133,6 +139,8 @@ def orthonormalize(raw: np.ndarray) -> Subspace:
 
 # Above this cosine the acos route loses precision (error ~ ulp / sin);
 # switch to asin of the projection residual, which is exact near zero.
+# Likewise above this sine the sine resolves angles more coarsely than
+# arctan2 does, so the nearest-member screen ranks those centers again.
 _COS_SWITCH = 0.7
 
 
@@ -275,31 +283,47 @@ def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
     return svals[..., 0] if largest else svals[..., -1]
 
 
-def _angle_block(q: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
-    """Largest canonical angle of every (center, frame) pair, shape (c, t).
+def _pair_products(qt: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Products P = Q_j^T A_i of every (center, frame) pair, shape (r, k1, c, t).
 
-    ``q`` holds the complete bases of c centers of dimension k2, ``frames``
-    shape (t, d, k1).  With P = Q_j^T A_i, cos of the angle is the smallest
-    singular value of the top k2-by-k1 block and sin the largest of the
-    bottom (d-k2)-by-k1 block; the angle is arctan2(sin, cos), which is
-    accurate at both ends: sin carries near-coincident pairs and cos
-    nearly orthogonal ones, and no clipping is needed.
+    ``qt`` holds c transposed bases, shape (c, r, d), ``frames`` shape
+    (t, d, k1); one matmul covers the whole block, and the matrix axes
+    come first, as :func:`_extreme_singular_value` reads them.
     """
-    c, d, _ = q.shape
+    c, r, d = qt.shape
     t, _, k1 = frames.shape
     flat = frames.transpose(1, 2, 0).reshape(d, k1 * t)
-    prod = (q.transpose(0, 2, 1) @ flat).reshape(c, d, k1, t).transpose(1, 2, 0, 3)
+    return (qt @ flat).reshape(c, r, k1, t).transpose(1, 2, 0, 3)
+
+
+def _product_angle(prod: np.ndarray, k2: int) -> np.ndarray:
+    """Largest canonical angle from products P = Q^T A, shape (d, k1, ...).
+
+    cos of the angle is the smallest singular value of the top k2-by-k1
+    block and sin the largest of the bottom (d-k2)-by-k1 block; the angle
+    is arctan2(sin, cos), which is accurate at both ends: sin carries
+    near-coincident pairs and cos nearly orthogonal ones, and no clipping
+    is needed.
+    """
     cos = _extreme_singular_value(prod[:k2], largest=False)
     sin = _extreme_singular_value(prod[k2:], largest=True)
     return np.arctan2(sin, cos, out=sin)
+
+
+def _angle_block(qt: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
+    """Largest canonical angle of every (center, frame) pair, shape (c, t).
+
+    ``qt`` holds the transposed complete bases of c centers of dimension
+    k2, shape (c, d, d), ``frames`` shape (t, d, k1).
+    """
+    return _product_angle(_pair_products(qt, frames), k2)
 
 
 def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Largest canonical angle from each frame in a batch to one frame.
 
     ``frames`` has shape (t, d, k1), ``center`` shape (d, k2) with
-    k1 <= k2.  Returns shape (t,).  This is the one-center case of
-    :func:`min_canonical_angle`'s kernel: the center is completed to an
+    k1 <= k2.  Returns shape (t,).  The center is completed to an
     orthonormal basis [B, N] of R^d, cos comes from B^T A and sin from
     N^T A (Bjorck & Golub 1973), so small angles keep full accuracy as in
     :func:`canonical_angle`.  Frames are processed ``_PAIR_BUDGET`` at a
@@ -307,12 +331,48 @@ def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     """
     centers = center[None]
     _check_pair_shapes(frames, centers)
-    q = _complete_bases(centers)
+    qt = _complete_bases(centers).transpose(0, 2, 1)
     out = np.empty(frames.shape[0])
     for start in range(0, frames.shape[0], _PAIR_BUDGET):
         stop = start + _PAIR_BUDGET
-        out[start:stop] = _angle_block(q, center.shape[1], frames[start:stop])[0]
+        out[start:stop] = _angle_block(qt, center.shape[1], frames[start:stop])[0]
     return out
+
+
+def _blocked_argmin(
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    bases: np.ndarray,
+    frames: np.ndarray,
+    rows: np.ndarray,
+    later_only: bool,
+    center_step: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Least score over the frames for each center, and its lowest index.
+
+    ``score(bases[g0:g1], frames[f0:f1])`` gives the (g, f) scores of one
+    block of at most ``_PAIR_BUDGET`` pairs: ``center_step`` centers
+    against ``_PAIR_BUDGET // center_step`` frames.  ``rows`` (increasing)
+    are the centers' indices in their stack, which ``later_only`` compares
+    with the frame indices; a center with no frame left gets inf and -1.
+    """
+    t = frames.shape[0]
+    frame_step = _PAIR_BUDGET // center_step
+    best = np.full(len(rows), np.inf)
+    arg = np.full(len(rows), -1, dtype=np.int64)
+    for g0 in range(0, len(rows), center_step):
+        g1 = min(len(rows), g0 + center_step)
+        group = rows[g0:g1]
+        for f0 in range(group[0] + 1 if later_only else 0, t, frame_step):
+            f1 = min(t, f0 + frame_step)
+            scores = score(bases[g0:g1], frames[f0:f1])
+            if later_only:
+                scores[np.arange(f0, f1)[None, :] <= group[:, None]] = np.inf
+            pos = np.argmin(scores, axis=1)
+            val = scores[np.arange(g1 - g0), pos]
+            better = val < best[g0:g1]
+            best[g0:g1][better] = val[better]
+            arg[g0:g1][better] = pos[better] + f0
+    return best, arg
 
 
 def min_canonical_angle(
@@ -327,36 +387,42 @@ def min_canonical_angle(
     looks at frames i > j; a center with no such frame gets angle inf and
     index -1.
 
-    Blocks of at most ``_PAIR_BUDGET`` pairs go through
-    :func:`_angle_block` with one matmul, so memory stays bounded whatever
-    t and c are.  The centers are completed to orthonormal bases by one
-    batched QR per chunk of at most ``_PAIR_BUDGET`` centers (a whole
-    number of blocks), whose bases take at most ``_PAIR_BUDGET`` d^2
-    floats.
+    The centers are completed to orthonormal bases [B, N] by one batched
+    QR per chunk of at most ``_PAIR_BUDGET`` centers, whose bases take at
+    most ``_PAIR_BUDGET`` d^2 floats.  A screen ranks the pairs by the
+    sine alone, the largest singular value of N^T A, in blocks of at most
+    ``_PAIR_BUDGET`` pairs: on [0, pi/2] the angle increases with its
+    sine, so this picks the nearest frame up to ties within rounding, at
+    the cost of the d-k2 complement rows only.  Each center's winning pair
+    then gets its exact arctan2 angle from its own product.  Above
+    ``_COS_SWITCH`` the sine separates angles less finely than arctan2
+    does (sin(pi/2 - delta) rounds to 1 for delta below about 1e-8), so a
+    center whose winning sine exceeds it is ranked again by the full angle.
     """
     _check_pair_shapes(frames, centers)
     t, c, k2 = frames.shape[0], centers.shape[0], centers.shape[2]
     best = np.full(c, np.inf)
     arg = np.full(c, -1, dtype=np.int64)
-    frame_step = max(1, min(t, _PAIR_BUDGET))
-    center_step = max(1, _PAIR_BUDGET // frame_step)
+    center_step = _PAIR_BUDGET // max(1, min(t, _PAIR_BUDGET))
     chunk = _PAIR_BUDGET // center_step * center_step
-    for c0 in range(0, c, center_step):
-        c1 = min(c, c0 + center_step)
-        if c0 % chunk == 0:
-            q_chunk = _complete_bases(centers[c0 : c0 + chunk])
-        q = q_chunk[c0 % chunk : c0 % chunk + (c1 - c0)]
-        rows = np.arange(c0, c1)
-        for f0 in range(c0 + 1 if later_only else 0, t, frame_step):
-            f1 = min(t, f0 + frame_step)
-            angles = _angle_block(q, k2, frames[f0:f1])
-            if later_only:
-                angles[np.arange(f0, f1)[None, :] <= rows[:, None]] = np.inf
-            pos = np.argmin(angles, axis=1)
-            val = angles[np.arange(c1 - c0), pos]
-            better = val < best[c0:c1]
-            best[c0:c1][better] = val[better]
-            arg[c0:c1][better] = pos[better] + f0
+    for c0 in range(0, c, chunk):
+        rows = np.arange(c0, min(c, c0 + chunk))
+        qt = _complete_bases(centers[c0 : c0 + chunk]).transpose(0, 2, 1)
+        # the screen: sin = sigma_max(N^T A) from the complement rows alone
+        sin, idx = _blocked_argmin(
+            lambda n, f: _extreme_singular_value(_pair_products(n, f), largest=True),
+            np.ascontiguousarray(qt[:, k2:]), frames, rows, later_only, center_step,
+        )
+        found = idx >= 0
+        prod = qt[found] @ frames[idx[found]]
+        best[rows[found]] = _product_angle(prod.transpose(1, 2, 0), k2)
+        arg[rows] = idx
+        coarse = found & (sin > _COS_SWITCH)
+        if coarse.any():
+            best[rows[coarse]], arg[rows[coarse]] = _blocked_argmin(
+                lambda q, f: _angle_block(q, k2, f),
+                qt[coarse], frames, rows[coarse], later_only, center_step,
+            )
     return best, arg
 
 
@@ -409,6 +475,26 @@ def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     kernel of the package.
     """
     k = frames.shape[2]
+    if k == 2:
+        # one contiguous (d, 2, m) plane stack, so every entry a[:, i, j]
+        # and every column b[:, :, j] is a contiguous run over the frames
+        planes = np.ascontiguousarray(frames.transpose(1, 2, 0))
+        ok = chart_regular(planes[:2].transpose(2, 0, 1))
+        if not ok.all():
+            planes = planes[:, :, ok]
+        (a00, a01), (a10, a11) = planes[0], planes[1]
+        b0, b1 = planes[2:, 0], planes[2:, 1]
+        det = a00 * a11 - a01 * a10
+        # yt[:, 0] = (a11 b0 - a10 b1) / det, yt[:, 1] = (a00 b1 - a01 b0) / det,
+        # evaluated in place with one temporary
+        yt = np.empty((2,) + b0.shape)
+        tmp = np.empty_like(b0)
+        np.multiply(a11, b0, out=yt[0])
+        yt[0] -= np.multiply(a10, b1, out=tmp)
+        np.multiply(a00, b1, out=yt[1])
+        yt[1] -= np.multiply(a01, b0, out=tmp)
+        yt /= det
+        return yt.transpose(2, 0, 1), ok
     a = frames[:, :k, :]
     b = frames[:, k:, :]
     ok = chart_regular(a)
@@ -416,20 +502,6 @@ def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a, b = a[ok], b[ok]
     if k == 1:
         return (b / a).transpose(0, 2, 1), ok
-    if k == 2:
-        a00, a01, a10, a11 = (a[:, i, j, None] for i in range(2) for j in range(2))
-        b0, b1 = b[:, :, 0], b[:, :, 1]
-        det = a00 * a11 - a01 * a10
-        # yt[:, 0] = (a11 b0 - a10 b1) / det, yt[:, 1] = (a00 b1 - a01 b0) / det,
-        # evaluated in place with one temporary
-        yt = np.empty((a.shape[0], 2, b.shape[1]))
-        tmp = np.empty_like(b0)
-        np.multiply(a11, b0, out=yt[:, 0])
-        yt[:, 0] -= np.multiply(a10, b1, out=tmp)
-        np.multiply(a00, b1, out=yt[:, 1])
-        yt[:, 1] -= np.multiply(a01, b0, out=tmp)
-        yt /= det[:, :, None]
-        return yt, ok
     return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)), ok
 
 

@@ -20,10 +20,13 @@ Members are built as one (m, d, k) grid stack and orthonormalized by one
 batched SVD.  Packing separation and covering probes are minima of the
 largest canonical angle over all member pairs and over all (probe,
 member) pairs; both go through ``grassmann.min_canonical_angle``, which
-completes each center to an orthonormal basis [B, N] of R^d, reads cos
-from B^T A and sin from N^T A for a whole block of pairs at once, takes
-the angle as arctan2(sin, cos), and holds at most a fixed pair budget of
-products in memory.
+completes each center to an orthonormal basis [B, N] of R^d and ranks a
+whole block of pairs at once by the sine alone, the largest singular
+value of N^T A, holding at most a fixed pair budget of products in
+memory.  Each center's winning pair then gets its exact angle
+arctan2(sin, cos), with cos from B^T A; a center whose winning sine
+exceeds 0.7 (about 44 degrees), where sines of nearby angles round
+alike, is ranked again by the full angle.
 
 Monte Carlo estimators for the invariant measure of metric balls and of
 chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.  Both
@@ -53,9 +56,10 @@ from .grassmann import (
 DEFAULT_FAMILY_CAP = 10**6
 
 # Largest packing whose minimum pairwise angle is measured, about 33 M
-# member pairs.  With one BLAS thread on a 2-vCPU host the blocked angle
-# kernel measured 8100 lines in R^3 in 0.8 s and 6561 planes in R^4 in 1.3 s
-# (packing construction included, best of 3).
+# member pairs.  With one BLAS thread on a 2-vCPU host the sine-screened
+# angle kernel measured 8100 lines in R^3 in 0.4-0.6 s and 6561 planes in
+# R^4 in 0.7-0.8 s (packing construction included, best of 3), where
+# ranking every pair by its full angle took 1.0 s and 1.5 s.
 _SEPARATION_MEMBER_CAP = 2**13
 
 

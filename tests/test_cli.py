@@ -512,10 +512,16 @@ def test_two_runs_build_one_parser(tmp_path):
     ],
 )
 def test_only_a_run_that_ran_writes_a_manifest(tmp_path, argv, code):
-    assert run_cli(argv + ["--out-dir", tmp_path]) == code
-    written = {path.name for path in tmp_path.iterdir()}
-    # a rejected configuration ran nothing; a degenerate sweep keeps its outputs
-    assert written == (set() if code == 2 else {"manifest.txt", "report.txt", "sweep.csv"})
+    # the second output directory does not exist yet, nor does its parent
+    for out in (tmp_path, tmp_path / "new" / "out"):
+        assert run_cli(argv + ["--out-dir", out]) == code
+        if code == 2:
+            # a rejected configuration ran nothing and leaves no directory of its own
+            assert list(tmp_path.iterdir()) == []
+        else:
+            # a degenerate sweep keeps its outputs
+            written = {path.name for path in out.iterdir() if path.is_file()}
+            assert written == {"manifest.txt", "report.txt", "sweep.csv"}
 
 
 @pytest.mark.parametrize("form", ["separate", "equals"])

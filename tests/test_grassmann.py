@@ -105,7 +105,11 @@ class TestCanonicalAngle:
 
 
 # (k1, k2, d): every block shape of the kernel's closed forms and its SVD path
-KERNEL_SHAPES = [(1, 1, 2), (1, 1, 3), (2, 2, 3), (2, 2, 4), (1, 2, 3), (2, 3, 5), (3, 3, 5)]
+KERNEL_SHAPES = [
+    (1, 1, 2), (1, 1, 3), (2, 2, 3), (2, 2, 4), (1, 2, 3), (2, 3, 5), (3, 3, 5),
+    # k > d - k: a vector or a 3-by-3 sine block against a 3-by-3 cosine block
+    (3, 3, 4), (1, 3, 4), (3, 3, 6),
+]
 
 
 def _scalar_angles(frames, centers):
@@ -161,6 +165,54 @@ class TestAngleKernel:
             assert idx[j] == j + 1 + int(want[j, j + 1 :].argmin())
         assert angles[-1] == np.inf and idx[-1] == -1
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 4)])
+    def test_near_orthogonal_members_are_ranked_by_the_full_angle(self, k, d):
+        # members at pi/2 - 1e-9 and pi/2 - 2e-9 from the center: their
+        # sines agree to rounding (on the axes both round to exactly 1),
+        # so the sine screen cannot tell them apart and the re-rank by
+        # arctan2 must return the second
+        eye = np.eye(d)
+        for rot in (eye, sample_orthogonal_matrix(np.random.default_rng(66 + d), d)):
+            center = rot @ eye[:, :k]
+            members = []
+            for delta in (1e-9, 2e-9):
+                # e_0 tilted towards the complement axis e_k: largest angle pi/2 - delta
+                frame = eye[:, :k].copy()
+                frame[:, 0] = np.sin(delta) * eye[:, 0] + np.cos(delta) * eye[:, k]
+                members.append(rot @ frame)
+            members = np.array(members)
+            want = canonical_angle(Subspace(members[1]), Subspace(center))
+            assert want == pytest.approx(np.pi / 2 - 2e-9, abs=1e-15)
+            angles, idx = min_canonical_angle(members, center[None])
+            assert idx[0] == 1 and abs(angles[0] - want) < 1e-15
+            # the same pairs in one stack measured against itself
+            stack = np.concatenate([center[None], members])
+            angles, idx = min_canonical_angle(stack, stack, later_only=True)
+            assert idx[0] == 2 and abs(angles[0] - want) < 1e-15
+            assert idx[1] == 2 and angles[1] == pytest.approx(1e-9, rel=1e-6)
+            assert angles[2] == np.inf and idx[2] == -1
+
+    def test_k3_svd_sees_only_the_winning_pairs(self, monkeypatch):
+        # at (3,4) the sine block N^T A is a 1-by-3 vector in closed form;
+        # only each center's winning 3-by-3 cosine block reaches the SVD
+        rng = np.random.default_rng(65)
+        frames = sample_uniform_frames(rng, 400, 3, 4)
+        centers = sample_uniform_frames(rng, 25, 3, 4)
+        want = _scalar_angles(frames, centers).min(axis=1)
+        svd = np.linalg.svd
+        stacks = []
+
+        def counting_svd(a, *args, **kwargs):
+            stacks.append(a.shape[:-2])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(grassmann.np.linalg, "svd", counting_svd)
+        angles, _ = min_canonical_angle(frames, centers)
+        # no center goes through the re-rank pass, which would take every pair
+        assert np.sin(angles).max() < grassmann._COS_SWITCH
+        assert sum(int(np.prod(shape)) for shape in stacks) == len(centers)
+        assert np.max(np.abs(angles - want)) < 1e-15
+
     @pytest.mark.parametrize("budget", [1, 3, 5])
     def test_pair_budget_is_identical(self, monkeypatch, budget):
         # 7 centers and 50 frames: no budget divides them, so the last
@@ -168,7 +220,14 @@ class TestAngleKernel:
         # blocks of 2 centers and, at budget 5, chunks of 4
         rng = np.random.default_rng(62)
         frames = sample_uniform_frames(rng, 50, 2, 4)
-        centers = sample_uniform_frames(rng, 7, 2, 4)
+        centers = sample_uniform_frames(rng, 6, 2, 4)
+        # a seventh center spanned by a vector orthogonal to frames[0] and
+        # one orthogonal to frames[1]: at angle pi/2 from both, so the
+        # re-rank pass ranks it against frames[:2]
+        perps = [np.linalg.qr(f, mode="complete")[0][:, 2] for f in frames[:2]]
+        centers = np.concatenate([centers, np.linalg.qr(np.array(perps).T)[0][None]])
+        near, _ = min_canonical_angle(frames[:2], centers)
+        assert np.sin(near[-1]) > grassmann._COS_SWITCH
 
         def run():
             return (

@@ -11,6 +11,7 @@ from alignstat.errors import BudgetExceeded, DimensionMismatch, EmptyFamily, Par
 from alignstat.grassmann import (
     Subspace,
     canonical_angle,
+    min_canonical_angle,
     orthonormalize,
     sample_uniform_frames,
     sample_uniform_subspace,
@@ -173,6 +174,25 @@ class TestScalarOracles:
         probes = sample_uniform_frames(np.random.default_rng(8), 12, k, d)
         want = max(min(canonical_angle(Subspace(p), m) for m in fam) for p in probes)
         assert radius == pytest.approx(want, abs=1e-12)
+
+    def test_3_4_probes_find_the_nearest_member_within_the_proven_radius(self):
+        fam = covering_family(3, 4, 0.2)
+        radius = covering_radius_estimate(fam, 300, np.random.default_rng(5))
+        probes = sample_uniform_frames(np.random.default_rng(5), 300, 3, 4)
+        angles, idx = min_canonical_angle(fam.frames, probes)
+        assert radius == angles.max() <= np.arcsin(0.2 * np.sqrt(3) / 2)
+        # The scalar oracle runs on the members that can be nearest: with
+        # r = |P_probe - P_member|_F / sqrt(2), sin of the largest angle
+        # lies in [r / sqrt(k), r], so a member whose lower end exceeds the
+        # least upper end is farther than some other member.  Ties between
+        # coinciding members may swap, so angles are compared, not indices.
+        proj = fam.frames @ fam.frames.transpose(0, 2, 1)
+        for probe, angle, i in zip(probes, angles, idx):
+            r = np.linalg.norm(proj - probe @ probe.T, axis=(1, 2)) / np.sqrt(2)
+            near = np.flatnonzero(r / np.sqrt(3) <= r.min() + 1e-12)
+            want = min(canonical_angle(Subspace(probe), fam[j]) for j in near)
+            assert abs(canonical_angle(Subspace(probe), fam[i]) - want) <= 1e-15
+            assert abs(angle - want) <= 1e-15
 
     def test_chunked_probes_match_one_draw(self, monkeypatch):
         # 40 probes in chunks of 7: the stream and the angles do not change
