@@ -25,8 +25,8 @@ stops on a numerical error (exit 3) writes a manifest echoing the full
 effective configuration (a manifest is itself a valid config file, so
 re-running from it reproduces the outputs byte for byte).  Its first line
 is a ``#`` comment naming the alignstat, numpy and Python versions.  A
-rejected configuration (exit 2) writes none, and removes the output
-directory again if the run created it.
+rejected configuration (exit 2) writes no file at all, and removes the
+output directories it created while they are empty.
 
 Exit codes: 0 success, 2 configuration error (a size budget exceeded by the
 requested sizes counts as one), 3 numerical error.
@@ -38,7 +38,6 @@ import argparse
 import functools
 import math
 import platform
-import shutil
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -232,6 +231,12 @@ def _svg_segments(z: np.ndarray, frames: np.ndarray, length: float) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Every parameter reaching the library from a command came from the command
+# line or a config file, so a violated ordering or dimension rule, or a size
+# over its budget, is a configuration error (exit 2).
+_CONFIG_ERRORS = (CliConfigError, ParamOrder, DimensionMismatch, BudgetExceeded)
+
+
 def cmd_render_stimulus(args, out_dir: Path) -> int:
     if not 0 <= args.n1 <= args.n:
         raise ParamOrder(f"need 0 <= n1 <= n, got n1={args.n1}, n={args.n}")
@@ -342,22 +347,33 @@ def cmd_nets_demo(args, out_dir: Path) -> int:
     eps_grid = _number_list(args.eps_grid, float)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2]))
     rows = ["kind,k,d,eps,members,separation,cover_radius,ratio_to_eps"]
-    for eps in eps_grid:
-        fam = packing_family(args.k, args.d, eps)
-        sep = fam.separation if fam.separation is not None else float("nan")
-        rows.append(
-            f"packing,{args.k},{args.d},{eps!r},{len(fam)},{sep!r},,{sep / eps!r}"
-        )
+    exported = []
+
+    def export(fam, path):
         if args.export_members:
-            export_family_csv(fam, out_dir / f"packing_{eps!r}.csv")
-    for eps in eps_grid:
-        fam = covering_family(args.k, args.d, eps)
-        radius = covering_radius_estimate(fam, args.probes, rng)
-        rows.append(
-            f"covering,{args.k},{args.d},{eps!r},{len(fam)},,{radius!r},{radius / eps!r}"
-        )
-        if args.export_members:
-            export_family_csv(fam, out_dir / f"covering_{eps!r}.csv")
+            export_family_csv(fam, path)
+            exported.append(path)
+
+    try:
+        for eps in eps_grid:
+            fam = packing_family(args.k, args.d, eps)
+            sep = fam.separation if fam.separation is not None else float("nan")
+            rows.append(
+                f"packing,{args.k},{args.d},{eps!r},{len(fam)},{sep!r},,{sep / eps!r}"
+            )
+            export(fam, out_dir / f"packing_{eps!r}.csv")
+        for eps in eps_grid:
+            fam = covering_family(args.k, args.d, eps)
+            radius = covering_radius_estimate(fam, args.probes, rng)
+            rows.append(
+                f"covering,{args.k},{args.d},{eps!r},{len(fam)},,{radius!r},{radius / eps!r}"
+            )
+            export(fam, out_dir / f"covering_{eps!r}.csv")
+    except _CONFIG_ERRORS:
+        # a later eps over its member cap rejects the run, which then writes nothing
+        for path in exported:
+            path.unlink()
+        raise
     (out_dir / "nets.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return 0
@@ -388,8 +404,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     out_dir = Path(args.out_dir)
-    # the outermost directory this run creates, removed again if it is rejected
-    created = next((p for p in (*reversed(out_dir.parents), out_dir) if not p.exists()), None)
+    # the directories this run creates, innermost first, removed again if it is rejected
+    created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         handler = {
@@ -400,13 +416,15 @@ def main(argv=None) -> int:
             "power": cmd_power,
         }[args.command]
         code = handler(args, out_dir)
-    except (CliConfigError, ParamOrder, DimensionMismatch, BudgetExceeded) as exc:
-        # Every parameter reaching the library here came from the command
-        # line or a config file, so a violated ordering or dimension rule,
-        # or a size over its budget, is a configuration error.
+    except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        if created is not None:
-            shutil.rmtree(created)
+        # a rejected run has written no file; a directory that is not
+        # empty holds someone else's files and stays, and so do its parents
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:
+                break
         return 2
     except AlignstatError as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)

@@ -509,6 +509,8 @@ def test_two_runs_build_one_parser(tmp_path):
         (["render-stimulus", "--n", 10, "--n1", 5, "--beta", -5], 2),
         (["volume-scan", "--k", 3, "--d", 2], 2),
         (["exponent-sweep", "--n-grid", "1000", "--trials", 4], 3),
+        # the second eps is over the member cap after the first was exported
+        (["nets-demo", "--k", 2, "--d", 4, "--eps-grid", "0.5,0.02", "--export-members"], 2),
     ],
 )
 def test_only_a_run_that_ran_writes_a_manifest(tmp_path, argv, code):
@@ -520,7 +522,7 @@ def test_only_a_run_that_ran_writes_a_manifest(tmp_path, argv, code):
             assert list(tmp_path.iterdir()) == []
         else:
             # a degenerate sweep keeps its outputs
-            written = {path.name for path in out.iterdir() if path.is_file()}
+            written = {path.name for path in out.iterdir()}
             assert written == {"manifest.txt", "report.txt", "sweep.csv"}
 
 
