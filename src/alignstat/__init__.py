@@ -65,9 +65,7 @@ from .holder import (
     evaluate_jet,
     graph_lift,
     holder_membership_check,
-    load_interpolant,
     multi_index_set,
-    save_interpolant,
     tangent_space,
 )
 from .nets import (

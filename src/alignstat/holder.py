@@ -48,10 +48,11 @@ MultiIndex = tuple[int, ...]
 # Relative slack used when asserting class membership of constructed maps.
 MEMBERSHIP_TOL = 1e-6
 
-# Grid pairs in one row block of the membership increment scan; the scan
-# holds three float planes of this size.  On a (3,4) interpolant at
-# grid_n = 13, 2^16 and 2^17 ran fastest; 2^14 took 1.2 times as long
-# and 2^20, whose planes no longer fit in cache, 1.4 times.
+# Grid pairs in one row block of the all-pairs membership increment scan,
+# which only alpha - r < 1 reaches; the scan holds three float planes of
+# this size.  Tuned on a (3,4) interpolant at grid_n = 13 when alpha = 2
+# still took this scan: 2^16 and 2^17 ran fastest; 2^14 took 1.2 times as
+# long and 2^20, whose planes no longer fit in cache, 1.4 times.
 _MEMBERSHIP_PAIR_BUDGET = 2**16
 
 
@@ -566,14 +567,29 @@ def holder_membership_check(
 
     Evaluates all derivatives up to order r on a uniform grid (grid_n
     points per axis, default 101 for k = 1 and 21 for k >= 2), records the
-    sup norms and the worst increment ratio over all grid pairs, and
-    passes when everything is below beta * (1 + tol_rel).
+    sup norms and the worst increment ratio
+    |D^r f(a) - D^r f(b)|_inf / |a - b|_inf^(alpha - r) over all grid pairs,
+    and passes when everything is below beta * (1 + tol_rel).
 
-    The increment scan visits each of the N^2 / 2 unordered pairs of the
-    N = grid_n^k points once, in row blocks of the upper triangle of at
-    most max(N, 2^16) pairs each.  Memory is O(N * block) beyond the N
-    jets, never O(N^2); the ratio is the same float as a dense N-by-N
-    scan, since |a - b| = |b - a| exactly.
+    When alpha - r = 1 (every integer alpha) only king-move neighbours,
+    pairs one grid step apart in the sup norm, are scanned: (3^k - 1) / 2
+    offsets of about N = grid_n^k pairs each, in O(N) memory beyond the
+    jets.  That is the all-pairs maximum: points m steps apart are joined
+    by a king path of m steps of sup length one step h each, and the
+    triangle inequality bounds their increment by the sum of the m
+    neighbour increments, so by the worst neighbour ratio times
+    m h = |a - b|_inf.
+
+    When alpha - r < 1 the power |.|^(alpha - r) does not add up along a
+    path, and the scan visits each of the N^2 / 2 unordered pairs once,
+    in row blocks of the upper triangle of at most max(N, 2^16) pairs;
+    memory is O(N * block) beyond the jets, never O(N^2).
+
+    Either way each visited ratio is the same float as in a dense N-by-N
+    scan, since |a - b| = |b - a| exactly.  Where a far pair ties a
+    neighbour pair in exact arithmetic (an affine D^r f), rounding can
+    leave the neighbour maximum an ulp below the dense one, far inside
+    tol_rel.
     """
     if grid_n is None:
         grid_n = 101 if params.k == 1 else 21
@@ -591,7 +607,44 @@ def holder_membership_check(
     # one contiguous row per coordinate, so each block reads whole planes
     coords = xs.T.copy()
     order_r = [jets[:, row, :].T.copy() for row, t in enumerate(t_all) if sum(t) == params.r]
-    n_pts = xs.shape[0]
+    gamma = params.alpha - params.r
+    if gamma == 1:
+        max_ratio = _neighbour_max_ratio(coords, order_r, grid_n, gamma)
+    else:
+        max_ratio = _blocked_max_ratio(coords, order_r, gamma)
+    passed = all(v <= tol for v in norms.values()) and max_ratio <= tol
+    return MembershipReport(params.beta, tol_rel, norms, max_ratio, passed)
+
+
+def _neighbour_max_ratio(
+    coords: np.ndarray, order_r: list[np.ndarray], grid_n: int, gamma: float
+) -> float:
+    """Worst increment ratio over the king-move neighbour pairs of the grid.
+
+    ``coords`` and each of ``order_r`` hold one grid point per column, in
+    the C order of the (grid_n,) * k grid.  Each offset in {-1, 0, 1}^k
+    whose first nonzero entry is +1 pairs two shifted slices, so every
+    unordered neighbour pair is visited once.
+    """
+    shape = (grid_n,) * coords.shape[0]
+    coords = coords.reshape((-1,) + shape)
+    planes = [vals.reshape((-1,) + shape) for vals in order_r]
+    max_ratio = 0.0
+    for off in product((-1, 0, 1), repeat=len(shape)):
+        if next((o for o in off if o), -1) != 1:
+            continue
+        a = (slice(None),) + tuple(slice(max(0, -o), grid_n - max(0, o)) for o in off)
+        b = (slice(None),) + tuple(slice(max(0, o), grid_n - max(0, -o)) for o in off)
+        denom = np.max(np.abs(coords[a] - coords[b]), axis=0) ** gamma
+        for vals in planes:
+            gaps = np.max(np.abs(vals[a] - vals[b]), axis=0)
+            max_ratio = max(max_ratio, float(np.max(gaps / denom)))
+    return max_ratio
+
+
+def _blocked_max_ratio(coords: np.ndarray, order_r: list[np.ndarray], gamma: float) -> float:
+    """Worst increment ratio over all grid pairs, in row blocks of the upper triangle."""
+    n_pts = coords.shape[1]
     step = max(1, _MEMBERSHIP_PAIR_BUDGET // n_pts)
     acc, tmp = np.empty(step * n_pts), np.empty(step * n_pts)
     max_ratio = 0.0
@@ -599,13 +652,12 @@ def holder_membership_check(
         i1 = min(n_pts, i0 + step)
         dx = _block_sup_gaps(coords, i0, i1, acc, tmp)
         np.fill_diagonal(dx, np.inf)
-        denom = dx ** (params.alpha - params.r)
+        denom = dx ** gamma
         for vals in order_r:
             gaps = _block_sup_gaps(vals, i0, i1, acc, tmp)
             np.divide(gaps, denom, out=gaps)
             max_ratio = max(max_ratio, float(np.max(gaps)))
-    passed = all(v <= tol for v in norms.values()) and max_ratio <= tol
-    return MembershipReport(params.beta, tol_rel, norms, max_ratio, passed)
+    return max_ratio
 
 
 def _block_sup_gaps(
@@ -723,76 +775,3 @@ def tangent_space(f, x: np.ndarray) -> Subspace:
         return orthonormalize(raw)
     except RankDeficient as exc:
         raise DegenerateTangent(f"partials at {x} are numerically rank-deficient") from exc
-
-
-# ---------------------------------------------------------------------------
-# Interpolant serialization (text, bit-exact on the written decimals)
-# ---------------------------------------------------------------------------
-
-
-def save_interpolant(itp: HolderInterpolant, path) -> None:
-    lines = ["alignstat-interpolant v1"]
-    p = itp.params
-    lines.append(
-        f"k={p.k} d={p.d} alpha={float(p.alpha)!r} beta={float(p.beta)!r} r0={p.r0}"
-    )
-    lines.append(f"eps={float(itp.eps)!r} c2={float(itp.c2)!r}")
-    for node, cell in zip(itp.nodes, itp.cells):
-        cell_s = ",".join(str(c) for c in cell)
-        x_s = ",".join(repr(float(v)) for v in node.x)
-        y_s = ";".join(",".join(repr(float(v)) for v in row) for row in node.y)
-        lines.append(f"node {cell_s} | {x_s} | {y_s}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _header_fields(line: str, keys, path) -> dict[str, str]:
-    """The key=value fields of one header line; ParamOrder if a key is missing."""
-    fields = dict(part.split("=", 1) for part in line.split() if "=" in part)
-    missing = [key for key in keys if key not in fields]
-    if missing:
-        raise ParamOrder(f"{path}: line {line!r} lacks {', '.join(missing)}")
-    return fields
-
-
-def load_interpolant(path) -> HolderInterpolant:
-    """Read a ``save_interpolant`` file and rebuild it with build_interpolant.
-
-    The nodes pass every construction check again, and each stored cell
-    label must equal the cell recomputed from its node (CellCollision
-    otherwise).
-    """
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "alignstat-interpolant v1":
-        raise ParamOrder(f"not an interpolant file: {path}")
-    if len(lines) < 3:
-        raise ParamOrder(f"{path}: the parameter and eps/c2 lines are missing")
-    head = _header_fields(lines[1], ("k", "d", "alpha", "beta", "r0"), path)
-    meta = _header_fields(lines[2], ("eps", "c2"), path)
-    nodes: list[JetPoint] = []
-    cells: list[MultiIndex] = []
-    try:
-        params = HolderParams(
-            k=int(head["k"]),
-            d=int(head["d"]),
-            alpha=float(head["alpha"]),
-            beta=float(head["beta"]),
-            r0=int(head["r0"]),
-        )
-        eps = float(meta["eps"])
-        c2 = float(meta["c2"])
-        for ln in lines[3:]:
-            body = ln[len("node ") :]
-            cell_s, x_s, y_s = (part.strip() for part in body.split("|"))
-            cells.append(tuple(int(c) for c in cell_s.split(",")))
-            x = np.array([float(v) for v in x_s.split(",")])
-            y = np.array([[float(v) for v in row.split(",")] for row in y_s.split(";")])
-            nodes.append(JetPoint(x, y.reshape(-1, params.dim_out)))
-    except ValueError as exc:  # a number or field count that does not parse
-        raise ParamOrder(f"{path}: malformed interpolant file: {exc}") from exc
-    itp = build_interpolant(nodes, params, eps, c2=c2)
-    for stored, cell in zip(cells, itp.cells):
-        if stored != cell:
-            raise CellCollision(f"stored cell {stored} differs from the node's cell {cell}")
-    return itp

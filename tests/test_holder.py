@@ -39,11 +39,9 @@ from alignstat.holder import (
     evaluate_jet,
     graph_lift,
     holder_membership_check,
-    load_interpolant,
     multi_index_count,
     multi_index_set,
     random_class_function,
-    save_interpolant,
     tangent_space,
 )
 
@@ -390,12 +388,24 @@ class TestMembership:
             itp = build_interpolant(nodes, params, eps)
             assert holder_membership_check(itp, params).passed
 
-    @pytest.mark.parametrize("budget", [1, 500, holder._MEMBERSHIP_PAIR_BUDGET])
     @pytest.mark.parametrize(
-        "k,d,alpha,grid_n",
-        [(1, 2, 2.0, 41), (2, 3, 2.0, 9), (2, 3, 2.5, 9), (2, 4, 2.0, 9), (3, 4, 2.0, 6)],
+        "k,d,alpha,grid_n,budget",
+        [
+            case + (budget,)
+            for case in [
+                (1, 2, 2.0, 41),
+                (1, 3, 3.0, 41),
+                (2, 3, 2.0, 9),
+                (2, 3, 2.5, 9),
+                (2, 4, 2.0, 9),
+                (3, 4, 2.0, 6),
+            ]
+            for budget in [1, 500, holder._MEMBERSHIP_PAIR_BUDGET]
+        ]
+        # certify's grid, once: the neighbour scan of alpha = 2 reads no budget
+        + [(3, 4, 2.0, 13, holder._MEMBERSHIP_PAIR_BUDGET)],
     )
-    def test_blocked_scan_equals_dense_scan(self, monkeypatch, budget, k, d, alpha, grid_n):
+    def test_blocked_scan_equals_dense_scan(self, monkeypatch, k, d, alpha, grid_n, budget):
         monkeypatch.setattr(holder, "_MEMBERSHIP_PAIR_BUDGET", budget)
         params = HolderParams(k, d, alpha, 1.0, 1)
         rng = np.random.default_rng(100 * k + d)
@@ -415,16 +425,18 @@ class TestMembership:
         assert not holder_membership_check(quadratic, params, grid_n=grid_n).passed
 
     @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
-    def test_default_grid_3_4_in_bounded_memory(self):
+    @pytest.mark.parametrize("alpha", [2.0, 2.5])
+    def test_default_grid_3_4_in_bounded_memory(self, alpha):
         # N = 21^3 = 9261 grid points: one dense N-by-N-by-3 pair array
-        # would be 2 GB.  The child reads its own peak from VmHWM: getrusage's
-        # ru_maxrss of a spawned child starts from the spawning process's
-        # peak, which here is the whole test session's.
+        # would be 2 GB.  alpha = 2 takes the neighbour scan and alpha = 2.5
+        # the blocked all-pairs scan.  The child reads its own peak from
+        # VmHWM: getrusage's ru_maxrss of a spawned child starts from the
+        # spawning process's peak, which here is the whole test session's.
         code = (
             "import numpy as np\n"
             "from alignstat.holder import HolderParams, holder_membership_check, "
             "random_class_function\n"
-            "params = HolderParams(3, 4, 2.0, 1.0, 1)\n"
+            f"params = HolderParams(3, 4, {alpha!r}, 1.0, 1)\n"
             "g = random_class_function(params, np.random.default_rng(34))\n"
             "assert holder_membership_check(g, params).passed\n"
             "with open('/proc/self/status') as fh:\n"
@@ -562,78 +574,12 @@ class TestRandomClassFunction:
             assert holder_membership_check(g, params).passed
 
 
-def test_serialization_round_trip(tmp_path):
-    params = HolderParams(1, 3, 2.0, 2000.0, 1)
-    eps = 0.01
-    rng = np.random.default_rng(8)
-    nodes = random_nodes(params, eps, ((1.000001) * eps) ** 0.5, 3, rng)
-    itp = build_interpolant(nodes, params, eps)
-    path = tmp_path / "itp.txt"
-    save_interpolant(itp, path)
-    back = load_interpolant(path)
-    assert back.eps == itp.eps and back.c2 == itp.c2
-    assert back.cells == itp.cells
-    for a, b in zip(back.nodes, itp.nodes):
-        assert np.array_equal(a.x, b.x)
-        assert np.array_equal(a.y, b.y)
-    xs = rng.random((50, 1))
-    assert np.array_equal(back.jet_grid(xs), itp.jet_grid(xs))
-
-
-def test_load_rejects_tampered_nodes(tmp_path):
-    params = HolderParams(1, 2, 2.0, 2000.0, 1)
-    nodes = [JetPoint([0.05], [[0.008], [0.05]]), JetPoint([0.25], [[0.006], [0.02]])]
-    path = tmp_path / "itp.txt"
-    save_interpolant(build_interpolant(nodes, params, 0.01), path)
-    text = path.read_text()
-    assert "node 2 | 0.25 | 0.006;" in text
-    # the second node moved into the first node's cell, label left at 2
-    moved = tmp_path / "moved.txt"
-    moved.write_text(text.replace("node 2 | 0.25 | 0.006;", "node 2 | 0.06 | 0.9;"))
-    with pytest.raises(CellCollision):
-        load_interpolant(moved)
-    # the node unchanged, its stored cell label rewritten
-    relabelled = tmp_path / "relabelled.txt"
-    relabelled.write_text(text.replace("node 2 |", "node 4 |"))
-    with pytest.raises(CellCollision, match="stored cell"):
-        load_interpolant(relabelled)
-
-
 def test_build_rejects_misshapen_nodes():
     params = HolderParams(1, 2, 2.0, 2000.0, 1)
     with pytest.raises(DimensionMismatch, match="jet shape"):
         build_interpolant([JetPoint([0.05], [[0.008]])], params, 0.01)
     with pytest.raises(DimensionMismatch, match="location shape"):
         build_interpolant([JetPoint([0.05, 0.5], [[0.008], [0.05]])], params, 0.01)
-
-
-def test_load_rejects_malformed_files(tmp_path):
-    params = HolderParams(1, 2, 2.0, 2000.0, 1)
-    path = tmp_path / "itp.txt"
-    save_interpolant(build_interpolant([JetPoint([0.05], [[0.008], [0.05]])], params, 0.01), path)
-    magic, head, meta, node = path.read_text().splitlines()
-    assert node == "node 0 | 0.05 | 0.008;0.05"
-    # one jet row where (1,2) needs two
-    short = tmp_path / "short.txt"
-    short.write_text("\n".join([magic, head, meta, "node 0 | 0.05 | 0.008"]) + "\n")
-    with pytest.raises(DimensionMismatch):
-        load_interpolant(short)
-    # header lines without the eps/c2 line that must follow them, and lines
-    # that do not parse
-    for name, lines in (
-        ("no_magic", [head, meta, node]),
-        ("header_only", [magic, head]),
-        ("magic_only", [magic]),
-        ("no_meta", [magic, head, node]),
-        ("no_c2", [magic, head, meta.split()[0], node]),
-        ("two_fields", [magic, head, meta, "node 0 | 0.05"]),
-        ("ragged_jet", [magic, head, meta, "node 0 | 0.05 | 0.008,0.1;0.05"]),
-        ("not_a_number", [magic, head, "eps=abc c2=1.5", node]),
-    ):
-        bad = tmp_path / f"{name}.txt"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParamOrder):
-            load_interpolant(bad)
 
 
 def test_jet_samples_iterate_as_jet_points_in_order():
