@@ -74,7 +74,6 @@ from .nets import (
     chart_cube_measure_estimate,
     covering_family,
     estimate_span_bound,
-    nearest_in_family,
     packing_family,
 )
 

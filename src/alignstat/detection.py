@@ -349,13 +349,157 @@ def _sliding_max(arr: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
-# Tube-DP samples per chunk at d - k = 1, divided by 9^(d-k-1) beyond: a
-# chunk's candidate arrays take a few megabytes at any d - k.  All chunks
-# fill one int table of ceil(eps^(-1/2)) x states counts.
-_DP_CHUNK = 2**14
+def _predecessor_step(shape: tuple[int, ...], radius: int):
+    """The DP transition along one output coordinate, for tables of
+    ``shape`` = (nv, nu) * (d - k) that hold a value level j and a slope
+    index i + nu // 2 per coordinate.  ``step(dp, comp)`` returns out with
+    out[.., j', i', ..] the max of dp[.., j, i, ..] over
+    |j' - j - i| <= radius and |i' - i| <= radius on the axes of
+    coordinate ``comp``, -inf where no entry qualifies.
+
+    A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a radius-R window of
+    dp[:, i] centered at j' - i.  The center can fall outside [0, nv)
+    while the window still reaches inside, so a step window-maxes over a
+    -inf-padded j axis first, gathers at the shifted centers, then
+    window-maxes over i.  The padded buffer and the flat gather index are
+    built once here; a step only refills the buffer's middle rows.
+    """
+    nv, nu = shape[:2]
+    pad = nu // 2
+    padded = np.full((nv + 2 * pad,) + shape[1:], -np.inf)
+    # (j', i) reads padded row j' - (i - pad) + pad of column i
+    cols = np.arange(nu)
+    index = ((np.arange(nv)[:, None] - cols + 2 * pad) * nu + cols).ravel()
+
+    def step(dp: np.ndarray, comp: int) -> np.ndarray:
+        axes = (2 * comp, 2 * comp + 1)
+        padded[pad : pad + nv] = np.moveaxis(dp, axes, (0, 1))
+        window = _sliding_max(padded, radius, axis=0).reshape((-1,) + shape[2:])
+        best = np.take(window, index, axis=0).reshape(shape)
+        return np.moveaxis(_sliding_max(best, radius, axis=1), (0, 1), axes)
+
+    return step
+
+
+# Tube-DP samples per chunk at d - k = 1, divided by 4^(d-k-1) beyond:
+# the 4^(d-k) candidates of a chunk's samples take a few megabytes at any
+# d - k.  The samples a chunk leaves to the exact rule go through in
+# sub-chunks of _DP_CHUNK // 9^(d-k-1), which keeps its 9^(d-k)
+# candidates at the same size even when every sample sits on a level
+# boundary.  All chunks fill one int table of ceil(eps^(-1/2)) x states
+# counts.
+_DP_CHUNK = 2**12
 
 # Largest product-state count (nv nu)^(d-k) the tube DP accepts.
 _DP_STATE_CAP = 250_000
+
+# A level fraction closer than this to 0 sends its sample to the exact
+# rule; :func:`_nearest_levels` shows why the band is wide enough.
+_TIE_BAND = 1e-6
+
+
+def _nearest_levels(y0, y1, dx, delta, eps, nv, nu_half):
+    """One output coordinate's candidate states from the two nearest
+    levels: ``(state, valid, tie)``, the first two of shape (4, n) with
+    the sample axis last, ``tie`` the samples this rule cannot decide.
+
+    With r = y1 / delta, i0 = rint(r) and the fraction f = r - i0 in
+    [-1/2, 1/2], the slope rule |y1 - i delta| <= delta holds for i0 and
+    for i0 + sign(f) and fails for every other level.  For each of the two
+    slope levels i, t = y0 / eps - i (dx delta / eps), j0 = rint(t) and
+    g = t - j0 pick the value levels j0 and j0 + sign(g) the same way, by
+    the rule |y0 - (j eps + i delta dx)| <= eps.
+    So only the range checks are left, unless |f| or |g| is below
+    ``_TIE_BAND`` (or is not finite): the far neighbour then sits on the
+    rule's boundary, and ``tie`` sends the sample to :func:`_exact_levels`.
+
+    Why the band is wide enough: let a candidate pass the range checks, so
+    |i| <= nu_half and 0 <= j < nv.  It lies within one level of the
+    sample, so |y1| <= (nu_half + 1) delta; for x in [0, 1] (the caller
+    sends other locations to the exact rule) |dx| <= delta, so
+    |i delta dx| <= nu_half eps, |t| <= nv and |y0| <= (nv + nu_half) eps.
+    Every term of either rule is then at most (nv + nu) level units, and
+    nv + nu <= nv nu + 1 <= ``_DP_STATE_CAP`` + 1.  Each of the few
+    roundings in r, t, f, g and in the float rule errs by at most 2^-53 of
+    such a term, below 3e-11 units, so the fractions and the float rule
+    stay within 1e-9 units of exact arithmetic: outside the band the sign
+    of the fraction decides the float rule exactly.
+    """
+    nu = 2 * nu_half + 1
+    r = y1 / delta
+    i0 = np.rint(r)
+    f = r - i0
+    i = np.stack([i0, i0 + np.sign(f)])
+    t = y0 / eps - i * (dx * (delta / eps))
+    j0 = np.rint(t)
+    g = t - j0
+    tie = ~(np.minimum(np.abs(f), np.abs(g).min(axis=0)) >= _TIE_BAND)
+    # j nu + i + nu_half for j0 and j0 + sign(g); with i in range, the
+    # state is in [0, nv nu) exactly when j is in [0, nv)
+    base = j0 * nu + (i + nu_half)
+    state = np.stack([base, base + np.sign(g) * nu])  # (value, slope, sample)
+    valid = (state >= 0) & (state < nv * nu) & (np.abs(i) <= nu_half)
+    return state.reshape(4, -1), valid.reshape(4, -1), tie
+
+
+def _exact_levels(y0, y1, dx, delta, eps, nv, nu_half):
+    """One output coordinate's candidate states by the tube rule itself,
+    ``(state, valid, False)`` with the first two of shape (9, n).
+
+    A covered level lies within one level of the sample's nearest level,
+    so the 3 slope levels around it and, for each, the 3 value levels
+    around its nearest value level hold every covered (j, i) pair, also
+    when a value sits on a level boundary.  Each candidate is tested with
+    the float rule, so boundary values count exactly as the rule says.
+    """
+    nu = 2 * nu_half + 1
+    around = np.arange(-1.0, 2.0)
+    i = np.rint(y1 / delta) + around[:, None]
+    i_ok = (np.abs(y1 - i * delta) <= delta) & (np.abs(i) <= nu_half)
+    tilt = i * delta * dx
+    j = np.rint((y0 - tilt) / eps) + around[:, None, None]  # (value, slope, sample)
+    valid = (np.abs(y0 - (j * eps + tilt)) <= eps) & i_ok & (j >= 0) & (j < nv)
+    return (j * nu + (i + nu_half)).reshape(9, -1), valid.reshape(9, -1), False
+
+
+def _tube_weights(xs, ys, delta, eps, n_cells, nv, nu_half) -> np.ndarray:
+    """The DP's weights, flat over (x-cell, product state): how many
+    samples each cell's state covers.
+
+    Per sample the flat index ((cell S + s_1) S + s_2) ...,  S = nv nu,
+    s = j nu + i + nu_half, grows by broadcasting over the candidates of
+    each coordinate: 4 from :func:`_nearest_levels`, so 4^(d-k) indices
+    per sample, and 9 from :func:`_exact_levels` for the samples it
+    leaves, in their own sub-chunks.  Each batch adds its valid indices
+    into the table.
+    """
+    dim_out = ys.shape[2]
+    size = nv * (2 * nu_half + 1)
+    weights = np.zeros(n_cells * size**dim_out, dtype=np.int64)
+
+    def add(rule, xs, ys, defer):
+        """Add a batch's covered indices, except those of the samples
+        ``defer`` marks or the rule leaves; return the union of both."""
+        cells = np.clip(np.floor(xs / delta), 0, n_cells - 1)
+        dx = xs - cells * delta
+        flat, ok = cells[None], np.ones((1, len(xs)), dtype=bool)
+        for comp in range(dim_out):
+            state, valid, tie = rule(ys[:, 0, comp], ys[:, 1, comp], dx, delta, eps, nv, nu_half)
+            flat = (flat[:, None] * size + state).reshape(-1, len(xs))
+            ok = (ok[:, None] & valid).reshape(-1, len(xs))
+            defer = defer | tie
+        np.add.at(weights, flat[ok & ~defer].astype(np.int64), 1)
+        return defer
+
+    chunk = max(1, _DP_CHUNK // 4 ** (dim_out - 1))
+    exact_chunk = max(1, _DP_CHUNK // 9 ** (dim_out - 1))
+    for start in range(0, len(xs), chunk):
+        x, y = xs[start : start + chunk], ys[start : start + chunk]
+        exact = np.flatnonzero(add(_nearest_levels, x, y, ~((x >= 0) & (x <= 1))))
+        for s in range(0, exact.size, exact_chunk):
+            part = exact[s : s + exact_chunk]
+            add(_exact_levels, x[part], y[part], np.zeros(part.size, dtype=bool))
+    return weights
 
 
 def tube_dp_statistic(
@@ -396,62 +540,16 @@ def tube_dp_statistic(
     if len(samples) == 0:
         return 0
     step_radius = int(math.floor(beta))
-
-    # Weights: a covered level lies within one level of the sample's
-    # nearest level, so the 3 slope levels around it and, for each, the 3
-    # value levels around its nearest value level hold every covered
-    # (j, i) pair, also when a value sits on a level boundary.  Each
-    # candidate is tested with the tube rule itself, so boundary values
-    # count exactly as the rule says.  Per sample, the flat index
-    # ((cell S + s_1) S + s_2) ..., S = nv nu, s = j nu + i + nu_half,
-    # and its mask grow by broadcasting over the 9 candidates of each
-    # coordinate; chunks of samples keep these 9^(d-k) columns at a few
-    # megabytes, and each chunk adds its valid indices into the table.
-    chunk = max(1, _DP_CHUNK // 9 ** (dim_out - 1))
-    weights = np.zeros(n_cells * n_states, dtype=np.int64)
-    around = np.arange(-1, 2)
-    for start in range(0, len(samples), chunk):
-        xs = samples.xs[start : start + chunk, 0]
-        ys = samples.ys[start : start + chunk]
-        n = len(xs)
-        cells = np.clip(np.floor(xs / delta).astype(np.int64), 0, n_cells - 1)
-        dx = (xs - cells * delta)[:, None, None]
-        flat = cells[:, None]
-        ok = np.ones((n, 1), dtype=bool)
-        for comp in range(dim_out):
-            y0 = ys[:, 0, comp, None, None]
-            y1 = ys[:, 1, comp, None, None]
-            i = np.rint(y1 / delta).astype(np.int64) + around[:, None]
-            i_ok = (np.abs(y1 - i * delta) <= delta) & (i >= -nu_half) & (i <= nu_half)
-            tilt = i * delta * dx
-            j = np.rint((y0 - tilt) / eps).astype(np.int64) + around
-            valid = (np.abs(y0 - (j * eps + tilt)) <= eps) & i_ok & (j >= 0) & (j < nv)
-            state = (j * nu + i + nu_half).reshape(n, 1, 9)
-            flat = (flat[:, :, None] * (nv * nu) + state).reshape(n, -1)
-            ok = (ok[:, :, None] & valid.reshape(n, 1, 9)).reshape(n, -1)
-        np.add.at(weights, flat[ok], 1)
+    weights = _tube_weights(samples.xs[:, 0], samples.ys, delta, eps, n_cells, nv, nu_half)
     weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
-    # Predecessor max: A[j', i] = max_{|j' - j - i| <= R} dp[j, i] is a
-    # radius-R window of dp[:, i] centered at j' - i.  The center can fall
-    # outside [0, nv) while the window still reaches inside, so window-max
-    # over a -inf-padded j axis first, then gather at the shifted centers,
-    # then window-max over i.  Compatibility is a per-coordinate condition,
-    # so the max over predecessors is this step along each coordinate's
-    # (j, i) axes in turn.
-    pad = nu_half
-    centers = np.arange(nv)[:, None] - (np.arange(nu)[None, :] - nu_half) + pad
-    cols = np.broadcast_to(np.arange(nu)[None, :], centers.shape)
+    # Compatibility is a per-coordinate condition, so the max over
+    # predecessors is the transition along each coordinate's axes in turn.
+    step = _predecessor_step(weights.shape[1:], step_radius)
     dp = weights[0]
     for c in range(1, n_cells):
         for comp in range(dim_out):
-            axes = (2 * comp, 2 * comp + 1)
-            front = np.moveaxis(dp, axes, (0, 1))
-            padded = np.full((nv + 2 * pad,) + front.shape[1:], -np.inf)
-            padded[pad : pad + nv] = front
-            window = _sliding_max(padded, step_radius, axis=0)
-            best = _sliding_max(window[centers, cols], step_radius, axis=1)
-            dp = np.moveaxis(best, (0, 1), axes)
+            dp = step(dp, comp)
         dp = dp + weights[c]
     return int(round(float(np.max(dp))))
 

@@ -44,7 +44,7 @@ from math import comb, inf
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder
+from .errors import BudgetExceeded, EmptyFamily, ParamOrder
 from .grassmann import (
     Subspace,
     batch_canonical_angle,
@@ -177,16 +177,6 @@ def covering_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -
         for pivots in combinations(range(d), k)
     ]
     return _grid_family("covering", d, k, eps, sigmas, np.arange(1 - reach, reach))
-
-
-def nearest_in_family(h: Subspace, fam: SubspaceFamily) -> tuple[int, float]:
-    """Index and angle of the closest family member; ties keep the lowest index."""
-    if len(fam) == 0:
-        raise EmptyFamily("family has no members")
-    if fam.frames.shape[1:] != h.frame.shape:
-        raise DimensionMismatch("probe and family dimensions differ")
-    angles, idx = min_canonical_angle(fam.frames, h.frame[None])
-    return int(idx[0]), float(angles[0])
 
 
 def covering_radius_estimate(

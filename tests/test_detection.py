@@ -372,6 +372,25 @@ class TestTubeDP:
             got = detection._sliding_max(arr, radius, axis)
             assert np.array_equal(got, np.moveaxis(want, 0, axis))
 
+    @pytest.mark.parametrize("radius", [0, 1, 3])
+    def test_predecessor_step_matches_scalar_loop(self, radius):
+        # nu = 5, so radius 3 reaches past both ends of the slope axis
+        rng = np.random.default_rng(24)
+        nv, nu = 6, 5
+        shape = (nv, nu, nv, nu)
+        step = detection._predecessor_step(shape, radius)
+        for _ in range(2):
+            dp = rng.normal(size=shape)
+            dp[rng.random(shape) < 0.3] = -np.inf
+            for comp in (0, 1):
+                axes = (2 * comp, 2 * comp + 1)
+                moved = np.moveaxis(dp, axes, (0, 1))
+                want = np.full(moved.shape, -np.inf)
+                for j2, i2, j, i in product(range(nv), range(nu), range(nv), range(nu)):
+                    if abs(j2 - j - (i - nu // 2)) <= radius and abs(i2 - i) <= radius:
+                        want[j2, i2] = np.maximum(want[j2, i2], moved[j, i])
+                assert np.array_equal(step(dp, comp), np.moveaxis(want, (0, 1), axes))
+
     def test_dominates_greedy(self):
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -447,6 +466,38 @@ class TestTubeDP:
         assert _brute_force_dp(samples, beta, eps) == 1
         assert tube_dp_statistic(samples, beta, eps) == 1
 
+    @pytest.mark.parametrize("chunk", [detection._DP_CHUNK, 3])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_weights_match_the_tube_rule_at_level_ties(self, d, chunk, monkeypatch):
+        # the nearest-level weights against the float tube rule over all
+        # levels, on samples at and near level boundaries; with chunk 3
+        # the samples left to the exact rule fall on both sides of chunk
+        # boundaries
+        monkeypatch.setattr(detection, "_DP_CHUNK", chunk)
+        exact_rows = _spy_exact_rule(monkeypatch)
+        rng = np.random.default_rng(40 + d)
+        for beta, eps in [(1.0, 0.2), (0.7, 0.3), (2.0, 0.15)]:
+            params = HolderParams(1, d, 2.0, beta, 1)
+            samples = _level_samples(params, beta, eps, 300, rng)
+            exact_rows.clear()
+            got = _dp_weights(samples, beta, eps)
+            assert np.array_equal(got, _brute_force_weights(samples, beta, eps)), (beta, eps)
+            assert 0 < sum(exact_rows) < (d - 1) * len(samples)
+
+    @pytest.mark.parametrize(
+        "d,n,seed,eps,want",
+        [(2, 10_000, 41, None, 51), (2, 30_000, 42, None, 71), (2, 100_000, 43, None, 92),
+         (3, 760, 44, 0.15, 24)],
+    )
+    def test_pinned_values_at_certify_scale(self, d, n, seed, eps, want):
+        # computed by the three-level weight step (9 candidates per
+        # coordinate, each tested with the float rule) of commit f923fc9,
+        # before the nearest-level rewrite
+        params = HolderParams(1, d, 2.0, 1.0, 1)
+        samples = generate_null_jets(n, params, np.random.default_rng(seed))
+        eps = statistic_eps(params, n) if eps is None else eps
+        assert tube_dp_statistic(samples, 1.0, eps) == want
+
     @pytest.mark.parametrize(
         "beta,eps",
         [(-1.0, 0.1), (math.inf, 0.1), (math.nan, 0.1), (1.0, 0.0), (1.0, -0.1),
@@ -489,6 +540,105 @@ class TestTubeDP:
         finally:
             tracemalloc.stop()
         assert peak < 8e6
+
+    def test_tie_samples_stay_in_bounded_memory(self, monkeypatch):
+        # every sample on a slope level, so all 2e5 take the exact rule,
+        # in its own sub-chunks; the bound is the one of the test above
+        params = HolderParams(1, 3, 2.0, 1.0, 1)
+        eps = 0.15
+        rng = np.random.default_rng(35)
+        samples = generate_null_jets(200_000, params, rng)
+        nuh = int(1.0 / math.sqrt(eps))
+        samples.ys[:, 1, :] = rng.integers(-nuh, nuh + 1, (200_000, 2)) * math.sqrt(eps)
+        exact_rows = _spy_exact_rule(monkeypatch)
+        tracemalloc.start()
+        try:
+            tube_dp_statistic(samples, 1.0, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(exact_rows) == 2 * 200_000
+        assert peak < 8e6
+
+
+def _spy_exact_rule(monkeypatch):
+    """Record the sample count of every call the DP makes to its exact
+    rule, in the returned list."""
+    exact_rule, rows = detection._exact_levels, []
+
+    def spy(y0, *args):
+        rows.append(len(y0))
+        return exact_rule(y0, *args)
+
+    monkeypatch.setattr(detection, "_exact_levels", spy)
+    return rows
+
+
+def _dp_weights(samples, beta, eps):
+    """The DP's flat weight table, with the DP's own level grid."""
+    delta = math.sqrt(eps)
+    return detection._tube_weights(
+        samples.xs[:, 0], samples.ys, delta, eps, max(1, math.ceil(1.0 / delta)),
+        int(math.floor(1.0 / eps)) + 1, int(math.floor(beta / delta)),
+    )
+
+
+def _brute_force_weights(samples, beta, eps):
+    """The weight table by the float tube rule over every level pair: per
+    (x-cell, product state) the number of samples it covers."""
+    delta = math.sqrt(eps)
+    n_cells = max(1, math.ceil(1.0 / delta))
+    nv = int(math.floor(1.0 / eps)) + 1
+    nuh = int(math.floor(beta / delta))
+    nu = 2 * nuh + 1
+    weights = np.zeros(n_cells * (nv * nu) ** samples.params.dim_out, dtype=np.int64)
+    for x, y in zip(samples.xs[:, 0], samples.ys):
+        cell = min(max(math.floor(x / delta), 0), n_cells - 1)
+        dx = x - cell * delta
+        per_coord = [
+            [j * nu + i + nuh for j in range(nv) for i in range(-nuh, nuh + 1)
+             if abs(y0 - (j * eps + i * delta * dx)) <= eps and abs(y1 - i * delta) <= delta]
+            for y0, y1 in zip(y[0], y[1])
+        ]
+        for states in product(*per_coord):
+            flat = cell
+            for s in states:
+                flat = flat * nv * nu + s
+            weights[flat] += 1
+    return weights
+
+
+def _level_samples(params, beta, eps, n, rng):
+    """Null jets with locations moved onto cell edges and out of [0, 1],
+    and per coordinate slopes and values moved onto level boundaries, 1e-9
+    and 2.5e-6 level units off them (inside and just outside the tie
+    band), and out of the level ranges."""
+    samples = generate_null_jets(n, params, rng)
+    xs, ys = samples.xs, samples.ys
+    delta = math.sqrt(eps)
+    n_cells = max(1, math.ceil(1.0 / delta))
+    nuh = int(math.floor(beta / delta))
+    edge = rng.random(n) < 0.1
+    xs[edge, 0] = np.minimum(rng.integers(0, n_cells + 1, edge.sum()) * delta, 1.0)
+    out = rng.random(n) < 0.05
+    xs[out, 0] = rng.choice([-0.2, 1.3, -1e9, 3e7], out.sum())
+    dx = xs[:, 0] - np.clip(np.floor(xs[:, 0] / delta), 0, n_cells - 1) * delta
+    for comp in range(params.dim_out):
+        kind = rng.integers(0, 6, n)
+        off = rng.choice([0.0, 0.0, 1e-9, -1e-9, 2.5e-6, -2.5e-6], n)
+        slope = np.isin(kind, (0, 2))
+        i = rng.integers(-nuh - 1, nuh + 2, n)
+        ys[slope, 1, comp] = (i[slope] + off[slope]) * delta
+        value = np.isin(kind, (1, 2))
+        i = np.rint(ys[:, 1, comp] / delta) + rng.integers(-1, 2, n)
+        j = rng.integers(-1, int(1.0 / eps) + 2, n)
+        ys[value, 0, comp] = ((j + off) * eps + i * delta * dx)[value]
+        wide = kind == 3
+        sign = rng.choice([-1.0, 1.0], n)
+        ys[wide, 1, comp] = (sign * (beta + rng.uniform(0, 2, n) * delta))[wide]
+        high = kind == 4
+        ys[high, 0, comp] = rng.choice([-2 * eps, -0.5 * eps, 1 + 0.5 * eps, 1 + 2 * eps], n)[high]
+    return samples
 
 
 def _brute_force_dp(samples, beta, eps):

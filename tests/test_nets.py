@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alignstat import nets
-from alignstat.errors import BudgetExceeded, DimensionMismatch, EmptyFamily, ParamOrder
+from alignstat.errors import BudgetExceeded, EmptyFamily, ParamOrder
 from alignstat.grassmann import (
     Subspace,
     canonical_angle,
@@ -24,7 +24,6 @@ from alignstat.nets import (
     covering_radius_estimate,
     estimate_span_bound,
     export_family_csv,
-    nearest_in_family,
     packing_family,
 )
 
@@ -91,14 +90,14 @@ class TestCoveringFamily:
 
     def test_axis_probe_has_exact_member(self):
         fam = covering_family(1, 2, 0.5)
-        idx, angle = nearest_in_family(line(0, 1), fam)
+        (angle,), (idx,) = min_canonical_angle(fam.frames, line(0, 1).frame[None])
         assert angle < 1e-10
         assert fam.sigma[idx].tolist() == [1, 0] and fam.n[idx].tolist() == [0]
 
     def test_negative_slope_probe_is_covered(self):
         # the sign gap this guards against: span{e1 - 0.35 e2}
         fam = covering_family(1, 2, 0.1)
-        _, angle = nearest_in_family(line(1, -0.35), fam)
+        (angle,), _ = min_canonical_angle(fam.frames, line(1, -0.35).frame[None])
         assert angle < 3 * 0.1
 
     def test_covering_radius_stable_across_seeds(self):
@@ -216,18 +215,18 @@ class TestScalarOracles:
 class TestNearest:
     def test_member_itself(self):
         fam = packing_family(1, 2, 0.5)
-        idx, angle = nearest_in_family(fam[1], fam)
+        (angle,), (idx,) = min_canonical_angle(fam.frames, fam[1].frame[None])
         assert idx == 1
         assert angle < 1e-8
 
     def test_closer_of_two_adjacent(self):
         fam = packing_family(1, 2, 1.0)  # members at angles 0 and pi/4
         probe = line(np.cos(0.1), np.sin(0.1))
-        idx, angle = nearest_in_family(probe, fam)
+        (angle,), (idx,) = min_canonical_angle(fam.frames, probe.frame[None])
         assert idx == 0
         assert angle == pytest.approx(0.1, abs=1e-10)
         probe = line(np.cos(0.7), np.sin(0.7))
-        idx, _ = nearest_in_family(probe, fam)
+        _, (idx,) = min_canonical_angle(fam.frames, probe.frame[None])
         assert idx == 1
 
     def test_matches_linear_scan_oracle(self):
@@ -235,7 +234,7 @@ class TestNearest:
         fam = covering_family(1, 3, 0.4)
         for _ in range(100):
             probe = sample_uniform_subspace(rng, 1, 3)
-            idx, angle = nearest_in_family(probe, fam)
+            (angle,), (idx,) = min_canonical_angle(fam.frames, probe.frame[None])
             # independent scalar-loop reimplementation
             best_i, best_a = 0, np.inf
             for i, member in enumerate(fam):
@@ -244,14 +243,6 @@ class TestNearest:
                     best_i, best_a = i, a
             assert idx == best_i
             assert angle == pytest.approx(best_a, abs=1e-12)
-
-    def test_empty_family(self):
-        from alignstat.nets import SubspaceFamily
-
-        with pytest.raises(EmptyFamily):
-            empty = SubspaceFamily(0.5, "packing", np.empty((0, 2, 1)), np.empty((0, 2), int),
-                                   np.empty((0, 1), int))
-            nearest_in_family(line(1, 0), empty)
 
 
 class TestBallMeasure:
@@ -380,11 +371,6 @@ def test_members_are_built_on_demand_from_the_read_only_stack(tmp_path):
 def test_families_check_eps_and_dimensions(build, k, d, eps):
     with pytest.raises(ParamOrder):
         build(k, d, eps)
-
-
-def test_probe_and_family_dimensions_must_match():
-    with pytest.raises(DimensionMismatch):
-        nearest_in_family(Subspace(np.eye(4)[:, :2]), packing_family(1, 2, 0.5))
 
 
 def test_covering_radius_needs_members():
