@@ -42,11 +42,9 @@ from .experiments import (
 )
 from .grassmann import (
     ChartMatrix,
-    OrientedPoint,
     Subspace,
     canonical_angle,
     chart_to_subspace,
-    discrepancy_psi,
     graph_chart,
     orthonormalize,
     sample_uniform_subspace,

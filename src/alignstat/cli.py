@@ -7,7 +7,7 @@ render-stimulus   SVG of n oriented segments in the unit square (d=2, k=1):
 exponent-sweep    statistic means over an n grid + log-log slope report:
                   --problem --k --d --alpha --beta --r0 --n1 --n-grid
                   --trials --workers --c2
-volume-scan       ball and chart-cube measure estimates over an eps grid:
+volume-scan       ball and chart-cube measures over an eps grid, one draw each:
                   --k --d --trials --eps-grid
 nets-demo         packing/covering families: sizes, separation, radius:
                   --k --d --eps-grid --probes --export-members
@@ -325,18 +325,12 @@ def cmd_volume_scan(args, out_dir: Path) -> int:
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
     center = Subspace(np.eye(args.d)[:, : args.k])
     rows = ["kind,k,d,eps,trials,p_hat,stderr,singular"]
-    for eps in eps_grid:
-        est = ball_measure_estimate(center, eps, args.trials, rng)
-        rows.append(
-            f"ball,{args.k},{args.d},{eps!r},{est.trials},{est.p_hat!r},"
-            f"{est.stderr!r},0"
-        )
-    for eps in eps_grid:
-        est = chart_cube_measure_estimate(args.k, args.d, eps, args.trials, rng)
-        rows.append(
-            f"cube,{args.k},{args.d},{eps!r},{est.trials},{est.p_hat!r},"
-            f"{est.stderr!r},{est.singular}"
-        )
+    ball = ball_measure_estimate(center, eps_grid, args.trials, rng)
+    cube = chart_cube_measure_estimate(args.k, args.d, eps_grid, args.trials, rng)
+    for kind, estimates in (("ball", ball), ("cube", cube)):
+        for eps, est in zip(eps_grid, estimates):
+            rows.append(f"{kind},{args.k},{args.d},{eps!r},{est.trials},{est.p_hat!r},"
+                        f"{est.stderr!r},{est.singular}")
     (out_dir / "volume.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     print(f"target log-log slope: (d-k)k = {(args.d - args.k) * args.k}")

@@ -519,7 +519,8 @@ def tube_dp_statistic(
     to the integer rules |j' - j - i| <= beta and |i' - i| <= beta.  The
     maximum over admissible profiles is the longest path in the
     cell-by-cell lattice of the (nv nu)^(d-k) product states, whose count
-    ``_DP_STATE_CAP`` bounds.
+    ``_DP_STATE_CAP`` bounds.  Profiles live on [0, 1], so samples located
+    outside it are dropped, as ``greedy_cell_statistic`` drops them.
     """
     params = samples.params
     if params.k != 1 or params.alpha != 2.0 or params.r0 != 1:
@@ -537,10 +538,14 @@ def tube_dp_statistic(
     n_states = (nv * nu) ** dim_out
     if n_states > _DP_STATE_CAP:
         raise BudgetExceeded(f"state count {n_states} exceeds cap {_DP_STATE_CAP}")
-    if len(samples) == 0:
+    xs, ys = samples.xs[:, 0], samples.ys
+    inside = (xs >= 0.0) & (xs <= 1.0)
+    if not inside.all():
+        xs, ys = xs[inside], ys[inside]
+    if len(xs) == 0:
         return 0
     step_radius = int(math.floor(beta))
-    weights = _tube_weights(samples.xs[:, 0], samples.ys, delta, eps, n_cells, nv, nu_half)
+    weights = _tube_weights(xs, ys, delta, eps, n_cells, nv, nu_half)
     weights = weights.reshape((n_cells,) + (nv, nu) * dim_out)
 
     # Compatibility is a per-coordinate condition, so the max over

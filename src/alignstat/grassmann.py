@@ -28,16 +28,16 @@ Every uniform plane comes from one Gaussian draw, an (m, d, k) stack of
 independent standard normals, whose span is uniform on G(k, d)
 (Chikuse 2003).  :func:`sample_uniform_frames` reads it as orthonormal
 frames (one frame gives :func:`sample_uniform_subspace`, one d-by-d frame
-:func:`sample_orthogonal_matrix`), and :func:`sample_uniform_charts`
-reads it as graph charts.
+:func:`sample_orthogonal_matrix`), :func:`sample_uniform_charts` as graph
+charts, and :func:`sample_uniform_angles` as angles to one plane.
 
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 stack of bases to its chart-regular mask (:func:`chart_regular`) and the
 transposed charts B A^{-1}, in closed form for k <= 2.  The chart does
 not depend on the basis, so the oriented reduction and :func:`graph_chart`
-read it from orthonormal frames, while the trial engine and the
-chart-cube measure read it straight from the Gaussian draw with no
-orthonormalization.
+read it from orthonormal frames, while the trial engine, the chart-cube
+measure and the angle reading take it straight from the Gaussian draw
+with no orthonormalization.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ChartSingular, DimensionMismatch, OutOfDomain, RankDeficient
+from .errors import ChartSingular, DimensionMismatch, RankDeficient
 
 # Orthonormality of stored frames, entrywise on frame^T frame - I.
 ORTHO_TOL = 1e-10
@@ -83,24 +83,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(d={self.dim_ambient}, k={self.dim_sub})"
-
-
-@dataclass(frozen=True, eq=False)
-class OrientedPoint:
-    """A location in the unit cube together with a k-dimensional orientation."""
-
-    z: np.ndarray
-    w: Subspace
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).reshape(-1)
-        if z.shape[0] != self.w.dim_ambient:
-            raise DimensionMismatch("location and orientation ambient dimensions differ")
-        if np.any(z < 0.0) or np.any(z > 1.0):
-            raise OutOfDomain("location coordinates must lie in [0, 1]")
-        z = z.copy()
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,15 +161,13 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
     The frame reading of the package's one Gaussian draw; used wherever
-    the frame itself is needed (the angle kernel's ball measure and
-    covering probes, the oriented generators, and, as single draws,
-    :func:`sample_uniform_subspace` and :func:`sample_orthogonal_matrix`),
-    while chart-only draws take :func:`sample_uniform_charts`.  The frame
-    is the Q factor of a Gaussian d-by-k matrix with R's diagonal
-    positive, the sign convention that makes the distribution exactly
-    invariant.  For k >= 2 it comes from Gram-Schmidt over the k columns,
-    each column projected off the earlier ones twice ("twice is enough"),
-    vectorized over the whole batch.
+    the frame itself is needed (covering probes, the oriented generators,
+    and, as single draws, :func:`sample_uniform_subspace` and
+    :func:`sample_orthogonal_matrix`).  The frame is the Q factor of a
+    Gaussian d-by-k matrix with R's diagonal positive, the sign convention
+    that makes the distribution exactly invariant.  For k >= 2 it comes
+    from Gram-Schmidt over the k columns, each projected off the earlier
+    ones twice ("twice is enough"), vectorized over the whole batch.
     """
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
@@ -220,6 +200,25 @@ def sample_uniform_charts(
     if not 1 <= k <= d:
         raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
     return chart_slopes(rng.standard_normal((m, d, k)))
+
+
+def sample_uniform_angles(rng: np.random.Generator, m: int, h: Subspace) -> np.ndarray:
+    """Largest canonical angle from each of ``m`` uniform k-planes to ``h``.
+
+    Makes exactly the draw G of :func:`sample_uniform_frames`, builds no
+    frame, and reads the chart Y = (N^T G)(B^T G)^{-1}, [B, N] the
+    completed basis of ``h``: tan theta_i = sigma_i(Y) (Bjorck & Golub
+    1973), so theta = arctan sigma_max(Y).  A chart-singular draw (a null
+    event) holds a direction orthogonal to ``h`` and gets pi/2.
+    """
+    d, k = h.frame.shape
+    qt = _complete_bases(h.frame[None])[0].T
+    # the contiguous (d, k, m) layout that chart_slopes reads for k = 2
+    g = rng.standard_normal((m, d, k)).transpose(1, 2, 0).reshape(d, k * m)
+    yt, ok = chart_slopes((qt @ g).reshape(d, k, m).transpose(2, 0, 1))
+    theta = np.full(m, np.pi / 2)
+    theta[ok] = np.arctan(_extreme_singular_value(yt.transpose(1, 2, 0), largest=True))
+    return theta
 
 
 # (center, frame) pairs whose d-by-k1 products one block of the angle
@@ -256,9 +255,9 @@ def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
 
     For [[a, b], [c, e]] the largest value is
     (sqrt((a+e)^2 + (b-c)^2) + sqrt((a-e)^2 + (b+c)^2)) / 2, taken with
-    plain squares: every caller passes entries of orthonormal frames or
-    their products, so |entry| <= 1 and nothing overflows.  The smallest
-    is |det| / largest, which keeps it accurate when it is tiny.
+    plain squares: entries of orthonormal frames or their products are
+    at most 1, and of charts of Gaussian draws at most |B| / RANK_TOL, so
+    nothing overflows.  The smallest is |det| / largest, accurate when tiny.
     """
     r, s = block.shape[:2]
     if r == 0 or s == 0:
@@ -554,11 +553,3 @@ def subspace_from_normal_form(sigma: tuple[int, ...], xi: np.ndarray, d: int) ->
     mat[list(sigma[k:])] = xi
     return orthonormalize(mat)
 
-
-def discrepancy_psi(a: OrientedPoint, b: OrientedPoint) -> float:
-    """max of location sup-distance and squared subspace angle."""
-    if a.z.shape != b.z.shape or a.w.dim_sub != b.w.dim_sub:
-        raise DimensionMismatch("oriented points have mismatched dimensions")
-    loc = float(np.max(np.abs(a.z - b.z)))
-    ang = canonical_angle(a.w, b.w)
-    return max(loc, ang * ang)

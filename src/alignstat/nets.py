@@ -29,11 +29,11 @@ exceeds 0.7 (about 44 degrees), where sines of nearby angles round
 alike, is ranked again by the full angle.
 
 Monte Carlo estimators for the invariant measure of metric balls and of
-chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.  Both
-draw 2^16 planes at a time.  The ball estimator orthonormalizes its
-draws, since the angle kernel reads frames; the cube estimator reads the
-chart straight off each Gaussian draw, since the chart of a plane does
-not depend on its basis.
+chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.  Each
+counts a whole eps grid on one draw, 2^16 planes at a time, by sorting
+one number per plane, so its rows are nested, positively correlated
+events.  Neither builds a frame: both read the chart of each Gaussian
+draw, the ball estimator after rotating the draw onto the center.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ import numpy as np
 from .errors import BudgetExceeded, EmptyFamily, ParamOrder
 from .grassmann import (
     Subspace,
-    batch_canonical_angle,
     min_canonical_angle,
+    sample_uniform_angles,
     sample_uniform_charts,
     sample_uniform_frames,
 )
@@ -219,46 +219,58 @@ class MeasureEstimate:
     singular: int = 0
 
 
-def ball_measure_estimate(
-    h: Subspace, eps: float, trials: int, rng: np.random.Generator
-) -> MeasureEstimate:
-    """Fraction of uniform subspaces within angle eps of ``h``."""
-    if not 0 < eps < inf:
-        raise ParamOrder(f"need a finite eps > 0, got {eps}")
+def _radii(eps_grid, trials: int) -> np.ndarray:
+    radii = np.asarray(eps_grid, dtype=float)
+    if radii.ndim != 1 or radii.size == 0:
+        raise ParamOrder(f"need a non-empty 1-d eps grid, got {eps_grid!r}")
+    if not np.all((radii > 0) & (radii < inf)):
+        raise ParamOrder(f"need every eps finite and > 0, got {eps_grid!r}")
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
+    return radii
+
+
+def _estimates(hits: np.ndarray, trials: int, singular: int = 0) -> list[MeasureEstimate]:
+    p = hits / trials
+    stderr = np.sqrt(p * (1 - p) / trials)
+    return [MeasureEstimate(float(q), float(e), trials, int(h), singular)
+            for q, e, h in zip(p, stderr, hits)]
+
+
+def ball_measure_estimate(
+    h: Subspace, eps_grid, trials: int, rng: np.random.Generator
+) -> list[MeasureEstimate]:
+    """Fraction of uniform subspaces within angle eps of ``h``, per eps,
+    all counted on the angles of one draw (``sample_uniform_angles``)."""
+    radii = _radii(eps_grid, trials)
     hits = 0
     for size in _chunk_sizes(trials):
-        frames = sample_uniform_frames(rng, size, h.dim_sub, h.dim_ambient)
-        hits += int(np.count_nonzero(batch_canonical_angle(frames, h.frame) <= eps))
-    p = hits / trials
-    return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits)
+        angles = np.sort(sample_uniform_angles(rng, size, h))
+        hits = hits + np.searchsorted(angles, radii, side="right")
+    return _estimates(hits, trials)
 
 
 def chart_cube_measure_estimate(
-    k: int, d: int, eps: float, trials: int, rng: np.random.Generator
-) -> MeasureEstimate:
-    """Fraction of uniform subspaces whose chart entries all lie in [0, eps].
+    k: int, d: int, eps_grid, trials: int, rng: np.random.Generator
+) -> list[MeasureEstimate]:
+    """Fraction of uniform subspaces whose chart entries all lie in [0, eps],
+    per eps, all counted on the charts of one draw (``sample_uniform_charts``).
 
-    The charts come straight from the Gaussian draws
-    (``grassmann.sample_uniform_charts``), with no frames built.
-    Chart-singular draws (a null event) count as misses and are reported
-    in the ``singular`` field.
+    A chart with no negative entry hits every eps from its largest entry
+    up.  Chart-singular draws (a null event) count as misses and are
+    reported in the ``singular`` field.
     """
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
-    if not 0 < eps < inf:
-        raise ParamOrder(f"need a finite eps > 0, got {eps}")
-    if trials < 1:
-        raise ParamOrder("trials must be >= 1")
+    radii = _radii(eps_grid, trials)
     hits = regular = 0
     for size in _chunk_sizes(trials):
         yt, ok = sample_uniform_charts(rng, size, k, d)
         regular += int(np.count_nonzero(ok))
-        hits += int(np.count_nonzero(np.all((yt >= 0.0) & (yt <= eps), axis=(1, 2))))
-    singular = trials - regular
-    p = hits / trials
-    return MeasureEstimate(p, float(np.sqrt(p * (1 - p) / trials)), trials, hits, singular)
+        top = np.max(yt, axis=(1, 2))
+        top[np.min(yt, axis=(1, 2)) < 0.0] = inf
+        hits = hits + np.searchsorted(np.sort(top), radii, side="right")
+    return _estimates(hits, trials, trials - regular)
 
 
 def export_family_csv(fam: SubspaceFamily, path) -> None:

@@ -127,7 +127,7 @@ def test_criterion_04_grassmann_volume_law():
         center = Subspace(np.eye(d)[:, :k])
         ps = []
         for eps in eps_grid:
-            est = ball_measure_estimate(center, eps, 10**5, rng)
+            est = ball_measure_estimate(center, [eps], 10**5, rng)[0]
             ps.append(est.p_hat)
             if (k, d) == (1, 2):
                 exact = 2 * eps / np.pi

@@ -484,6 +484,21 @@ class TestTubeDP:
             assert np.array_equal(got, _brute_force_weights(samples, beta, eps)), (beta, eps)
             assert 0 < sum(exact_rows) < (d - 1) * len(samples)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_samples_outside_the_unit_interval_are_dropped(self, d):
+        params = HolderParams(1, d, 2.0, 1.0, 1)
+        rng = np.random.default_rng(45 + d)
+        inside = generate_null_jets(40, params, rng)
+        # the extra samples copy in-range jets, so they would count if kept
+        far = np.array([-0.2, 1.3, -1e9, 3e7])
+        xs = np.concatenate([inside.xs, far[:, None]])
+        ys = np.concatenate([inside.ys, inside.ys[:4]])
+        mixed = JetSamples(params, xs, ys)
+        for beta, eps in [(1.0, 0.2), (0.7, 0.3)]:
+            assert tube_dp_statistic(mixed, beta, eps) == tube_dp_statistic(inside, beta, eps)
+        outside = JetSamples(params, far[:, None], inside.ys[:4])
+        assert tube_dp_statistic(outside, 1.0, 0.2) == 0
+
     @pytest.mark.parametrize(
         "d,n,seed,eps,want",
         [(2, 10_000, 41, None, 51), (2, 30_000, 42, None, 71), (2, 100_000, 43, None, 92),

@@ -1,5 +1,8 @@
 """Subspace primitives: angles, charts, normal forms, uniform sampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,18 +11,17 @@ from alignstat import grassmann
 from alignstat.errors import ChartSingular, DimensionMismatch, RankDeficient
 from alignstat.grassmann import (
     ChartMatrix,
-    OrientedPoint,
     Subspace,
     batch_canonical_angle,
     canonical_angle,
     chart_regular,
     chart_slopes,
     chart_to_subspace,
-    discrepancy_psi,
     graph_chart,
     min_canonical_angle,
     orthonormalize,
     sample_orthogonal_matrix,
+    sample_uniform_angles,
     sample_uniform_charts,
     sample_uniform_frames,
     sample_uniform_subspace,
@@ -397,6 +399,18 @@ class TestUniformSampling:
         assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
         assert np.max(np.abs(q @ q.T - np.eye(d))) < 1e-13
 
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 6), (2, 2)])
+    def test_angles_are_the_frames_angles_on_the_same_draw(self, k, d):
+        # the chart of the rotated draw against the angle kernel on the
+        # frames of the same draw: same angles, same stream position
+        random_center = sample_uniform_subspace(np.random.default_rng(d), k, d)
+        for h in (Subspace(np.eye(d)[:, :k]), random_center):
+            a, b = np.random.default_rng(90 + d), np.random.default_rng(90 + d)
+            got = sample_uniform_angles(a, 3000, h)
+            want = batch_canonical_angle(sample_uniform_frames(b, 3000, k, d), h.frame)
+            assert np.max(np.abs(got - want)) < 1e-13
+            assert np.array_equal(a.standard_normal(3), b.standard_normal(3))
+
     def test_batch_matches_single_distribution(self):
         rng = np.random.default_rng(6)
         frames = sample_uniform_frames(rng, 200, 2, 4)
@@ -580,56 +594,49 @@ class TestSpanNormalForm:
         assert bound == pytest.approx(1.0, abs=1e-14)
 
 
-class TestDiscrepancyPsi:
-    def test_identical_points(self):
-        p = OrientedPoint(np.array([0.2, 0.3]), line(1, 0))
-        assert discrepancy_psi(p, p) == 0.0
-
-    def test_orthogonal_lines_angle_term(self):
-        a = OrientedPoint(np.array([0.2, 0.3]), line(1, 0))
-        b = OrientedPoint(np.array([0.2, 0.3]), line(0, 1))
-        assert discrepancy_psi(a, b) == pytest.approx((np.pi / 2) ** 2)
-
-    def test_max_of_known_terms(self):
-        theta = 0.1
-        a = OrientedPoint(np.array([0.1, 0.2]), line(1, 0))
-        b = OrientedPoint(
-            np.array([0.4, 0.2]), line(np.cos(theta), np.sin(theta))
-        )
-        assert discrepancy_psi(a, b) == pytest.approx(0.3, abs=1e-9)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(4)
-        a = OrientedPoint(rng.random(3), sample_uniform_subspace(rng, 1, 3))
-        b = OrientedPoint(rng.random(3), sample_uniform_subspace(rng, 1, 3))
-        assert discrepancy_psi(a, b) == pytest.approx(discrepancy_psi(b, a), abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        a = OrientedPoint(np.array([0.1, 0.2]), line(1, 0))
-        b = OrientedPoint(np.array([0.1, 0.2, 0.3]), line(1, 0, 0))
-        with pytest.raises(DimensionMismatch):
-            discrepancy_psi(a, b)
-
-    def test_location_must_lie_in_unit_cube(self):
-        from alignstat.errors import OutOfDomain
-
-        with pytest.raises(OutOfDomain):
-            OrientedPoint(np.array([1.2, 0.0]), line(1, 0))
-
-
 @pytest.mark.parametrize(
     "call,error",
     [
         (lambda: Subspace(np.ones((2, 3))), DimensionMismatch),
         (lambda: Subspace(np.array([[1.0], [1.0]])), RankDeficient),
-        (lambda: OrientedPoint(np.zeros(2), Subspace(np.eye(3)[:, :1])), DimensionMismatch),
         (lambda: ChartMatrix(np.zeros(3)), DimensionMismatch),
         (lambda: orthonormalize(np.ones((2, 3))), DimensionMismatch),
         (lambda: sample_uniform_frames(np.random.default_rng(0), 4, 3, 2), DimensionMismatch),
     ],
-    ids=["wide-frame", "non-orthonormal-frame", "oriented-point-dims", "chart-not-2d",
-         "orthonormalize-wide", "frames-k-above-d"],
+    ids=["wide-frame", "non-orthonormal-frame", "chart-not-2d", "orthonormalize-wide",
+         "frames-k-above-d"],
 )
 def test_input_checks(call, error):
     with pytest.raises(error):
         call()
+
+
+class _DrawSites(ast.NodeVisitor):
+    """The innermost enclosing function of every ``standard_normal``
+    attribute in a module, ``<module>`` outside any function."""
+
+    def __init__(self):
+        self.scope, self.sites = ["<module>"], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if node.attr == "standard_normal":
+            self.sites.append(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_the_gaussian_draw_is_made_only_by_the_draw_readings():
+    # every uniform plane comes from one Gaussian draw, read as frames,
+    # charts or angles; no other function of the package draws normals
+    readings = {"sample_uniform_frames", "sample_uniform_charts", "sample_uniform_angles"}
+    sites = []
+    for path in sorted(Path(grassmann.__file__).parent.glob("*.py")):
+        visitor = _DrawSites()
+        visitor.visit(ast.parse(path.read_text()))
+        sites += [(path.stem, name) for name in visitor.sites]
+    assert {name for mod, name in sites if mod == "grassmann"} == readings
+    assert all(mod == "grassmann" and name in readings for mod, name in sites), sites

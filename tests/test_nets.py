@@ -1,5 +1,6 @@
 """Packing/covering families and measure estimation on G(k, d)."""
 
+import tracemalloc
 from itertools import combinations
 from math import ceil, comb
 
@@ -10,6 +11,7 @@ from alignstat import nets
 from alignstat.errors import BudgetExceeded, EmptyFamily, ParamOrder
 from alignstat.grassmann import (
     Subspace,
+    batch_canonical_angle,
     canonical_angle,
     min_canonical_angle,
     orthonormalize,
@@ -249,22 +251,38 @@ class TestBallMeasure:
     def test_g12_exact_value(self):
         # P(ang <= eps) = 2 eps / pi exactly on G(1, 2)
         rng = np.random.default_rng(23)
-        est = ball_measure_estimate(line(1, 0), np.pi / 4, 10**5, rng)
+        est = ball_measure_estimate(line(1, 0), [np.pi / 4], 10**5, rng)[0]
         assert abs(est.p_hat - 0.5) <= 3 * est.stderr
 
     def test_whole_space(self):
         rng = np.random.default_rng(3)
-        est = ball_measure_estimate(line(1, 0, 0), np.pi / 2, 2000, rng)
+        est = ball_measure_estimate(line(1, 0, 0), [np.pi / 2], 2000, rng)[0]
         assert est.p_hat == 1.0
 
     def test_center_independence(self):
         rng = np.random.default_rng(29)
         h1 = sample_uniform_subspace(rng, 2, 4)
         h2 = sample_uniform_subspace(rng, 2, 4)
-        e1 = ball_measure_estimate(h1, 0.5, 10**5, np.random.default_rng(101))
-        e2 = ball_measure_estimate(h2, 0.5, 10**5, np.random.default_rng(102))
+        e1 = ball_measure_estimate(h1, [0.5], 10**5, np.random.default_rng(101))[0]
+        e2 = ball_measure_estimate(h2, [0.5], 10**5, np.random.default_rng(102))[0]
         joint = np.hypot(e1.stderr, e2.stderr)
         assert abs(e1.p_hat - e2.p_hat) < 4 * joint
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (3, 6)])
+    def test_hits_equal_the_angle_kernel_on_frames(self, k, d):
+        # the chart route against the frame route on the same draw, with
+        # radii below, at and above pi/2
+        eps_grid = [0.2, 0.5, 0.9, 1.3, 1.5, np.pi / 2, 1.6]
+        centers = [Subspace(np.eye(d)[:, :k])]
+        centers += [sample_uniform_subspace(np.random.default_rng(60 + s), k, d) for s in (1, 2)]
+        for h in centers:
+            got = ball_measure_estimate(h, eps_grid, 4000, np.random.default_rng(61))
+            frames = sample_uniform_frames(np.random.default_rng(61), 4000, k, d)
+            angles = batch_canonical_angle(frames, h.frame)
+            assert [est.hits for est in got] == [
+                int(np.count_nonzero(angles <= eps)) for eps in eps_grid
+            ]
+            assert got[-1].hits == 4000
 
 
 class TestChartCubeMeasure:
@@ -272,22 +290,22 @@ class TestChartCubeMeasure:
         # nu([0, eps]) = atan(eps) / pi for lines in the plane
         rng = np.random.default_rng(31)
         eps = 0.3
-        est = chart_cube_measure_estimate(1, 2, eps, 10**5, rng)
+        est = chart_cube_measure_estimate(1, 2, [eps], 10**5, rng)[0]
         assert abs(est.p_hat - np.arctan(eps) / np.pi) <= 3 * est.stderr
 
     def test_sign_symmetry_limit(self):
         # eps -> inf: P(all chart entries >= 0) = 2^-(d-k) for k = 1
         rng = np.random.default_rng(37)
-        est2 = chart_cube_measure_estimate(1, 2, 1e9, 10**5, rng)
+        est2 = chart_cube_measure_estimate(1, 2, [1e9], 10**5, rng)[0]
         assert abs(est2.p_hat - 0.5) <= 4 * est2.stderr
-        est3 = chart_cube_measure_estimate(1, 3, 1e9, 10**5, rng)
+        est3 = chart_cube_measure_estimate(1, 3, [1e9], 10**5, rng)[0]
         assert abs(est3.p_hat - 0.25) <= 4 * est3.stderr
 
     def test_loglog_slope_g13(self):
         rng = np.random.default_rng(41)
         eps_grid = [0.4, 0.2, 0.1, 0.05]
         ps = [
-            chart_cube_measure_estimate(1, 3, e, 10**5, rng).p_hat for e in eps_grid
+            chart_cube_measure_estimate(1, 3, [e], 10**5, rng)[0].p_hat for e in eps_grid
         ]
         slope = np.polyfit(np.log(eps_grid), np.log(ps), 1)[0]
         assert slope == pytest.approx(2.0, rel=0.10)
@@ -299,8 +317,8 @@ def test_measure_estimates_do_not_depend_on_the_chunk(monkeypatch, k, d):
     # second one also sees where the chunked draws left the stream
     def estimates():
         rng = np.random.default_rng(47)
-        ball = ball_measure_estimate(Subspace(np.eye(d)[:, :k]), 1.2, 200, rng)
-        return ball, chart_cube_measure_estimate(k, d, 3.0, 200, rng)
+        ball = ball_measure_estimate(Subspace(np.eye(d)[:, :k]), [1.2, 1.4, 2.0], 200, rng)
+        return ball + chart_cube_measure_estimate(k, d, [3.0, 6.0, 20.0], 200, rng)
 
     whole = estimates()
     assert all(est.hits > 0 for est in whole)
@@ -308,20 +326,62 @@ def test_measure_estimates_do_not_depend_on_the_chunk(monkeypatch, k, d):
     assert estimates() == whole
 
 
+def _grid_estimators(k, d):
+    h = Subspace(np.eye(d)[:, :k])
+    return [
+        lambda grid, trials, rng: ball_measure_estimate(h, grid, trials, rng),
+        lambda grid, trials, rng: chart_cube_measure_estimate(k, d, grid, trials, rng),
+    ]
+
+
+@pytest.mark.parametrize("k,d", [(1, 2), (2, 4), (3, 5)])
+def test_grid_rows_are_one_element_calls_on_the_same_stream(k, d):
+    eps_grid = [0.9, 0.3, 1.6, 0.6, 2.5]
+    for estimate in _grid_estimators(k, d):
+        rows = estimate(eps_grid, 3000, np.random.default_rng(48))
+        for eps, row in zip(eps_grid, rows):
+            assert row == estimate([eps], 3000, np.random.default_rng(48))[0]
+        # hits grow with eps: the rows are nested events on one draw
+        hits = [row.hits for eps, row in sorted(zip(eps_grid, rows))]
+        assert hits == sorted(hits) and hits[-1] > hits[0]
+
+
+def test_grid_estimates_hold_one_chunk_in_memory():
+    # 2^18 (2,4) planes in chunks of 2^16: one chunk's draw is 4.2 MB and
+    # a whole draw 16.8 MB, before any copy of it
+    eps_grid = np.linspace(0.1, 1.5, 8)
+    for estimate in _grid_estimators(2, 4):
+        rng = np.random.default_rng(49)
+        tracemalloc.start()
+        try:
+            estimate(eps_grid, 2**18, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+
+
+@pytest.mark.parametrize("eps_grid", [[], [[0.1, 0.2]], 0.1])
+def test_measure_grid_must_be_a_nonempty_list(eps_grid):
+    for estimate in _grid_estimators(1, 2):
+        with pytest.raises(ParamOrder, match="eps grid"):
+            estimate(eps_grid, 10, np.random.default_rng(50))
+
+
 @pytest.mark.parametrize("eps", [-0.1, 0.0, np.nan, np.inf])
 def test_measure_radius_must_be_finite_and_positive(eps):
     rng = np.random.default_rng(43)
     with pytest.raises(ParamOrder):
-        ball_measure_estimate(line(1, 0), eps, 10, rng)
+        ball_measure_estimate(line(1, 0), [0.1, eps], 10, rng)
     with pytest.raises(ParamOrder):
-        chart_cube_measure_estimate(1, 2, eps, 10, rng)
+        chart_cube_measure_estimate(1, 2, [0.1, eps], 10, rng)
 
 
 @pytest.mark.parametrize("k,d", [(0, 2), (2, 2), (3, 2)])
 def test_chart_cube_needs_a_proper_subspace_dimension(k, d):
     # k = d has an empty chart, which every draw would hit
     with pytest.raises(ParamOrder, match="need 1 <= k < d"):
-        chart_cube_measure_estimate(k, d, 0.1, 100, np.random.default_rng(44))
+        chart_cube_measure_estimate(k, d, [0.1], 100, np.random.default_rng(44))
 
 
 def test_span_bound_deterministic_and_modest():
@@ -384,8 +444,8 @@ def test_covering_radius_needs_members():
 @pytest.mark.parametrize(
     "estimate",
     [
-        lambda rng: ball_measure_estimate(Subspace(np.eye(2)[:, :1]), 0.1, 0, rng),
-        lambda rng: chart_cube_measure_estimate(1, 2, 0.1, 0, rng),
+        lambda rng: ball_measure_estimate(Subspace(np.eye(2)[:, :1]), [0.1], 0, rng),
+        lambda rng: chart_cube_measure_estimate(1, 2, [0.1], 0, rng),
     ],
     ids=["ball", "chart-cube"],
 )
