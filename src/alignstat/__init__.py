@@ -41,11 +41,8 @@ from .experiments import (
     write_records_csv,
 )
 from .grassmann import (
-    ChartMatrix,
     Subspace,
     canonical_angle,
-    chart_to_subspace,
-    graph_chart,
     orthonormalize,
     sample_uniform_subspace,
     span_normal_form,
@@ -60,11 +57,9 @@ from .holder import (
     build_interpolant,
     bump_basis,
     discrepancy_phi,
-    evaluate_jet,
     graph_lift,
     holder_membership_check,
     multi_index_set,
-    tangent_space,
 )
 from .nets import (
     SubspaceFamily,

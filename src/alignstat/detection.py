@@ -47,7 +47,6 @@ from .holder import (
     build_interpolant,
     cell_grid,
     holder_membership_check,
-    multi_index_set,
     phi_tube_radii,
 )
 from .nets import MeasureEstimate

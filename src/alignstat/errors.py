@@ -18,10 +18,6 @@ class DimensionMismatch(AlignstatError):
     """Operands live in incompatible ambient or subspace dimensions."""
 
 
-class ChartSingular(AlignstatError):
-    """The leading k-by-k block of a frame is numerically singular."""
-
-
 class EmptyFamily(AlignstatError):
     """A subspace family with no members was queried."""
 
@@ -46,12 +42,8 @@ class NotInClass(AlignstatError):
     """A function failed the smoothness-class membership check."""
 
 
-class DegenerateTangent(AlignstatError):
-    """Partial derivatives do not span a full-dimensional tangent space."""
-
-
 class OutOfDomain(AlignstatError):
-    """Evaluation point lies outside the unit cube domain."""
+    """A point lies outside the unit cube domain."""
 
 
 class Unsupported(AlignstatError):

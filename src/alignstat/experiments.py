@@ -260,10 +260,17 @@ def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
         yield from states
 
 
-def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
-    """What every trial at sample size n shares: the params and the cell grid."""
+def _check_n(config: ExperimentConfig, n: int) -> None:
+    """The sample-size checks of every trial at n: n >= 1 and n1 <= n."""
+    if n < 1:
+        raise ParamOrder(f"need n >= 1 (it sets the cell scale), got n={n}")
     if config.n1 > n:
         raise ParamOrder(f"need n1 <= n, got n={n}, n1={config.n1}")
+
+
+def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
+    """What every trial at sample size n shares: the params and the cell grid."""
+    _check_n(config, n)
     params = config.params()
     return params, cell_grid(params, statistic_eps(params, n), c2, clamp=True)
 
@@ -368,10 +375,11 @@ def _run_trials(
 ) -> list[RunRecord]:
     """One seeded trial per (n_index, n, trial) key, records in key order.
 
-    The keys run in blocks of consecutive keys that share (n_index, n).
-    ``workers`` is capped at the usable CPUs, and a pool gets the blocks
-    cut to about an eighth of each worker's share of the keys, with at
-    most one process per block; every cut gives the same records.
+    The keys run in blocks of consecutive keys that share (n_index, n),
+    each n checked before the first trial runs.  ``workers`` is capped
+    at the usable CPUs, and a pool gets the blocks cut to about an eighth
+    of each worker's share of the keys, with at most one process per
+    block; every cut gives the same records.
     """
     if workers < 1:
         raise ParamOrder(f"need workers >= 1, got {workers}")
@@ -379,7 +387,8 @@ def _run_trials(
     workers = min(workers, cpus or 1)
     size = max(1, len(keys) if workers == 1 else len(keys) // (workers * 8))
     blocks = []
-    for _, run in itertools.groupby(keys, key=lambda key: key[:2]):
+    for (_, n), run in itertools.groupby(keys, key=lambda key: key[:2]):
+        _check_n(config, n)
         run = list(run)
         blocks += [(config, run[i : i + size], c2) for i in range(0, len(run), size)]
     workers = min(workers, len(blocks))

@@ -13,11 +13,12 @@ metric on subspaces of fixed dimension.  Its sine is the largest singular
 value of N_K^T F_H, with N_K an orthonormal basis of the complement of K.
 The scalar :func:`canonical_angle` is the reference: it takes small
 angles through arcsin of the sine and the rest through arccos of the
-cosine.  Every batched angle goes through one blocked kernel
-(:func:`batch_canonical_angle`, :func:`min_canonical_angle`), which takes
-arctan2(sine, cosine), accurate at both ends, with both extreme singular
-values in closed form (plain square roots, no hypot) for vector and
-2-by-2 blocks, and one batched QR completion per chunk of centers.  The
+cosine.  Every batched angle a command takes goes through one blocked
+kernel, :func:`min_canonical_angle`, which takes arctan2(sine, cosine),
+accurate at both ends, with both extreme singular values in closed form
+(plain square roots, no hypot) for vector and 2-by-2 blocks, and one
+batched QR completion per chunk of centers.  :func:`batch_canonical_angle`
+runs the same blocks for the benchmark and the tests only.  The
 nearest-member search ranks pairs by the sine alone, which needs only
 the complement rows N^T A, then takes the exact arctan2 angle of each
 center's winning pair; a center whose winning sine exceeds
@@ -34,10 +35,9 @@ charts, and :func:`sample_uniform_angles` as angles to one plane.
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 stack of bases to its chart-regular mask (:func:`chart_regular`) and the
 transposed charts B A^{-1}, in closed form for k <= 2.  The chart does
-not depend on the basis, so the oriented reduction and :func:`graph_chart`
-read it from orthonormal frames, while the trial engine, the chart-cube
-measure and the angle reading take it straight from the Gaussian draw
-with no orthonormalization.
+not depend on the basis, so the oriented reduction reads it from
+orthonormal frames, while the trial engine, the chart-cube measure and
+the angle reading take it straight from the raw Gaussian draw.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ChartSingular, DimensionMismatch, RankDeficient
+from .errors import DimensionMismatch, RankDeficient
 
 # Orthonormality of stored frames, entrywise on frame^T frame - I.
 ORTHO_TOL = 1e-10
@@ -83,25 +83,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(d={self.dim_ambient}, k={self.dim_sub})"
-
-
-@dataclass(frozen=True, eq=False)
-class ChartMatrix:
-    """Graph-chart coordinates of a subspace over the first k axes.
-
-    Column j holds the vector attached to the j-th weight-one multi-index,
-    i.e. the subspace is spanned by e_i + sum_j y[j, i] e_{k+j}.
-    """
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        if y.ndim != 2:
-            raise DimensionMismatch(f"chart matrix must be 2-d, got shape {y.shape}")
-        y = y.copy()
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
 
 
 def orthonormalize(raw: np.ndarray) -> Subspace:
@@ -326,7 +307,10 @@ def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     orthonormal basis [B, N] of R^d, cos comes from B^T A and sin from
     N^T A (Bjorck & Golub 1973), so small angles keep full accuracy as in
     :func:`canonical_angle`.  Frames are processed ``_PAIR_BUDGET`` at a
-    time, which bounds the temporaries.
+    time, which bounds the temporaries.  No command calls this: the
+    benchmark traces it, as ``tests/test_trace_targets.py`` requires, and
+    the tests check the ball estimator against it as the frame-route
+    reference.  It goes with the benchmark's move off it (ROADMAP item 5).
     """
     centers = center[None]
     _check_pair_shapes(frames, centers)
@@ -431,20 +415,6 @@ def sample_orthogonal_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     return sample_uniform_frames(rng, 1, d, d)[0]
 
 
-def graph_chart(w: Subspace) -> ChartMatrix:
-    """Express ``w`` as a graph over the first k coordinate axes.
-
-    With A the top k-by-k block and B the bottom (d-k)-by-k block of the
-    frame, the chart is y = B A^{-1} (see :func:`chart_slopes`).  Fails
-    with ChartSingular when A is numerically singular, which happens on a
-    null set of subspaces.
-    """
-    yt, ok = chart_slopes(w.frame[None])
-    if not ok[0]:
-        raise ChartSingular("top k-by-k block of the frame is numerically singular")
-    return ChartMatrix(yt[0].T)
-
-
 def chart_regular(a: np.ndarray) -> np.ndarray:
     """Whether each k-by-k block of a stack (m, k, k) admits a graph chart.
 
@@ -502,13 +472,6 @@ def chart_slopes(frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if k == 1:
         return (b / a).transpose(0, 2, 1), ok
     return np.linalg.solve(a.transpose(0, 2, 1), b.transpose(0, 2, 1)), ok
-
-
-def chart_to_subspace(y: ChartMatrix | np.ndarray) -> Subspace:
-    """Subspace spanned by the columns of [I_k ; y]."""
-    arr = y.y if isinstance(y, ChartMatrix) else np.asarray(y, dtype=float)
-    d = sum(arr.shape)
-    return subspace_from_normal_form(tuple(range(d)), arr, d)
 
 
 # Relative margin within which two pivot minors count as tied; far above

@@ -33,15 +33,12 @@ from .bumps import monomial_leibniz, monomial_plateau_derivs, plateau_sq_derivs
 from .errors import (
     BoxViolation,
     CellCollision,
-    DegenerateTangent,
     DimensionMismatch,
     EpsTooLarge,
     NotInClass,
     OutOfDomain,
     ParamOrder,
-    RankDeficient,
 )
-from .grassmann import Subspace, canonical_angle, orthonormalize
 
 MultiIndex = tuple[int, ...]
 
@@ -73,11 +70,6 @@ def multi_index_set(k: int, r0: int) -> tuple[MultiIndex, ...]:
     idx = [s for s in product(range(r0 + 1), repeat=k) if sum(s) <= r0]
     idx.sort(key=lambda s: (sum(s), tuple(-e for e in s)))
     return tuple(idx)
-
-
-def multi_index_count(k: int, r0: int) -> int:
-    """Closed-form cardinality sum_{s=0}^{r0} binom(s+k-1, k-1)."""
-    return sum(comb(s + k - 1, k - 1) for s in range(r0 + 1))
 
 
 def mi_binom(t: MultiIndex, tp: MultiIndex) -> int:
@@ -176,9 +168,6 @@ class JetSamples:
 
     def __getitem__(self, i: int) -> JetPoint:
         return JetPoint(self.xs[i], self.ys[i])
-
-    def take(self, idx) -> "JetSamples":
-        return JetSamples(self.params, self.xs[idx], self.ys[idx])
 
 
 def discrepancy_phi(y1: np.ndarray, y2: np.ndarray, params: HolderParams) -> float:
@@ -531,18 +520,6 @@ def random_class_function(params: HolderParams, rng: np.random.Generator) -> Pol
     return PolyJetFunction(k, dim_out, coeffs)
 
 
-def evaluate_jet(f, x: np.ndarray, t_list) -> np.ndarray:
-    """Jet of ``f`` at one point, rows following ``t_list``.
-
-    Analytic for interpolants, polynomial maps and graph lifts; finite
-    differences are only ever a test oracle, never this implementation.
-    """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise OutOfDomain(f"evaluation point {x} outside the unit cube")
-    return f.jet_grid(x[None, :], t_list)[0]
-
-
 # ---------------------------------------------------------------------------
 # Class membership
 # ---------------------------------------------------------------------------
@@ -688,7 +665,7 @@ def _block_sup_gaps(
 
 
 class GraphLift:
-    """The map x -> (x, g(x)) with tangent-space evaluation.
+    """The map x -> (x, g(x)) with its tangent frames.
 
     The tangent space at x is spanned by (e_i, d_i g(x)); the identity
     block is produced analytically, and the stacked frame always has full
@@ -731,23 +708,6 @@ class GraphLift:
         q, _ = np.linalg.qr(raw)
         return q
 
-    def angle_margin(self, xs: np.ndarray) -> float:
-        """min over sampled x and axes s of ang(d_s f, span{d_t f : t != s}).
-
-        Void (pi/2 by convention) when k = 1.
-        """
-        if self.params.k == 1:
-            return float(np.pi / 2)
-        raw = self.raw_tangents(xs)
-        worst = np.pi / 2
-        for row in range(raw.shape[0]):
-            cols = raw[row]
-            for s in range(self.params.k):
-                u = orthonormalize(cols[:, s : s + 1])
-                others = orthonormalize(np.delete(cols, s, axis=1))
-                worst = min(worst, canonical_angle(u, others))
-        return float(worst)
-
 
 def graph_lift(g, params: HolderParams, check: bool = True) -> GraphLift:
     """Lift a class member to the oriented problem; verifies membership.
@@ -765,13 +725,3 @@ def graph_lift(g, params: HolderParams, check: bool = True) -> GraphLift:
                 f"ratio {report.max_holder_ratio:.4g} vs beta {params.beta:.4g}"
             )
     return GraphLift(g, params)
-
-
-def tangent_space(f, x: np.ndarray) -> Subspace:
-    """Tangent subspace of ``f`` at ``x`` as a point of G(k, d)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    raw = f.raw_tangents(x[None, :])[0]
-    try:
-        return orthonormalize(raw)
-    except RankDeficient as exc:
-        raise DegenerateTangent(f"partials at {x} are numerically rank-deficient") from exc

@@ -72,6 +72,7 @@ class SubspaceFamily:
     the integer slopes ``n[i]``; ``fam[i]`` builds it as a ``Subspace``.
     For packings, ``separation`` is the measured minimum pairwise angle
     (None when the family was too large to measure exhaustively).
+    ``covering_radius_estimate`` returns a radius and stores none.
     """
 
     eps: float
@@ -80,9 +81,6 @@ class SubspaceFamily:
     sigma: np.ndarray  # (m, d) integer
     n: np.ndarray  # (m, (d-k)k) integer
     separation: float | None = None
-    # running covering radius: every probe tested so far lies within this
-    # angle of some member (None until a probe has been run)
-    probe_radius: float | None = None
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -147,8 +145,9 @@ def estimate_span_bound(k: int, d: int) -> float:
     """The normal-form entry bound c1(k, d): 1.0, proven for every (k, d).
 
     ``grassmann.span_normal_form`` pivots on the maximal-volume minor, so
-    every entry of a normal form has |xi| <= 1.  Kept only under its old
-    name for callers that still ask for it.
+    every entry of a normal form has |xi| <= 1.  No command calls this:
+    the benchmark imports and traces it, as ``tests/test_trace_targets.py``
+    requires, and it goes with the benchmark's move off it (ROADMAP item 5).
     """
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
@@ -182,11 +181,7 @@ def covering_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -
 def covering_radius_estimate(
     fam: SubspaceFamily, probes: int, rng: np.random.Generator
 ) -> float:
-    """Max over uniform probes of the nearest-member angle.
-
-    Also folds the result into ``fam.probe_radius``, the running radius
-    within which every probe tested so far has found a member.
-    """
+    """Max over uniform probes of the nearest-member angle."""
     if probes < 1:
         raise ParamOrder(f"need probes >= 1, got {probes}")
     if len(fam) == 0:
@@ -196,7 +191,6 @@ def covering_radius_estimate(
     for size in _chunk_sizes(probes):
         nearest, _ = min_canonical_angle(fam.frames, sample_uniform_frames(rng, size, k, d))
         worst = max(worst, float(np.max(nearest)))
-    fam.probe_radius = worst if fam.probe_radius is None else max(fam.probe_radius, worst)
     return worst
 
 

@@ -31,6 +31,27 @@ def fd_jet(value_fn, x, t, step=1e-5):
     return fn(x[None, :])[0]
 
 
+def tangent_space(lift, x):
+    """Tangent plane of a graph lift at x: the span of (e_i, d_i g(x)),
+    orthonormalized by SVD (``GraphLift.tangent_frames`` uses QR)."""
+    from alignstat.grassmann import orthonormalize
+
+    return orthonormalize(lift.raw_tangents(np.reshape(x, (1, -1)))[0])
+
+
+def angle_margin(lift, xs):
+    """min over points x and axes s of the angle between the tangent d_s f
+    and the span of the other tangents d_t f, t != s; needs k >= 2."""
+    from alignstat.grassmann import canonical_angle, orthonormalize
+
+    worst = np.pi / 2
+    for cols in lift.raw_tangents(xs):
+        for s in range(cols.shape[1]):
+            others = orthonormalize(np.delete(cols, s, axis=1))
+            worst = min(worst, canonical_angle(orthonormalize(cols[:, s : s + 1]), others))
+    return worst
+
+
 def ks_statistic_uniform(values, lo=0.0, hi=1.0):
     """One-sample Kolmogorov-Smirnov statistic against Uniform(lo, hi)."""
     u = np.sort((np.asarray(values) - lo) / (hi - lo))

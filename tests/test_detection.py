@@ -7,7 +7,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from conftest import brute_cell_scan, ks_statistic_uniform
+from conftest import brute_cell_scan, ks_statistic_uniform, tangent_space
 from scipy import stats as sps
 
 from alignstat import detection
@@ -44,10 +44,8 @@ from alignstat.holder import (
     cell_grid,
     constant_function,
     discrepancy_phi,
-    evaluate_jet,
     graph_lift,
     random_class_function,
-    tangent_space,
 )
 
 P12 = HolderParams(1, 2, 2.0, 1.0, 1)
@@ -143,7 +141,7 @@ class TestAltJets:
         g = random_class_function(params, np.random.default_rng(6))
         samples = generate_alt_jets(40, 40, g, params, np.random.default_rng(7))
         for i in range(len(samples)):
-            jet = evaluate_jet(g, samples.xs[i], params.index_set())
+            jet = g.jet_grid(samples.xs[i][None], params.index_set())[0]
             assert discrepancy_phi(samples.ys[i], jet, params) == 0.0
 
     def test_not_in_class(self):
@@ -209,7 +207,7 @@ class TestOriented:
         jets, dropped = oriented_to_jets(oriented, params)
         assert dropped == 0
         for i in range(len(jets)):
-            expected = evaluate_jet(g, jets.xs[i], params.index_set())
+            expected = g.jet_grid(jets.xs[i][None], params.index_set())[0]
             assert discrepancy_phi(jets.ys[i], expected, params) < 1e-16
 
     @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4)])
@@ -277,10 +275,10 @@ class TestGreedyStatistic:
             owner = rng.integers(0, 5, size=m)
             assert not grid.clamped
             counts = detection.cell_counts(grid, samples.xs, samples.ys, owner, 6)
-            want = [
-                len(brute_cell_scan(samples.take(owner == o), params, grid.eps, grid.eps_prime))
-                for o in range(6)
-            ]
+            want = []
+            for o in range(6):
+                mine = JetSamples(params, samples.xs[owner == o], samples.ys[owner == o])
+                want.append(len(brute_cell_scan(mine, params, grid.eps, grid.eps_prime)))
             assert counts.tolist() == want
             assert sum(want) > 5
 
@@ -322,7 +320,8 @@ class TestGreedyStatistic:
         samples = generate_null_jets(300, P12, rng)
         prev = 0
         for m in range(0, 301, 25):
-            sel = greedy_cell_statistic(samples.take(slice(0, m)), P12, 300, c2=UNIT_C2)
+            head = JetSamples(P12, samples.xs[:m], samples.ys[:m])
+            sel = greedy_cell_statistic(head, P12, 300, c2=UNIT_C2)
             assert sel.count >= prev
             prev = sel.count
 

@@ -309,6 +309,18 @@ class TestBlockEngine:
         monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 1)  # one count per trial
         assert np.array_equal(default, run(1))
 
+    @pytest.mark.parametrize(
+        "n1,grid,match",
+        [(0, [1000, 3000, -5], "n >= 1"), (2000, [3000, 1000], "n1 <= n")],
+        ids=["n-below-1", "n1-above-a-later-n"],
+    )
+    def test_every_n_is_checked_before_the_first_trial(self, monkeypatch, n1, grid, match):
+        blocks = []
+        monkeypatch.setattr(experiments, "_run_block", lambda payload: blocks.append(payload) or [])
+        config = ExperimentConfig("jets", 1, 2, 2.0, 1.0, 1, max(grid), n1, 3, 20)
+        with pytest.raises(ParamOrder, match=match):
+            run_sweep(config, grid)
+        assert blocks == []
 
     def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch):
         pools = []

@@ -8,16 +8,13 @@ import pytest
 from scipy import stats
 
 from alignstat import grassmann
-from alignstat.errors import ChartSingular, DimensionMismatch, RankDeficient
+from alignstat.errors import DimensionMismatch, RankDeficient
 from alignstat.grassmann import (
-    ChartMatrix,
     Subspace,
     batch_canonical_angle,
     canonical_angle,
     chart_regular,
     chart_slopes,
-    chart_to_subspace,
-    graph_chart,
     min_canonical_angle,
     orthonormalize,
     sample_orthogonal_matrix,
@@ -419,25 +416,30 @@ class TestUniformSampling:
             assert np.max(np.abs(gram - np.eye(2))) < 1e-10
 
 
+def chart(w):
+    """The chart y = B A^{-1} of one chart-regular subspace."""
+    yt, ok = chart_slopes(w.frame[None])
+    assert ok[0]
+    return yt[0].T
+
+
 class TestGraphChart:
     def test_read_off_line(self):
-        w = line(1, 2, -1)
-        chart = graph_chart(w)
-        assert chart.y == pytest.approx(np.array([[2.0], [-1.0]]))
+        assert chart(line(1, 2, -1)) == pytest.approx(np.array([[2.0], [-1.0]]))
 
     def test_horizontal_subspace_zero_chart(self):
         w = Subspace(np.eye(4)[:, :2])
-        assert np.allclose(graph_chart(w).y, 0.0)
+        assert np.allclose(chart(w), 0.0)
 
     def test_axis_aligned_is_singular(self):
-        with pytest.raises(ChartSingular):
-            graph_chart(line(0, 1))
+        yt, ok = chart_slopes(line(0, 1).frame[None])
+        assert not ok[0] and len(yt) == 0
 
     def test_round_trip_on_uniform_samples(self):
         rng = np.random.default_rng(9)
         for _ in range(1000):
             w = sample_uniform_subspace(rng, 2, 4)
-            back = chart_to_subspace(graph_chart(w))
+            back = subspace_from_normal_form(tuple(range(4)), chart(w), 4)
             assert canonical_angle(back, w) < 1e-8
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -455,16 +457,7 @@ class TestGraphChart:
                 bottom = w @ np.diag(np.sqrt(1.0 - s * s)) @ v.T
                 sub = Subspace(np.vstack([top, bottom]))
                 assert chart_regular(sub.frame[None, :k, :])[0] == regular
-                if regular:
-                    graph_chart(sub)
-                else:
-                    with pytest.raises(ChartSingular):
-                        graph_chart(sub)
-
-    def test_chart_to_subspace_spans_stack(self):
-        y = ChartMatrix(np.array([[2.0], [-1.0]]))
-        sub = chart_to_subspace(y)
-        assert canonical_angle(sub, line(1, 2, -1)) < 1e-10
+                assert chart_slopes(sub.frame[None])[1][0] == regular
 
 
 def _near_singular_frames(rng, m, k, d):
@@ -499,13 +492,14 @@ class TestChartSlopes:
 
     @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4), (3, 5)])
     def test_graph_chart_unchanged(self, k, d):
-        # the chart as graph_chart computed it before the shared kernel
+        # the chart y = B A^{-1} by one solve per subspace, as it was
+        # computed before the shared kernel
         rng = np.random.default_rng(7 * d + k)
         for _ in range(1000):
             w = sample_uniform_subspace(rng, k, d)
             a, b = w.frame[:k], w.frame[k:]
             ref = np.linalg.solve(a.T, b.T).T
-            y = graph_chart(w).y
+            y = chart(w)
             assert y.shape == ref.shape
             assert np.max(np.abs(y - ref)) <= 1e-12 * np.linalg.cond(a) * max(
                 1.0, np.max(np.abs(ref))
@@ -599,11 +593,10 @@ class TestSpanNormalForm:
     [
         (lambda: Subspace(np.ones((2, 3))), DimensionMismatch),
         (lambda: Subspace(np.array([[1.0], [1.0]])), RankDeficient),
-        (lambda: ChartMatrix(np.zeros(3)), DimensionMismatch),
         (lambda: orthonormalize(np.ones((2, 3))), DimensionMismatch),
         (lambda: sample_uniform_frames(np.random.default_rng(0), 4, 3, 2), DimensionMismatch),
     ],
-    ids=["wide-frame", "non-orthonormal-frame", "chart-not-2d", "orthonormalize-wide",
+    ids=["wide-frame", "non-orthonormal-frame", "orthonormalize-wide",
          "frames-k-above-d"],
 )
 def test_input_checks(call, error):

@@ -110,7 +110,6 @@ class TestCoveringFamily:
         ]
         assert max(radii) / 0.2 < 2.0
         assert max(radii) / min(radii) < 1.5
-        assert fam.probe_radius == max(radii)  # running record over all probes
 
     @pytest.mark.parametrize("k,d,eps", [(1, 2, 0.3), (1, 3, 0.4), (2, 3, 0.2), (2, 4, 0.5)])
     def test_default_count_is_the_c1_one_grid(self, k, d, eps):
@@ -154,7 +153,6 @@ class TestCoveringFamily:
         for probes in (0, -5):
             with pytest.raises(ParamOrder):
                 covering_radius_estimate(fam, probes, np.random.default_rng(0))
-        assert fam.probe_radius is None
 
 
 class TestScalarOracles:
@@ -199,19 +197,11 @@ class TestScalarOracles:
         # 40 probes in chunks of 7: the stream and the angles do not change
         def estimate():
             fam = covering_family(2, 3, 0.5)
-            return covering_radius_estimate(fam, 40, np.random.default_rng(9)), fam.probe_radius
+            return covering_radius_estimate(fam, 40, np.random.default_rng(9))
 
         whole = estimate()
         monkeypatch.setattr(nets, "_MEASURE_CHUNK", 7)
         assert estimate() == whole
-
-    def test_probe_radius_is_a_running_maximum(self):
-        fam = covering_family(1, 2, 0.25)
-        assert fam.probe_radius is None
-        wide = covering_radius_estimate(fam, 50, np.random.default_rng(1))
-        assert fam.probe_radius == wide
-        narrow = covering_radius_estimate(fam, 1, np.random.default_rng(2))
-        assert narrow < wide and fam.probe_radius == wide
 
 
 class TestNearest:
