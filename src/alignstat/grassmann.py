@@ -16,14 +16,18 @@ angles through arcsin of the sine and the rest through arccos of the
 cosine.  Every batched angle a command takes goes through one blocked
 kernel, :func:`min_canonical_angle`, which takes arctan2(sine, cosine),
 accurate at both ends, with both extreme singular values in closed form
-(plain square roots, no hypot) for vector and 2-by-2 blocks, and one
-batched QR completion per chunk of centers.  :func:`batch_canonical_angle`
-runs the same blocks for the benchmark and the tests only.  The
-nearest-member search ranks pairs by the sine alone, which needs only
-the complement rows N^T A, then takes the exact arctan2 angle of each
-center's winning pair; a center whose winning sine exceeds
-``_COS_SWITCH``, where the sine no longer separates angles finely, is
-ranked again by the full angle.
+(plain square roots, no hypot) for vector and 2-by-2 blocks, the largest
+also for 2-by-s and s-by-2 blocks, and one batched QR completion per
+chunk of centers.  :func:`batch_canonical_angle` runs the same products
+for the benchmark and the tests only.  The nearest-member search first
+screens every pair by one GEMM of packed projectors: the Frobenius
+distance ||sin Theta||_F^2 = k1 - <A A^T, B B^T>_F brackets the squared
+sine of the largest angle within a factor k1, so only pairs inside the
+bracket of each center's nearest can win.  Those pairs get their exact
+sine from the complement rows N^T A, and each center's winner its exact
+arctan2 angle; a center whose winning sine exceeds ``_COS_SWITCH``,
+where the sine no longer separates angles finely, is ranked again over
+its kept pairs by the full angle.
 
 Every uniform plane comes from one Gaussian draw, an (m, d, k) stack of
 independent standard normals, whose span is uniform on G(k, d)
@@ -42,7 +46,7 @@ the angle reading take it straight from the raw Gaussian draw.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -204,15 +208,27 @@ def sample_uniform_angles(rng: np.random.Generator, m: int, h: Subspace) -> np.n
 
 # (center, frame) pairs whose d-by-k1 products one block of the angle
 # kernel holds at a time: large enough to amortize the per-block numpy
-# calls, small enough that the temporaries stay around a megabyte.
+# calls, small enough that the temporaries stay around a megabyte.  A
+# block of the nearest-member screen holds as many floats, _PAIR_BUDGET
+# d k1, as projector inner products.
 _PAIR_BUDGET = 2**13
 
+# Absolute slack of the nearest-member screen on ||sin Theta||_F^2: far
+# above the rounding of the sines and of G, a dot product of d(d+1)/2
+# packed projector entries of size at most 1, at any d this package uses.
+_SCREEN_MARGIN = 1e-12
 
-def _check_pair_shapes(frames: np.ndarray, centers: np.ndarray) -> None:
+
+def _check_pair_shapes(frames: np.ndarray, centers: np.ndarray, later_only: bool = False) -> None:
     if frames.shape[1] != centers.shape[1]:
         raise DimensionMismatch("ambient dimensions differ")
     if frames.shape[2] > centers.shape[2]:
         raise DimensionMismatch("batch frames must not have larger dimension")
+    if later_only and frames.shape != centers.shape:
+        raise DimensionMismatch(
+            f"later_only measures one stack against itself, got shapes "
+            f"{frames.shape} and {centers.shape}"
+        )
 
 
 def _complete_bases(centers: np.ndarray) -> np.ndarray:
@@ -231,20 +247,34 @@ def _extreme_singular_value(block: np.ndarray, largest: bool) -> np.ndarray:
 
     ``block`` has shape (r, s, ...), the matrix axes first, so that each
     entry block[a, b] is one contiguous array over the stack.  Closed
-    forms for vectors and 2-by-2 blocks, a batched SVD otherwise; an
-    empty block gives 0.  The smallest is taken over min(r, s) values.
+    forms for vectors and 2-by-2 blocks, and for the largest value of
+    2-by-s and s-by-2 blocks; a batched SVD otherwise.  An empty block
+    gives 0.  The smallest is taken over min(r, s) values.
 
     For [[a, b], [c, e]] the largest value is
     (sqrt((a+e)^2 + (b-c)^2) + sqrt((a-e)^2 + (b+c)^2)) / 2, taken with
     plain squares: entries of orthonormal frames or their products are
     at most 1, and of charts of Gaussian draws at most |B| / RANK_TOL, so
     nothing overflows.  The smallest is |det| / largest, accurate when tiny.
+    For a 2-by-s or s-by-2 block the largest value squared is the larger
+    eigenvalue of its 2-by-2 Gram [[p, g], [g, q]],
+    (p + q) / 2 + sqrt(((p - q) / 2)^2 + g^2), a sum of nonnegative terms
+    and so accurate to rounding; the smallest stays with the SVD, since
+    the Gram's determinant would lose half the digits of a tiny value.
     """
     r, s = block.shape[:2]
     if r == 0 or s == 0:
         return np.zeros(block.shape[2:])
     if r == 1 or s == 1:
         return np.sqrt(np.sum(block * block, axis=(0, 1)))
+    if largest and 2 in (r, s) and r != s:
+        # the two long rows (r = 2) or columns (s = 2) of each matrix
+        u, v = (block[0], block[1]) if r == 2 else (block[:, 0], block[:, 1])
+        p = np.sum(u * u, axis=0)
+        q = np.sum(v * v, axis=0)
+        g = np.sum(u * v, axis=0)
+        half = 0.5 * (p - q)
+        return np.sqrt(0.5 * (p + q) + np.sqrt(half * half + g * g))
     if r == 2 and s == 2:
         a, b, c, e = block[0, 0], block[0, 1], block[1, 0], block[1, 1]
         u = a + e
@@ -290,15 +320,6 @@ def _product_angle(prod: np.ndarray, k2: int) -> np.ndarray:
     return np.arctan2(sin, cos, out=sin)
 
 
-def _angle_block(qt: np.ndarray, k2: int, frames: np.ndarray) -> np.ndarray:
-    """Largest canonical angle of every (center, frame) pair, shape (c, t).
-
-    ``qt`` holds the transposed complete bases of c centers of dimension
-    k2, shape (c, d, d), ``frames`` shape (t, d, k1).
-    """
-    return _product_angle(_pair_products(qt, frames), k2)
-
-
 def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Largest canonical angle from each frame in a batch to one frame.
 
@@ -317,45 +338,127 @@ def batch_canonical_angle(frames: np.ndarray, center: np.ndarray) -> np.ndarray:
     qt = _complete_bases(centers).transpose(0, 2, 1)
     out = np.empty(frames.shape[0])
     for start in range(0, frames.shape[0], _PAIR_BUDGET):
-        stop = start + _PAIR_BUDGET
-        out[start:stop] = _angle_block(qt, center.shape[1], frames[start:stop])[0]
+        prod = _pair_products(qt, frames[start : start + _PAIR_BUDGET])
+        out[start : start + _PAIR_BUDGET] = _product_angle(prod, center.shape[1])[0]
     return out
 
 
-def _blocked_argmin(
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    bases: np.ndarray,
+def _packed_projectors(frames: np.ndarray) -> np.ndarray:
+    """Projectors A A^T of a frame stack (t, d, k), packed: shape (d(d+1)/2, t).
+
+    Column i holds the upper triangle of A_i A_i^T, its off-diagonal
+    entries scaled by sqrt(2), so the dot product of two columns is the
+    Frobenius inner product <A A^T, B B^T>_F = ||B^T A||_F^2.
+    """
+    d, k = frames.shape[1:]
+    iu, ju = np.triu_indices(d)
+    # entry (a, j) of every frame as one contiguous run over the stack
+    entries = np.ascontiguousarray(frames.transpose(1, 2, 0))
+    packed = entries[iu, 0] * entries[ju, 0]
+    for j in range(1, k):
+        packed += entries[iu, j] * entries[ju, j]
+    packed *= np.where(iu == ju, 1.0, np.sqrt(2.0))[:, None]
+    return packed
+
+
+def _bracket_screen(
+    frames: np.ndarray, centers: np.ndarray, first: int, later_only: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches of the (center, frame) pairs that the Frobenius bracket keeps.
+
+    ``centers`` are rows ``first, first + 1, ...`` of their stack, which
+    ``later_only`` compares with the frame indices.  With
+    G = <A A^T, B B^T>_F from one GEMM of packed projectors per block and
+    rowmax each center's largest G so far, a pair is kept when
+    G >= k1 - k1 (k1 - rowmax) - _SCREEN_MARGIN.  Yields the kept pairs'
+    positions in ``centers`` and their frame indices, in no set order,
+    whenever ``_PAIR_BUDGET`` of them are held, and once at the end.
+    """
+    t, d, k1 = frames.shape
+    c = len(centers)
+    block = _PAIR_BUDGET * d * k1
+    # frames packed at a time: the k1 products of d(d+1)/2 rows fill a block
+    frame_step = max(1, block // (k1 * d * (d + 1) // 2))
+    center_step = max(1, block // max(1, min(t, frame_step)))
+
+    def floor(rowmax):
+        return k1 - k1 * (k1 - rowmax) - _SCREEN_MARGIN
+
+    def batch():
+        rows, cols, gram = (np.concatenate(part) for part in zip(*kept))
+        # the running row max only grew since these pairs were kept
+        again = gram >= floor(rowmax[rows])
+        return rows[again], cols[again]
+
+    packed = _packed_projectors(centers)
+    rowmax = np.full(c, -np.inf)
+    kept, held = [], 0
+    for f0 in range(first + 1 if later_only else 0, t, frame_step):
+        f1 = min(t, f0 + frame_step)
+        frame_packed = _packed_projectors(frames[f0:f1])
+        for g0 in range(0, c, center_step):
+            g1 = min(c, g0 + center_step)
+            # with later_only, center first + g sees frames from first + g + 1 on
+            lo = max(f0, first + g0 + 1) if later_only else f0
+            if lo >= f1:
+                break
+            gram = packed[:, g0:g1].T @ frame_packed[:, lo - f0 :]
+            if later_only:
+                # frames at or below the diagonal, all among the first g1 - g0 columns
+                width = min(g1 - g0, f1 - lo)
+                below = np.tri(g1 - g0, width, first + g0 - lo, dtype=bool)
+                np.copyto(gram[:, :width], -np.inf, where=below)
+            np.maximum(rowmax[g0:g1], gram.max(axis=1), out=rowmax[g0:g1])
+            keep = gram >= floor(rowmax[g0:g1])[:, None]
+            if later_only:
+                # a row with no frame left has rowmax -inf and keeps no pair
+                np.copyto(keep[:, :width], False, where=below)
+            flat = np.flatnonzero(keep)
+            i, j = np.divmod(flat, f1 - lo)
+            kept.append((i + g0, j + lo, gram.ravel()[flat]))
+            held += len(flat)
+            if held >= _PAIR_BUDGET:
+                yield batch()
+                kept, held = [], 0
+    if kept:
+        yield batch()
+
+
+def _pair_values(
+    qt: np.ndarray,
     frames: np.ndarray,
     rows: np.ndarray,
-    later_only: bool,
-    center_step: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Least score over the frames for each center, and its lowest index.
+    cols: np.ndarray,
+    value: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """``value`` of the product Q_j^T A_i of each listed pair, shape (n,).
 
-    ``score(bases[g0:g1], frames[f0:f1])`` gives the (g, f) scores of one
-    block of at most ``_PAIR_BUDGET`` pairs: ``center_step`` centers
-    against ``_PAIR_BUDGET // center_step`` frames.  ``rows`` (increasing)
-    are the centers' indices in their stack, which ``later_only`` compares
-    with the frame indices; a center with no frame left gets inf and -1.
+    Pair n joins basis ``qt[rows[n]]`` and frame ``frames[cols[n]]``; the
+    products reach ``value`` with the matrix axes first, ``_PAIR_BUDGET``
+    pairs at a time.
     """
-    t = frames.shape[0]
-    frame_step = _PAIR_BUDGET // center_step
-    best = np.full(len(rows), np.inf)
-    arg = np.full(len(rows), -1, dtype=np.int64)
-    for g0 in range(0, len(rows), center_step):
-        g1 = min(len(rows), g0 + center_step)
-        group = rows[g0:g1]
-        for f0 in range(group[0] + 1 if later_only else 0, t, frame_step):
-            f1 = min(t, f0 + frame_step)
-            scores = score(bases[g0:g1], frames[f0:f1])
-            if later_only:
-                scores[np.arange(f0, f1)[None, :] <= group[:, None]] = np.inf
-            pos = np.argmin(scores, axis=1)
-            val = scores[np.arange(g1 - g0), pos]
-            better = val < best[g0:g1]
-            best[g0:g1][better] = val[better]
-            arg[g0:g1][better] = pos[better] + f0
-    return best, arg
+    out = np.empty(len(rows))
+    for s0 in range(0, len(rows), _PAIR_BUDGET):
+        part = slice(s0, s0 + _PAIR_BUDGET)
+        out[part] = value((qt[rows[part]] @ frames[cols[part]]).transpose(1, 2, 0))
+    return out
+
+
+# the column of a row that no pair has reached yet
+_NO_COLUMN = np.iinfo(np.int64).max
+
+
+def _fold_least(
+    least: np.ndarray, col: np.ndarray, rows: np.ndarray, score: np.ndarray, cols: np.ndarray
+) -> None:
+    """Fold scored pairs into each row's least score and its lowest column
+    among ties, in place; ``least`` starts at inf, ``col`` at _NO_COLUMN."""
+    before = least[rows]
+    np.minimum.at(least, rows, score)
+    now = least[rows]
+    col[rows[now < before]] = _NO_COLUMN
+    hit = score == now
+    np.minimum.at(col, rows[hit], cols[hit])
 
 
 def min_canonical_angle(
@@ -366,46 +469,68 @@ def min_canonical_angle(
     ``frames`` has shape (t, d, k1), ``centers`` shape (c, d, k2) with
     k1 <= k2; returns ``(angles, index)``, both of shape (c,).  Ties keep
     the lowest frame index.  With ``later_only`` (a family measured
-    against itself, frames and centers the same stack) center j only
-    looks at frames i > j; a center with no such frame gets angle inf and
-    index -1.
+    against itself, so ``frames`` and ``centers`` must have one shape)
+    center j only looks at frames i > j; a center with no such frame gets
+    angle inf and index -1.
+
+    Two stages find the nearest frame.  The screen bounds every pair at
+    once: with G = <A A^T, B B^T>_F = ||B^T A||_F^2, the sines of the k1
+    canonical angles have squares summing to F = k1 - G (Conway, Hardin &
+    Sloane 1996), so F / k1 <= sin^2 theta_max <= F.  One GEMM of
+    projectors packed to d(d+1)/2 floats gives G for a block of pairs,
+    blocks holding ``_PAIR_BUDGET`` d k1 floats.  Let F_min be a center's
+    least F.  Its frame has sin^2 <= F_min, so a frame with
+    F > k1 F_min has sin^2 >= F / k1 > F_min and is not the nearest.
+    The screen keeps the pairs with F <= k1 F_min + ``_SCREEN_MARGIN``;
+    the margin makes every dropped pair's sine exceed the row's least by
+    more than 5e-13 / k1, far above the rounding of G and of the sines,
+    so the kept set holds the argmin of the computed sine with all its
+    ties.  F_min is a running minimum over frame blocks, which only
+    widens the kept set.
 
     The centers are completed to orthonormal bases [B, N] by one batched
-    QR per chunk of at most ``_PAIR_BUDGET`` centers, whose bases take at
-    most ``_PAIR_BUDGET`` d^2 floats.  A screen ranks the pairs by the
-    sine alone, the largest singular value of N^T A, in blocks of at most
-    ``_PAIR_BUDGET`` pairs: on [0, pi/2] the angle increases with its
-    sine, so this picks the nearest frame up to ties within rounding, at
-    the cost of the d-k2 complement rows only.  Each center's winning pair
-    then gets its exact arctan2 angle from its own product.  Above
-    ``_COS_SWITCH`` the sine separates angles less finely than arctan2
-    does (sin(pi/2 - delta) rounds to 1 for delta below about 1e-8), so a
-    center whose winning sine exceeds it is ranked again by the full angle.
+    QR per chunk of at most ``_PAIR_BUDGET`` centers.  The kept pairs get
+    their exact sine, the largest singular value of N^T A, a batch of
+    about ``_PAIR_BUDGET`` pairs at a time, so memory stays flat even
+    where many frames tie; each center keeps the least sine, the lowest
+    frame index among ties, and then its exact arctan2 angle from its own
+    product.  Above ``_COS_SWITCH`` the sine separates angles less finely
+    than arctan2 does (sin(pi/2 - delta) rounds to 1 for delta below
+    about 1e-8), so a center whose least sine exceeds it is ranked by the
+    full angle over its kept pairs: the angle increases with the true
+    sine, so the same margin keeps its argmin too.  A batch's pairs get
+    the full angle while their center's least sine so far exceeds
+    ``_COS_SWITCH``; that least only falls, so a center that ends above
+    it has had every kept pair ranked by the angle.
     """
-    _check_pair_shapes(frames, centers)
-    t, c, k2 = frames.shape[0], centers.shape[0], centers.shape[2]
+    _check_pair_shapes(frames, centers, later_only)
+    c, k2 = centers.shape[0], centers.shape[2]
     best = np.full(c, np.inf)
     arg = np.full(c, -1, dtype=np.int64)
-    center_step = _PAIR_BUDGET // max(1, min(t, _PAIR_BUDGET))
-    chunk = _PAIR_BUDGET // center_step * center_step
-    for c0 in range(0, c, chunk):
-        rows = np.arange(c0, min(c, c0 + chunk))
-        qt = _complete_bases(centers[c0 : c0 + chunk]).transpose(0, 2, 1)
-        # the screen: sin = sigma_max(N^T A) from the complement rows alone
-        sin, idx = _blocked_argmin(
-            lambda n, f: _extreme_singular_value(_pair_products(n, f), largest=True),
-            np.ascontiguousarray(qt[:, k2:]), frames, rows, later_only, center_step,
-        )
-        found = idx >= 0
-        prod = qt[found] @ frames[idx[found]]
-        best[rows[found]] = _product_angle(prod.transpose(1, 2, 0), k2)
-        arg[rows] = idx
-        coarse = found & (sin > _COS_SWITCH)
-        if coarse.any():
-            best[rows[coarse]], arg[rows[coarse]] = _blocked_argmin(
-                lambda q, f: _angle_block(q, k2, f),
-                qt[coarse], frames, rows[coarse], later_only, center_step,
-            )
+
+    def sine(prod):
+        return _extreme_singular_value(prod, largest=True)
+
+    def angle(prod):
+        return _product_angle(prod, k2)
+
+    for c0 in range(0, c, _PAIR_BUDGET):
+        chunk = centers[c0 : c0 + _PAIR_BUDGET]
+        qt = _complete_bases(chunk).transpose(0, 2, 1)
+        least_sin, least_angle = np.full(len(chunk), np.inf), np.full(len(chunk), np.inf)
+        by_sin, by_angle = np.full(len(chunk), _NO_COLUMN), np.full(len(chunk), _NO_COLUMN)
+        for rows, cols in _bracket_screen(frames, chunk, c0, later_only):
+            sin = _pair_values(qt[:, k2:], frames, rows, cols, sine)
+            _fold_least(least_sin, by_sin, rows, sin, cols)
+            coarse = np.flatnonzero(least_sin[rows] > _COS_SWITCH)
+            if len(coarse):
+                rows, cols = rows[coarse], cols[coarse]
+                full = _pair_values(qt, frames, rows, cols, angle)
+                _fold_least(least_angle, by_angle, rows, full, cols)
+        found = np.flatnonzero(np.isfinite(least_sin))
+        col = np.where(least_sin > _COS_SWITCH, by_angle, by_sin)[found]
+        best[c0 + found] = _pair_values(qt, frames, found, col, angle)
+        arg[c0 + found] = col
     return best, arg
 
 

@@ -19,14 +19,20 @@ normal forms have entries of either sign.
 Members are built as one (m, d, k) grid stack and orthonormalized by one
 batched SVD.  Packing separation and covering probes are minima of the
 largest canonical angle over all member pairs and over all (probe,
-member) pairs; both go through ``grassmann.min_canonical_angle``, which
-completes each center to an orthonormal basis [B, N] of R^d and ranks a
-whole block of pairs at once by the sine alone, the largest singular
-value of N^T A, holding at most a fixed pair budget of products in
-memory.  Each center's winning pair then gets its exact angle
-arctan2(sin, cos), with cos from B^T A; a center whose winning sine
-exceeds 0.7 (about 44 degrees), where sines of nearby angles round
-alike, is ranked again by the full angle.
+member) pairs; both go through ``grassmann.min_canonical_angle``.  It
+screens a whole block of pairs at once by one GEMM of packed projectors:
+the chordal distance ||sin Theta||_F^2 = k - <A A^T, B B^T>_F (Conway,
+Hardin & Sloane 1996) brackets the squared sine of the largest angle
+between itself / k and itself, so a pair whose lower end exceeds the
+upper end of the center's nearest pair cannot win.  Only the pairs
+inside that bracket, a few per center, get the exact sine, the largest
+singular value of N^T A with [B, N] the center's completed basis; each
+center's winning pair then gets its exact angle arctan2(sin, cos), with
+cos from B^T A.  A center whose winning sine exceeds 0.7 (about 44
+degrees), where sines of nearby angles round alike, is ranked again by
+the full angle over its kept pairs.  Memory stays flat: a block holds a
+fixed number of floats, projectors are packed one block of members at a
+time, and kept pairs reach the exact sine in bounded batches.
 
 Monte Carlo estimators for the invariant measure of metric balls and of
 chart-coordinate cubes live here too; both scale like eps^{(d-k)k}.  Each
@@ -56,10 +62,11 @@ from .grassmann import (
 DEFAULT_FAMILY_CAP = 10**6
 
 # Largest packing whose minimum pairwise angle is measured, about 33 M
-# member pairs.  With one BLAS thread on a 2-vCPU host the sine-screened
-# angle kernel measured 8100 lines in R^3 in 0.4-0.6 s and 6561 planes in
-# R^4 in 0.7-0.8 s (packing construction included, best of 3), where
-# ranking every pair by its full angle took 1.0 s and 1.5 s.
+# member pairs.  With one BLAS thread on a shared 2-vCPU Xeon host the
+# projector-screened angle kernel measured 8100 lines in R^3 in 0.11-0.17 s
+# and 6561 planes in R^4 in 0.09 s (packing construction included, best
+# of 3, over four runs), where a sine of every pair took 0.38-0.43 s and
+# 0.51-0.66 s.
 _SEPARATION_MEMBER_CAP = 2**13
 
 

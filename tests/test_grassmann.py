@@ -1,13 +1,14 @@
 """Subspace primitives: angles, charts, normal forms, uniform sampling."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from alignstat import grassmann
+from alignstat import grassmann, nets
 from alignstat.errors import DimensionMismatch, RankDeficient
 from alignstat.grassmann import (
     Subspace,
@@ -25,6 +26,7 @@ from alignstat.grassmann import (
     span_normal_form,
     subspace_from_normal_form,
 )
+from alignstat.nets import packing_family
 
 
 def line(*coords):
@@ -241,8 +243,12 @@ class TestAngleKernel:
         for want, got in zip(default, run()):
             assert np.array_equal(want, got)
 
-    @pytest.mark.parametrize("k1,k2,d", [(1, 1, 2), (1, 2, 3), (2, 2, 3), (2, 2, 4)])
+    @pytest.mark.parametrize(
+        "k1,k2,d", [(1, 1, 2), (1, 2, 3), (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 6)]
+    )
     def test_closed_form_shapes_never_call_svd(self, monkeypatch, k1, k2, d):
+        # at (2,5) and (2,6) the sine block N^T A is 3-by-2 or 4-by-2 and
+        # the angle chart 2-by-3 or 2-by-4: the Gram closed form takes both
         rng = np.random.default_rng(64)
         frames = sample_uniform_frames(rng, 30, k1, d)
         centers = sample_uniform_frames(rng, 4, k2, d)
@@ -253,6 +259,7 @@ class TestAngleKernel:
         monkeypatch.setattr(grassmann.np.linalg, "svd", no_svd)
         batch_canonical_angle(frames, centers[0])
         min_canonical_angle(frames, centers)
+        sample_uniform_angles(rng, 30, Subspace(centers[0]))
         if k1 == k2:
             min_canonical_angle(frames, frames, later_only=True)
         if k1 == 2:
@@ -267,6 +274,206 @@ class TestAngleKernel:
         with pytest.raises(DimensionMismatch):
             batch_canonical_angle(frames, np.zeros((4, 1)))
 
+    @pytest.mark.parametrize("shape", [(2, 4, 2), (5, 4, 2), (3, 4, 3)])
+    def test_later_only_needs_one_stack(self, shape):
+        # later_only compares center and frame indices of one stack; two
+        # stacks of different shapes would give a triangle over unrelated pairs
+        rng = np.random.default_rng(67)
+        frames = sample_uniform_frames(rng, 3, 2, 4)
+        centers = sample_uniform_frames(rng, *shape[::2], 4)
+        with pytest.raises(DimensionMismatch, match="later_only"):
+            min_canonical_angle(frames, centers, later_only=True)
+        min_canonical_angle(frames, centers)
+
+
+def _dense_nearest(frames, centers, later_only=False):
+    """Oracle for the screen: the sine of every (center, frame) pair, the
+    least per center with the lowest index on ties, and a re-rank of
+    every pair by the full angle where the winning sine exceeds
+    _COS_SWITCH.  The same per-pair arithmetic as the kernel, no screen."""
+    t, c, k2 = len(frames), len(centers), centers.shape[2]
+    qt = grassmann._complete_bases(centers).transpose(0, 2, 1)
+    rows, cols = np.repeat(np.arange(c), t), np.tile(np.arange(t), c)
+    # the sine from the complement rows alone, as the kernel takes it:
+    # a 1-by-d row block goes through another BLAS routine and rounds apart
+    sin_prod = (qt[rows, k2:] @ frames[cols]).transpose(1, 2, 0)
+    sin = grassmann._extreme_singular_value(sin_prod, largest=True).reshape(c, t)
+    prod = (qt[rows] @ frames[cols]).transpose(1, 2, 0)
+    angle = grassmann._product_angle(prod, k2).reshape(c, t)
+    if later_only:
+        sin[np.tri(c, t, dtype=bool)] = np.inf
+        angle[np.tri(c, t, dtype=bool)] = np.inf
+    idx = np.argmin(sin, axis=1)
+    coarse = sin[np.arange(c), idx] > grassmann._COS_SWITCH
+    idx[coarse] = np.argmin(angle[coarse], axis=1)
+    best = angle[np.arange(c), idx]
+    empty = np.isinf(best)
+    idx[empty] = -1
+    return best, idx
+
+
+def _near_copies(rng, frames, delta):
+    """Each frame moved to a plane at angle about ``delta`` from it."""
+    moved = frames + delta * rng.standard_normal(frames.shape) / np.sqrt(frames[0].size)
+    return np.linalg.qr(moved)[0]
+
+
+# (k1, k2, d) of the screen cases beyond KERNEL_SHAPES: k1 < k2, d = 5 and 6
+SCREEN_SHAPES = [(1, 2, 5), (2, 3, 5), (2, 2, 5), (1, 3, 6), (2, 4, 6), (3, 3, 6)]
+
+
+class TestNearestMemberScreen:
+    """The Frobenius-bracket screen of min_canonical_angle drops no pair
+    that the dense per-pair argmin of the sine could choose."""
+
+    # fixed before the first run: angles of the kernel against the scalar
+    # reference, which rounds differently
+    ANGLE_TOL = 1e-12
+
+    @staticmethod
+    def _check(frames, centers, later_only=False):
+        angles, idx = min_canonical_angle(frames, centers, later_only)
+        want, want_idx = _dense_nearest(frames, centers, later_only)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(angles, want)
+        return angles, idx
+
+    @pytest.mark.parametrize("k1,k2,d", KERNEL_SHAPES + SCREEN_SHAPES)
+    def test_random_frames_match_the_dense_argmin_and_the_scalar_oracle(self, k1, k2, d):
+        rng = np.random.default_rng(200 + 10 * k1 + k2 + 100 * d)
+        frames = sample_uniform_frames(rng, 70, k1, d)
+        centers = sample_uniform_frames(rng, 12, k2, d)
+        angles, idx = self._check(frames, centers)
+        scalar = _scalar_angles(frames, centers)
+        assert np.max(np.abs(angles - scalar.min(axis=1))) < self.ANGLE_TOL
+        assert np.max(np.abs(scalar[np.arange(12), idx] - scalar.min(axis=1))) < self.ANGLE_TOL
+        if k1 == k2:
+            self._check(frames, frames, later_only=True)
+
+    @pytest.mark.parametrize("k,d", [(1, 3), (2, 4), (2, 5), (3, 6)])
+    def test_duplicates_and_near_duplicates(self, k, d):
+        # every frame three more times: exactly, and moved by 1e-9 and 1e-15
+        rng = np.random.default_rng(210 + 10 * k + d)
+        base = sample_uniform_frames(rng, 15, k, d)
+        stack = np.concatenate(
+            [base, base, _near_copies(rng, base, 1e-9), _near_copies(rng, base, 1e-15)]
+        )
+        order = rng.permutation(len(stack))
+        stack = np.ascontiguousarray(stack[order])
+        angles, idx = self._check(stack, stack, later_only=True)
+        # each copy finds a later copy of itself, except the last copy of each
+        assert np.sum(angles < 1e-8) == 3 * 15
+        probes = np.concatenate([base, _near_copies(rng, base, 1e-12)])
+        angles, idx = self._check(stack, probes)
+        assert np.all(angles < 1e-8)
+        assert np.array_equal(order[idx] % 15, np.tile(np.arange(15), 2))
+
+    @pytest.mark.parametrize("k,d,eps", [(2, 3, 0.1), (3, 4, 0.34), (1, 3, 0.25), (2, 4, 0.5)])
+    def test_grid_packings_whose_pairs_tie(self, k, d, eps):
+        # neighbours along different grid axes sit at one angle in exact
+        # arithmetic, so rounding decides the ties, and the screen must keep them
+        frames = packing_family(k, d, eps).frames
+        angles, _ = self._check(frames, frames, later_only=True)
+        assert np.isinf(angles[-1])
+        probes = sample_uniform_frames(np.random.default_rng(220 + d), 40, k, d)
+        self._check(frames, probes)
+
+    def test_coarse_centers_rank_their_kept_pairs_by_the_full_angle(self):
+        # random 3-planes in R^6 lie far apart: most winning sines exceed
+        # _COS_SWITCH, so most centers go through the re-rank
+        rng = np.random.default_rng(230)
+        frames = sample_uniform_frames(rng, 30, 3, 6)
+        centers = sample_uniform_frames(rng, 20, 3, 6)
+        angles, _ = self._check(frames, centers)
+        assert np.mean(np.sin(angles) > grassmann._COS_SWITCH) > 0.5
+        angles, _ = self._check(frames, frames, later_only=True)
+        assert np.mean(np.sin(angles[:-1]) > grassmann._COS_SWITCH) > 0.5
+
+    def test_empty_rows_and_fewer_frames_than_centers(self):
+        rng = np.random.default_rng(240)
+        frames = sample_uniform_frames(rng, 4, 2, 4)
+        centers = sample_uniform_frames(rng, 25, 2, 4)
+        self._check(frames, centers)
+        self._check(frames[:1], centers)
+        angles, idx = min_canonical_angle(frames[:0], centers)
+        assert np.all(np.isinf(angles)) and np.all(idx == -1)
+        angles, idx = self._check(frames[:1], frames[:1], later_only=True)
+        assert np.isinf(angles[0]) and idx[0] == -1
+
+    @pytest.mark.parametrize("budget", [1, 2, 7])
+    def test_small_blocks_keep_the_same_pairs(self, monkeypatch, budget):
+        # blocks of a few frames: the running row max starts low, and
+        # later_only blocks straddle the diagonal at every offset
+        monkeypatch.setattr(grassmann, "_PAIR_BUDGET", budget)
+        frames = packing_family(2, 3, 0.25).frames
+        self._check(frames, frames, later_only=True)
+        self._check(frames, sample_uniform_frames(np.random.default_rng(250), 9, 2, 3))
+
+    @pytest.mark.parametrize(
+        "k,d,eps,separation",
+        [
+            (2, 4, 0.2, "0x1.548be67e8f633p-4"),
+            (2, 3, 0.4, "0x1.05c4ee28d97a3p-2"),
+            (2, 3, 0.2, "0x1.9c5c14f10b6dcp-4"),
+            (1, 3, 0.05, "0x1.88a50cf8c88d2p-6"),
+        ],
+    )
+    def test_packing_separations_are_pinned(self, k, d, eps, separation):
+        # the separations the dense sine screen measured, bit for bit
+        assert packing_family(k, d, eps).separation == float.fromhex(separation)
+
+    def test_memory_stays_flat_when_one_center_spans_many_blocks(self):
+        # 3 probes against 300,000 planes: the screen packs one block of
+        # frames at a time, so no (c, t) array and no O(t d^2) copy is
+        # made; the frames themselves take 19.2 MB.  Bound fixed before
+        # the first run.
+        frames = sample_uniform_frames(np.random.default_rng(260), 300_000, 2, 4)
+        probes = sample_uniform_frames(np.random.default_rng(261), 3, 2, 4)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            angles, idx = min_canonical_angle(frames, probes)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        for probe, angle, i in zip(probes, angles, idx):
+            assert abs(batch_canonical_angle(frames, probe).min() - angle) < self.ANGLE_TOL
+            assert batch_canonical_angle(frames[i : i + 1], probe)[0] == pytest.approx(angle)
+
+    def test_memory_stays_flat_at_the_separation_cap(self):
+        # 6,561 members at (2,4) eps = 0.125, the largest packing whose
+        # separation is measured: 21.5 M pairs, a dense (c, t) array of
+        # 344 MB.  Bound fixed before the first run.
+        fam = packing_family(2, 4, 0.125)
+        assert len(fam) == 6561 <= nets._SEPARATION_MEMBER_CAP
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            angles, _ = min_canonical_angle(fam.frames, fam.frames, later_only=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert float(np.min(angles)) == fam.separation
+
+    def test_memory_stays_flat_when_every_pair_ties(self):
+        # 2,000 copies of one plane: the bracket keeps all 2 M pairs, so
+        # holding them at once would take 48 MB; they reach the exact sine
+        # in bounded batches instead.  Bound fixed before the first run.
+        stack = np.repeat(sample_uniform_frames(np.random.default_rng(270), 1, 2, 4), 2000, axis=0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            angles, idx = min_canonical_angle(stack, stack, later_only=True)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        # every copy's sines tie exactly, so the next copy wins
+        assert np.array_equal(idx, np.r_[np.arange(1, 2000), -1])
+        assert np.all(angles[:-1] < 1e-15)
+
 
 # the closed forms' error bound, fixed before their first comparison
 _SVAL_RTOL = 2e-15
@@ -280,6 +487,10 @@ class TestExtremeSingularValue:
         rank1 = rng.uniform(-1, 1, (300, r, 1)) * rng.uniform(-1, 1, (300, 1, s))
         if min(r, s) == 1:
             orthogonal = [sample_uniform_frames(rng, 50, 1, max(r, s)).reshape(50, r, s)]
+        elif r != s:
+            # orthonormal columns (s = 2) or rows (r = 2)
+            frames = sample_uniform_frames(rng, 50, 2, max(r, s))
+            orthogonal = [frames if s == 2 else frames.transpose(0, 2, 1)]
         else:
             theta = rng.uniform(0, 2 * np.pi, 50)
             rot = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)])
@@ -293,7 +504,9 @@ class TestExtremeSingularValue:
             *orthogonal,
         ]
 
-    @pytest.mark.parametrize("r,s", [(1, 1), (1, 3), (3, 1), (4, 1), (2, 2)])
+    @pytest.mark.parametrize(
+        "r,s", [(1, 1), (1, 3), (3, 1), (4, 1), (2, 2), (2, 3), (3, 2), (2, 5), (4, 2)]
+    )
     def test_matches_svd(self, r, s):
         for stack in self._stacks(r, s):
             svals = np.linalg.svd(stack, compute_uv=False)
