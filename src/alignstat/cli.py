@@ -70,6 +70,7 @@ from .nets import (
     covering_family,
     covering_radius_estimate,
     export_family_csv,
+    family_size,
     packing_family,
 )
 
@@ -339,35 +340,29 @@ def cmd_volume_scan(args, out_dir: Path) -> int:
 
 def cmd_nets_demo(args, out_dir: Path) -> int:
     eps_grid = _number_list(args.eps_grid, float)
+    # every family size is closed-form, so the whole configuration is
+    # checked before the first family is built or exported
+    if args.probes < 1:
+        raise ParamOrder(f"need probes >= 1, got {args.probes}")
+    for kind in ("packing", "covering"):
+        for eps in eps_grid:
+            family_size(kind, args.k, args.d, eps)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2]))
     rows = ["kind,k,d,eps,members,separation,cover_radius,ratio_to_eps"]
-    exported = []
-
-    def export(fam, path):
+    for eps in eps_grid:
+        fam = packing_family(args.k, args.d, eps)
+        sep = fam.separation if fam.separation is not None else float("nan")
+        rows.append(f"packing,{args.k},{args.d},{eps!r},{len(fam)},{sep!r},,{sep / eps!r}")
         if args.export_members:
-            export_family_csv(fam, path)
-            exported.append(path)
-
-    try:
-        for eps in eps_grid:
-            fam = packing_family(args.k, args.d, eps)
-            sep = fam.separation if fam.separation is not None else float("nan")
-            rows.append(
-                f"packing,{args.k},{args.d},{eps!r},{len(fam)},{sep!r},,{sep / eps!r}"
-            )
-            export(fam, out_dir / f"packing_{eps!r}.csv")
-        for eps in eps_grid:
-            fam = covering_family(args.k, args.d, eps)
-            radius = covering_radius_estimate(fam, args.probes, rng)
-            rows.append(
-                f"covering,{args.k},{args.d},{eps!r},{len(fam)},,{radius!r},{radius / eps!r}"
-            )
-            export(fam, out_dir / f"covering_{eps!r}.csv")
-    except _CONFIG_ERRORS:
-        # a later eps over its member cap rejects the run, which then writes nothing
-        for path in exported:
-            path.unlink()
-        raise
+            export_family_csv(fam, out_dir / f"packing_{eps!r}.csv")
+    for eps in eps_grid:
+        fam = covering_family(args.k, args.d, eps)
+        radius = covering_radius_estimate(fam, args.probes, rng)
+        rows.append(
+            f"covering,{args.k},{args.d},{eps!r},{len(fam)},,{radius!r},{radius / eps!r}"
+        )
+        if args.export_members:
+            export_family_csv(fam, out_dir / f"covering_{eps!r}.csv")
     (out_dir / "nets.csv").write_text("\n".join(rows) + "\n")
     print("\n".join(rows))
     return 0

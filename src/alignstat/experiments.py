@@ -37,6 +37,21 @@ the Gaussian basis (grassmann.sample_uniform_charts) instead of from an
 orthonormal frame, and assembles the jets with detection.chart_jets, the
 assembly of oriented_to_jets; the chart does not depend on the basis.
 
+A block trial makes those draws in the fewest generator calls.  PCG64
+turns ``random`` and ``uniform`` into the same stream of doubles, one
+64-bit output each, so after the binomial M one ``random(M * per)`` call
+takes all of a trial's uniforms in run_trial's order: for jets the value
+row, the locations, the value row generate_null_jets draws and
+run_trial overwrites (still consumed, or the stream would shift), and
+the derivative rows; for oriented draws the value row and z, then the
+Gaussian bases in one ``grassmann.sample_uniform_bases`` call.  The
+trial keeps views of these arrays.  Every ``_BLOCK_SAMPLES`` samples the
+block concatenates them once, scales them by Generator.uniform's own
+formula low + (high - low) * u (bitwise the values uniform draws),
+reads the charts of all oriented bases in one ``chart_slopes`` call and
+drops the chart-singular draws, so its jets equal run_trial's bit for
+bit.
+
 Planted points enter the block's count as locations alone, for both
 problems: the default alternative is a constant map whose jet lies in
 every cell box, so only a planted point's cell decides.  run_trial, the
@@ -53,13 +68,11 @@ at small eps.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from io import StringIO
 
 import numpy as np
 
@@ -74,7 +87,7 @@ from .detection import (
     statistic_eps,
 )
 from .errors import ParamOrder
-from .grassmann import sample_uniform_charts
+from .grassmann import chart_slopes, sample_uniform_bases, sample_uniform_charts
 from .holder import CellGrid, GraphLift, HolderParams, JetSamples, cell_grid, constant_function
 
 EXPERIMENT_C2 = 1.0 + 1e-6
@@ -335,39 +348,86 @@ _BLOCK_SAMPLES = 2**12
 def _run_block(payload) -> list[RunRecord]:
     """The trials of consecutive keys that share (n_index, n), in key order.
 
-    Every trial draws from its own key's stream exactly as run_trial does,
-    through one generator set to each key's state; the block computes the
-    n-constants once and counts the samples of many trials with one box
-    filter and one cell count, where planted points enter as locations
-    alone (the default alternative's jet lies in every cell box).
+    Every trial draws from its own key's stream exactly what run_trial
+    draws, through one generator set to each key's state: the binomial M,
+    then all its uniforms in one call, in _trial_samples' order (see the
+    module doc), then for oriented draws the Gaussian bases, then the
+    planted locations.  Each trial keeps views of its draws; the block
+    scales, reduces and counts the draws of many trials at once in
+    ``_flush_counts``.
     """
     config, keys, c2 = payload
     n_index, n, _ = keys[0]
     params, grid = _trial_constants(config, n, c2)
+    k, d, n1, dim_out = config.k, config.d, config.n1, params.dim_out
+    lo, hi = grid.bounds[0]
+    oriented = config.problem == "oriented"
+    rows = len(params.index_set()) - 1
+    # uniforms per draw: the value row, then z (oriented), or x, the value
+    # row generate_null_jets draws and _trial_samples overwrites, and the
+    # derivative rows (jets)
+    per = dim_out + (d if oriented else k + dim_out + rows * dim_out)
+    q = (hi - lo) ** dim_out
     counts: list[int] = []
-    xs, ys, planted, sizes = [], [], [], []
+    values, xs, tails, planted, sizes = [], [], [], [], []
     pending = 0
     rng = np.random.Generator(np.random.PCG64())
     states = _key_states(config.seed, n_index, [trial for _, _, trial in keys])
     for i, state in enumerate(states):
         rng.bit_generator.state = state
-        samples = _trial_samples(config, params, n, grid, rng)
-        xs.append(samples.xs)
-        ys.append(samples.ys)
-        sizes.append(len(samples))
-        if config.n1:
-            planted.append(rng.random((config.n1, config.k)))
-        pending += len(samples) + config.n1
+        m = int(rng.binomial(n - n1, q))
+        u = rng.random(m * per)
+        values.append(u[: m * dim_out].reshape(m, dim_out))
+        if oriented:
+            xs.append(u[m * dim_out :].reshape(m, d)[:, :k])
+            tails.append(sample_uniform_bases(rng, m, k, d))
+        else:
+            xs.append(u[m * dim_out : m * (dim_out + k)].reshape(m, k))
+            tails.append(u[m * (2 * dim_out + k) :].reshape(m, rows, dim_out))
+        sizes.append(m)
+        if n1:
+            planted.append(rng.random((n1, k)))
+        pending += m + n1
         if pending >= _BLOCK_SAMPLES or i == len(keys) - 1:
-            trials = np.arange(len(sizes))
-            owner = np.concatenate([np.repeat(trials, sizes), np.repeat(trials, config.n1)])
-            flushed = cell_counts(
-                grid, np.concatenate(xs + planted), np.concatenate(ys), owner, len(sizes)
-            )
-            counts += flushed.tolist()
-            xs, ys, planted, sizes = [], [], [], []
+            counts += _flush_counts(config, grid, values, xs, tails, planted, sizes).tolist()
+            values, xs, tails, planted, sizes = [], [], [], [], []
             pending = 0
     return [RunRecord(config, n, trial, grid, count) for (_, _, trial), count in zip(keys, counts)]
+
+
+def _flush_counts(config, grid, values, xs, tails, planted, sizes) -> np.ndarray:
+    """The counts of the trials whose raw draws ``_run_block`` holds.
+
+    Per trial: the M value rows and locations as unit uniforms, the tails
+    (derivative rows as unit uniforms for jets, Gaussian bases for
+    oriented draws), the planted locations, and M.  Scaling uses
+    Generator.uniform's own formula, low + (high - low) * u, so the jets
+    equal run_trial's bit for bit; chart-singular oriented draws are
+    dropped, as chart_jets drops them.  One box filter and one cell count
+    then serve every trial, planted points entering as locations alone.
+    """
+    lo, hi = grid.bounds[0]
+    trials = np.arange(len(sizes))
+    owner = np.repeat(trials, sizes)
+    value = np.concatenate(values)
+    value *= hi - lo
+    value += lo
+    x = np.concatenate(xs)
+    if config.problem == "oriented":
+        slopes, ok = chart_slopes(np.concatenate(tails))
+        if not ok.all():
+            owner, value, x = owner[ok], value[ok], x[ok]
+    else:
+        slopes = np.concatenate(tails)
+        slopes *= config.beta - -config.beta
+        slopes += -config.beta
+    ys = np.empty((len(x), 1 + slopes.shape[1], value.shape[1]))
+    ys[:, 0, :] = value
+    ys[:, 1:, :] = slopes
+    if planted:
+        x = np.concatenate([x, *planted])
+        owner = np.concatenate([owner, np.repeat(trials, config.n1)])
+    return cell_counts(grid, x, ys, owner, len(sizes))
 
 
 def _run_trials(
@@ -442,31 +502,24 @@ def run_sweep(
 
 
 def records_to_csv(records) -> str:
-    """Deterministic CSV text; the millis column is 0 (see module doc)."""
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """Deterministic CSV text; the millis column is 0 (see module doc).
+
+    Only the trial and the statistic vary within a run of records that
+    share (config, n, grid), so the fields around them are formatted once
+    per run.  No field needs quoting: the problem name is a plain word and
+    the rest are numbers.
+    """
+    lines = [",".join(CSV_COLUMNS)]
+    shared = None
     for r in records:
-        c = r.config
-        writer.writerow(
-            [
-                r.trial,
-                c.problem,
-                c.k,
-                c.d,
-                repr(float(c.alpha)),
-                repr(float(c.beta)),
-                c.r0,
-                r.n,
-                c.n1,
-                repr(float(r.grid.eps)),
-                r.statistic,
-                r.grid.cells_total,
-                c.seed,
-                0,
-            ]
-        )
-    return buf.getvalue()
+        if shared != (r.config, r.n, r.grid):
+            shared = (r.config, r.n, r.grid)
+            c = r.config
+            middle = (f",{c.problem},{c.k},{c.d},{float(c.alpha)!r},{float(c.beta)!r},{c.r0},"
+                      f"{r.n},{c.n1},{float(r.grid.eps)!r},")
+            suffix = f",{r.grid.cells_total},{c.seed},0"
+        lines.append(f"{r.trial}{middle}{r.statistic}{suffix}")
+    return "\n".join(lines) + "\n"
 
 
 def write_records_csv(records, path) -> None:

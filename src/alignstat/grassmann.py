@@ -29,10 +29,11 @@ arctan2 angle; a center whose winning sine exceeds ``_COS_SWITCH``,
 where the sine no longer separates angles finely, is ranked again over
 its kept pairs by the full angle.
 
-Every uniform plane comes from one Gaussian draw, an (m, d, k) stack of
-independent standard normals, whose span is uniform on G(k, d)
-(Chikuse 2003).  :func:`sample_uniform_frames` reads it as orthonormal
-frames (one frame gives :func:`sample_uniform_subspace`, one d-by-d frame
+Every uniform plane comes from one Gaussian draw,
+:func:`sample_uniform_bases`, an (m, d, k) stack of independent standard
+normals, whose span is uniform on G(k, d) (Chikuse 2003).
+:func:`sample_uniform_frames` reads it as orthonormal frames (one frame
+gives :func:`sample_uniform_subspace`, one d-by-d frame
 :func:`sample_orthogonal_matrix`), :func:`sample_uniform_charts` as graph
 charts, and :func:`sample_uniform_angles` as angles to one plane.
 
@@ -41,7 +42,9 @@ stack of bases to its chart-regular mask (:func:`chart_regular`) and the
 transposed charts B A^{-1}, in closed form for k <= 2.  The chart does
 not depend on the basis, so the oriented reduction reads it from
 orthonormal frames, while the trial engine, the chart-cube measure and
-the angle reading take it straight from the raw Gaussian draw.
+the angle reading take it straight from the raw Gaussian draw; the
+trial engine keeps the raw bases of many trials and reads their charts
+in one call.
 """
 
 from __future__ import annotations
@@ -142,6 +145,18 @@ def sample_uniform_subspace(rng: np.random.Generator, k: int, d: int) -> Subspac
     return Subspace(sample_uniform_frames(rng, 1, k, d)[0])
 
 
+def sample_uniform_bases(rng: np.random.Generator, m: int, k: int, d: int) -> np.ndarray:
+    """Bases of ``m`` uniform k-planes, shape (m, d, k): the package's one
+    Gaussian draw, every entry an independent standard normal.
+
+    The span of a Gaussian d-by-k matrix is uniform on G(k, d) (Chikuse
+    2003); the other samplers read the draw as frames, charts or angles.
+    """
+    if not 1 <= k <= d:
+        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
+    return rng.standard_normal((m, d, k))
+
+
 def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int) -> np.ndarray:
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
@@ -154,9 +169,7 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     from Gram-Schmidt over the k columns, each projected off the earlier
     ones twice ("twice is enough"), vectorized over the whole batch.
     """
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
-    g = rng.standard_normal((trials, d, k))
+    g = sample_uniform_bases(rng, trials, k, d)
     if k == 1:
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         return g / norms
@@ -182,9 +195,7 @@ def sample_uniform_charts(
     B A^{-1} of a plane does not depend on the basis it is read from
     (Chikuse 2003).  The charts equal those of the frames up to rounding.
     """
-    if not 1 <= k <= d:
-        raise DimensionMismatch(f"need 1 <= k <= d, got k={k}, d={d}")
-    return chart_slopes(rng.standard_normal((m, d, k)))
+    return chart_slopes(sample_uniform_bases(rng, m, k, d))
 
 
 def sample_uniform_angles(rng: np.random.Generator, m: int, h: Subspace) -> np.ndarray:
@@ -199,7 +210,7 @@ def sample_uniform_angles(rng: np.random.Generator, m: int, h: Subspace) -> np.n
     d, k = h.frame.shape
     qt = _complete_bases(h.frame[None])[0].T
     # the contiguous (d, k, m) layout that chart_slopes reads for k = 2
-    g = rng.standard_normal((m, d, k)).transpose(1, 2, 0).reshape(d, k * m)
+    g = sample_uniform_bases(rng, m, k, d).transpose(1, 2, 0).reshape(d, k * m)
     yt, ok = chart_slopes((qt @ g).reshape(d, k, m).transpose(2, 0, 1))
     theta = np.full(m, np.pi / 2)
     theta[ok] = np.arctan(_extreme_singular_value(yt.transpose(1, 2, 0), largest=True))

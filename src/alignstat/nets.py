@@ -125,22 +125,39 @@ def _grid_family(
     )
 
 
-def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
-    """Grid packing: slopes eps * n with n in {0, ..., floor(1/eps)}^(d-k)k.
+def family_size(kind: str, k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> int:
+    """The exact member count of the grid packing or covering at eps.
 
-    Member count is exactly (floor(1/eps) + 1)^((d-k)k); the measured
-    minimum pairwise angle is recorded when the family is small enough to
-    check exhaustively (<= 8192 members).
+    A packing has (floor(1/eps) + 1)^((d-k)k) members and a covering
+    binom(d, k) * (2 ceil(2/eps) - 1)^((d-k)k).  Raises ParamOrder unless
+    0 < eps <= 1 and 1 <= k < d, and BudgetExceeded when the count
+    exceeds ``cap``, so a caller can reject a family before building it.
     """
     if not 0 < eps <= 1:
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
-    per_entry = int(np.floor(1.0 / eps)) + 1
     n_entries = (d - k) * k
-    count = per_entry**n_entries
+    if kind == "packing":
+        count = (int(np.floor(1.0 / eps)) + 1) ** n_entries
+    elif kind == "covering":
+        count = comb(d, k) * (2 * int(np.ceil(2.0 / eps)) - 1) ** n_entries
+    else:
+        raise ParamOrder(f"unknown family kind {kind!r}")
     if count > cap:
-        raise BudgetExceeded(f"packing would have {count} members > cap {cap}")
+        raise BudgetExceeded(f"{kind} would have {count} members > cap {cap}")
+    return count
+
+
+def packing_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
+    """Grid packing: slopes eps * n with n in {0, ..., floor(1/eps)}^(d-k)k.
+
+    Its member count is ``family_size("packing", ...)``; the measured
+    minimum pairwise angle is recorded when the family is small enough to
+    check exhaustively (<= 8192 members).
+    """
+    family_size("packing", k, d, eps, cap)
+    per_entry = int(np.floor(1.0 / eps)) + 1
     fam = _grid_family("packing", d, k, eps, [tuple(range(d))], np.arange(per_entry))
     if len(fam) <= _SEPARATION_MEMBER_CAP:
         angles, _ = min_canonical_angle(fam.frames, fam.frames, later_only=True)
@@ -166,18 +183,11 @@ def covering_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -
 
     The grid reaches every normal-form entry, |xi| <= 1, so the family
     covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2) (see the module
-    docstring).  Count equals binom(d, k) * (2 * ceil(2/eps) - 1)^((d-k)k)
-    exactly; members are not deduplicated, so a few coincide as subspaces.
+    docstring).  Its member count is ``family_size("covering", ...)``;
+    members are not deduplicated, so a few coincide as subspaces.
     """
-    if not 0 < eps <= 1:
-        raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
-    if not 1 <= k < d:
-        raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
+    family_size("covering", k, d, eps, cap)
     reach = int(np.ceil(2.0 / eps))
-    n_entries = (d - k) * k
-    count = comb(d, k) * (2 * reach - 1) ** n_entries
-    if count > cap:
-        raise BudgetExceeded(f"covering would have {count} members > cap {cap}")
     sigmas = [
         pivots + tuple(i for i in range(d) if i not in pivots)
         for pivots in combinations(range(d), k)

@@ -279,6 +279,24 @@ class TestNetsDemo:
         assert packing[:5] == ["packing", "1", "3", "0.015", "4489"]
         assert np.isfinite(float(packing[5])) and np.isfinite(float(packing[7]))
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--k", 2, "--d", 4],  # the default eps = 0.1 covering is over the cap
+            ["--k", 2, "--d", 4, "--eps-grid", "0.5,0.02"],  # the packing at 0.02 is over
+            ["--eps-grid", "0.5,1.5"],
+            ["--probes", 0],
+        ],
+        ids=["default-2-4", "later-eps-over-cap", "later-eps-above-1", "no-probes"],
+    )
+    def test_rejects_before_building_any_family(self, tmp_path, monkeypatch, flags):
+        built = []
+        monkeypatch.setattr(alignstat.nets, "_grid_family", lambda *args: built.append(args))
+        out = tmp_path / "out"
+        assert run_cli(["nets-demo", *flags, "--export-members", "--out-dir", out]) == 2
+        assert built == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPower:
     def test_power_csv(self, tmp_path):
@@ -509,7 +527,7 @@ def test_two_runs_build_one_parser(tmp_path):
         (["render-stimulus", "--n", 10, "--n1", 5, "--beta", -5], 2),
         (["volume-scan", "--k", 3, "--d", 2], 2),
         (["exponent-sweep", "--n-grid", "1000", "--trials", 4], 3),
-        # the second eps is over the member cap after the first was exported
+        # the second eps is over the member cap
         (["nets-demo", "--k", 2, "--d", 4, "--eps-grid", "0.5,0.02", "--export-members"], 2),
     ],
 )

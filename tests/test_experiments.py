@@ -1,6 +1,8 @@
 """Sweep drivers: reproducibility, calibration level, power, CSV schema."""
 
 import concurrent.futures
+import csv
+import io
 import math
 import os
 from dataclasses import replace
@@ -33,7 +35,7 @@ from alignstat.experiments import (
     run_sweep,
     run_trial,
 )
-from alignstat.holder import JetSamples, cell_grid, holder_membership_check
+from alignstat.holder import HolderParams, JetSamples, cell_grid, holder_membership_check
 
 
 def small_config(problem="jets", n=400, n1=0, seed=99, trials=30):
@@ -272,20 +274,24 @@ class TestBlockEngine:
     must keep the count run_trial gives on its own key."""
 
     @pytest.mark.parametrize(
-        "problem,k,d,n1,grid",
+        "problem,k,d,alpha,r0,n1,grid",
         [
-            ("jets", 1, 2, 0, [300, 3000, 30000]),
-            ("jets", 1, 3, 0, [3000, 30000]),
-            ("jets", 2, 3, 0, [2000, 20000]),
-            ("jets", 1, 2, 40, [1000, 10000]),
-            ("oriented", 1, 2, 0, [1000, 10000]),
-            ("oriented", 1, 2, 25, [1000, 10000]),
-            ("oriented", 2, 3, 30, [2000, 20000]),
-            ("jets", 1, 2, 1, [2, 3, 4]),  # eps' > 1/2: one clamped cell
+            ("jets", 1, 2, 2.0, 1, 0, [300, 3000, 30000]),
+            ("jets", 1, 3, 2.0, 1, 0, [3000, 30000]),
+            ("jets", 2, 3, 2.0, 1, 0, [2000, 20000]),
+            ("jets", 1, 2, 2.0, 1, 40, [1000, 10000]),
+            ("oriented", 1, 2, 2.0, 1, 0, [1000, 10000]),
+            ("oriented", 1, 2, 2.0, 1, 25, [1000, 10000]),
+            ("oriented", 2, 3, 2.0, 1, 30, [2000, 20000]),
+            ("jets", 1, 2, 2.0, 1, 1, [2, 3, 4]),  # eps' > 1/2: one clamped cell
+            ("oriented", 2, 4, 2.0, 1, 30, [2000, 20000]),
+            # more than two jet rows: 3 at k = 1, 6 at k = 2
+            ("jets", 1, 2, 3.0, 2, 15, [1000, 10000]),
+            ("jets", 2, 3, 3.0, 2, 30, [10000, 100000]),
         ],
     )
-    def test_block_counts_equal_run_trial(self, problem, k, d, n1, grid):
-        config = ExperimentConfig(problem, k, d, 2.0, 1.0, 1, max(grid), n1, 13, 25)
+    def test_block_counts_equal_run_trial(self, problem, k, d, alpha, r0, n1, grid):
+        config = ExperimentConfig(problem, k, d, alpha, 1.0, r0, max(grid), n1, 13, 25)
         records = run_sweep(config, grid).records
         assert len(records) == len(grid) * 25
         for record in records:
@@ -298,16 +304,22 @@ class TestBlockEngine:
         assert sum(r.statistic for r in records) > 0
 
     def test_block_budget_and_cut_are_identical(self, monkeypatch):
-        config = ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 10_000, 20, 5, 40)
+        configs = [
+            ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 10_000, 20, 5, 40),
+            ExperimentConfig("jets", 2, 3, 3.0, 1.0, 2, 10_000, 20, 5, 40),
+        ]
 
-        def run(workers):
+        def run(config, workers):
             records = run_sweep(config, [1000, 10_000], trials=20, workers=workers).records
             return np.array([(r.n, r.trial, r.statistic, r.grid.cells_total) for r in records])
 
-        default = run(1)
-        assert np.array_equal(default, run(2))  # the pool gets blocks of 2 trials
+        defaults = [run(config, 1) for config in configs]
+        for config, default in zip(configs, defaults):
+            assert default[:, 2].sum() > 0
+            assert np.array_equal(default, run(config, 2))  # the pool gets blocks of 2 trials
         monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 1)  # one count per trial
-        assert np.array_equal(default, run(1))
+        for config, default in zip(configs, defaults):
+            assert np.array_equal(default, run(config, 1))
 
     @pytest.mark.parametrize(
         "n1,grid,match",
@@ -394,32 +406,64 @@ class TestKeyStreams:
         want = [np.random.PCG64(np.random.SeedSequence([seed, n_index, t])).state for t in trials]
         assert list(experiments._key_states(seed, n_index, trials)) == want
 
-    @staticmethod
-    def first_draws(rng):
-        return [
-            rng.binomial(1000, 0.3),
-            *rng.uniform(0.2, 0.4, size=3),
-            *rng.random(2),
-            *rng.standard_normal(3),
-        ]
-
     def test_block_draws_equal_the_key_streams(self, monkeypatch):
-        config = small_config(seed=2**40 + 7, trials=50)
-        draws = []
+        """Every generator call a block makes, replayed call for call on
+        numpy's own generator for the key, returns the same values."""
+        calls = []
 
-        def recording(config, params, n, grid, rng):
-            draws.append(self.first_draws(rng))
-            return JetSamples(
-                params,
-                np.zeros((0, params.k)),
-                np.zeros((0, len(params.index_set()), params.dim_out)),
-            )
+        class Recording(np.random.Generator):
+            def __getattribute__(self, name):
+                method = super().__getattribute__(name)
+                if name not in ("binomial", "random", "standard_normal"):
+                    return method
 
-        monkeypatch.setattr(experiments, "_trial_samples", recording)
+                def recorded(*args, **kwargs):
+                    out = method(*args, **kwargs)
+                    calls.append((name, args, kwargs, np.copy(out)))
+                    return out
+
+                return recorded
+
+        monkeypatch.setattr(np.random, "Generator", Recording)
         monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)  # keys hashed 7 at a time
-        records = run_sweep(config, [config.n]).records
-        assert [r.statistic for r in records] == [0] * 50
-        assert draws == [self.first_draws(key_rng(config.seed, 0, t)) for t in range(50)]
+        for problem, n1 in (("jets", 0), ("jets", 3), ("oriented", 3)):
+            config = small_config(problem, n1=n1, seed=2**40 + 7, trials=50)
+            calls.clear()
+            records = run_sweep(config, [config.n]).records
+            starts = [i for i, call in enumerate(calls) if call[0] == "binomial"]
+            assert len(starts) == len(records) == 50
+            # per trial: the binomial, one random call, the bases (oriented), the plants
+            assert len(calls) == 50 * (2 + (problem == "oriented") + (n1 > 0))
+            assert sum(call[3].size for call in calls if call[0] == "random") > 50
+            for trial, (start, stop) in enumerate(zip(starts, starts[1:] + [len(calls)])):
+                rng = key_rng(config.seed, 0, trial)
+                for name, args, kwargs, out in calls[start:stop]:
+                    assert np.array_equal(getattr(rng, name)(*args, **kwargs), out), (
+                        problem, trial, name)
+
+    def test_engine_stream_identities(self):
+        """The block engine draws a trial's uniforms in one call and scales
+        them itself; both steps rest on numpy identities checked here."""
+        params = HolderParams(1, 3, 2.0, 1.0, 1)
+        boxes = [cell_grid(params, statistic_eps(params, n), EXPERIMENT_C2).bounds[0]
+                 for n in (10_000, 300_000)]
+        for seed in range(5):
+            for lo, hi in boxes + [(-1.0, 1.0), (-1.5, 1.5)]:
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = a.uniform(lo, hi, size=(700, 3))
+                assert np.array_equal(got, lo + (hi - lo) * b.random((700, 3))), (
+                    f"Generator.uniform({lo!r}, {hi!r}) is no longer lo + (hi - lo) * random()"
+                    " bit for bit: the block engine's scaling would change the jets")
+                assert a.bit_generator.state == b.bit_generator.state, (
+                    "Generator.uniform and Generator.random no longer take one draw per double")
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            flat = a.random(7 * 2 + 7 + 7 * 2 + 7 * 2 * 2)
+            parts = [b.random((7, 2)), b.random((7, 1)), b.random((7, 2)), b.random((7, 2, 2))]
+            assert np.array_equal(flat, np.concatenate([p.ravel() for p in parts])), (
+                "one flat Generator.random(a + b) is no longer random(a) followed by random(b):"
+                " the block engine's one call per trial would shift the stream")
+            assert a.bit_generator.state == b.bit_generator.state, (
+                "one flat Generator.random call no longer advances the stream as its parts do")
 
     def test_one_generator_per_block(self, monkeypatch):
         made = []
@@ -460,6 +504,28 @@ class TestRecords:
             assert row[1:9] == [str(v) for v in want]
             assert row[12] == str(c.seed)
         assert [row[1] for row in rows] == ["jets"] * 2 + ["oriented"] * 2
+
+
+    def test_csv_equals_csv_writer(self):
+        configs = [
+            ExperimentConfig("jets", 1, 2, 2.0, 1.5, 1, 3000, 0, 31, 3),
+            ExperimentConfig("oriented", 1, 3, 2.0, 1.5, 1, 7000, 5, 32, 2),
+            ExperimentConfig("jets", 2, 3, 2.5, 0.1 + 0.2, 1, 9000, 2, 33, 2),
+        ]
+        records = [r for config in configs for r in run_sweep(config, [700, config.n]).records]
+        records += run_sweep(configs[0], [3000]).records  # back to an earlier config
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for r in records:
+            c = r.config
+            writer.writerow([r.trial, c.problem, c.k, c.d, repr(float(c.alpha)),
+                             repr(float(c.beta)), c.r0, r.n, c.n1, repr(float(r.grid.eps)),
+                             r.statistic, r.grid.cells_total, c.seed, 0])
+        text = records_to_csv(records)
+        assert text == buf.getvalue()
+        assert "0.30000000000000004" in text and ",1.5," in text
+        assert records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
 
 
 class TestThinnedTrial:

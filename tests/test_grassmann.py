@@ -836,9 +836,9 @@ class _DrawSites(ast.NodeVisitor):
 
 
 def test_the_gaussian_draw_is_made_only_by_the_draw_readings():
-    # every uniform plane comes from one Gaussian draw, read as frames,
-    # charts or angles; no other function of the package draws normals
-    readings = {"sample_uniform_frames", "sample_uniform_charts", "sample_uniform_angles"}
+    # every uniform plane comes from one Gaussian draw, sample_uniform_bases,
+    # read as frames, charts or angles; no other function draws normals
+    readings = {"sample_uniform_bases"}
     sites = []
     for path in sorted(Path(grassmann.__file__).parent.glob("*.py")):
         visitor = _DrawSites()
