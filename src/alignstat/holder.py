@@ -16,8 +16,11 @@ Each piece is g_m(u) = sum_s c_{m,s} prod_i u_i^{s_i} / s_i! zeta^2(u_i),
 so every term is a product over coordinates and a partial derivative of
 order t factors as d^t g_m = sum_s c_{m,s} prod_i F_i[s_i, t_i], where
 F[e, q] = d^q/du^q [u^e / e! zeta^2(u)] is the one-dimensional Leibniz
-table of ``bumps.monomial_leibniz``.  Jets are evaluated from one such
-table per coordinate and node.
+table of ``bumps.monomial_leibniz``.  Supports are disjoint, so each
+point lies in at most one node's support, found from the point's cell by
+a lookup in the sorted node cells; jets at many points are then evaluated
+together, from one such table per coordinate over every point that lies
+in a support.
 """
 
 from __future__ import annotations
@@ -346,12 +349,31 @@ def cell_grid(
 # ---------------------------------------------------------------------------
 
 
+def _jet_query(k: int, xs, t_list) -> np.ndarray:
+    """The points xs of a jet_grid call as an (npts, k) float array.
+
+    Raises DimensionMismatch unless xs has k columns and every multi-index
+    in t_list has k entries.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    if xs.ndim != 2 or xs.shape[1] != k:
+        raise DimensionMismatch(f"points have shape {xs.shape}, need (npts, {k})")
+    for t in t_list:
+        if len(t) != k:
+            raise DimensionMismatch(f"multi-index {tuple(t)} has {len(t)} entries, need {k}")
+    return xs
+
+
 class HolderInterpolant:
     """Disjoint-support bump interpolant through a set of node jets.
 
     Each node contributes h_m(x) = g_m((x - X_m) / eps'), where g_m is the
     bump expansion with coefficients (eps')^|s| Y^s; since the plateau is
     flat at 0, evaluate at the node reproduces its jet exactly.
+
+    Nodes must sit in pairwise-distinct even cells of the grid
+    (CellCollision otherwise): ``jet_grid`` finds each point's one
+    candidate node from its cell.
     """
 
     def __init__(
@@ -367,46 +389,91 @@ class HolderInterpolant:
         self.eps_prime = grid.eps_prime
         self.nodes = list(nodes)
         self.cells = list(cells)
+        self._per_axis = grid.per_axis
         self._mis = params.index_set()
         self._pow = np.array([self.eps_prime ** sum(s) for s in self._mis])
         self._xs = np.reshape([p.x for p in self.nodes], (-1, params.k))
         raw = np.reshape([p.y for p in self.nodes], (-1, len(self._mis), params.dim_out))
         self._coefs = raw * self._pow[None, :, None]
+        # node lookup, one sorted level per axis: level i holds the distinct
+        # keys rank * per_axis + c_i // 2 of the nodes' cell prefixes, rank
+        # being the prefix's place in level i - 1, so keys stay below
+        # nodes * per_axis however fine the grid and memory is O(nodes)
+        node_cells = grid.cells(self._xs)
+        off = np.any((node_cells & 1) | (node_cells < 0) | (node_cells > grid.grid_max), axis=1)
+        if off.any():
+            cell = tuple(node_cells[np.argmax(off)].tolist())
+            raise CellCollision(f"node cell {cell} is not on the even grid")
+        rank = np.zeros(len(self.nodes), dtype=np.int64)
+        self._levels = []
+        for half in (node_cells >> 1).T:
+            level, rank = np.unique(rank * self._per_axis + half, return_inverse=True)
+            self._levels.append(level)
+        counts = np.bincount(rank, minlength=1)
+        if counts.max() > 1:
+            cell = tuple(node_cells[rank == np.argmax(counts)][0].tolist())
+            raise CellCollision(f"two nodes share cell {cell}")
+        self._node_of = np.empty(len(self.nodes), dtype=np.int64)
+        self._node_of[rank] = np.arange(len(self.nodes))
 
     def jet_grid(self, xs: np.ndarray, t_list=None) -> np.ndarray:
         """Derivative values at many points: shape (npts, len(t_list), d-k).
 
-        t_list defaults to the parameter index set; any multi-index order
-        is accepted (one Leibniz table per node and coordinate; see the
-        module docstring).
+        xs has shape (npts, k); t_list defaults to the parameter index set,
+        and any multi-index order is accepted, in any order and with
+        repeats (DimensionMismatch on any other width).
+
+        Supports are disjoint, so each point has one candidate node: node
+        X in even cell c on an axis has support |x - X| <= eps'/2 inside
+        (c - 1/2, c + 3/2) eps', so u = x / eps' in its support gives
+        c = 2 floor((u + 1/2) / 2), an interval holding one even integer.
+        Rounding can flip that choice only within rounding of a support
+        boundary, where zeta^2 and all its derivatives are exactly 0 (below
+        the underflow cutoff of ``bumps``).  All points inside a support
+        are then evaluated together: one Leibniz table per coordinate (see
+        the module docstring), gathered per point and contracted with the
+        point's node coefficients, summing over s in index order.
         """
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if t_list is None:
             t_list = self._mis
         k, r0 = self.params.k, self.params.r0
+        xs = _jet_query(k, xs, t_list)
         out = np.zeros((xs.shape[0], len(t_list), self.params.dim_out))
+        if not (self.nodes and len(t_list)):
+            return out
+        half = np.floor((xs / self.eps_prime + 0.5) / 2.0)
+        pts = np.flatnonzero(np.all((half >= 0) & (half < self._per_axis), axis=1))
+        rank = np.zeros(pts.size, dtype=np.int64)
+        for i, level in enumerate(self._levels):
+            key = rank * self._per_axis + half[pts, i].astype(np.int64)
+            pos = np.searchsorted(level, key)
+            found = np.take(level, pos, mode="clip") == key
+            pts, rank = pts[found], pos[found]
+        node = self._node_of[rank]
+        rel = (xs[pts] - self._xs[node]) / self.eps_prime
+        inside = np.max(np.abs(rel), axis=1) <= 0.5
+        pts, node, u = pts[inside], node[inside], rel[inside]
+        if not pts.size:
+            return out
         max_ord = max(max(t) for t in t_list)
         pow_t = np.array([self.eps_prime ** sum(t) for t in t_list])
         # (i, s) exponents and (i, t) orders, for one gather per coordinate
         s_idx = np.array(self._mis).T
         t_idx = np.array(t_list).T
-        for m in range(self._xs.shape[0]):
-            rel = (xs - self._xs[m]) / self.eps_prime
-            mask = np.max(np.abs(rel), axis=1) <= 0.5
-            if not mask.any():
-                continue
-            u = rel[mask]
-            terms = 1.0
-            for i in range(k):
-                zsq = plateau_sq_derivs(u[:, i], max_ord)
-                table = np.stack([monomial_leibniz(u[:, i], e, zsq) for e in range(r0 + 1)])
-                terms = terms * table[np.ix_(s_idx[i], t_idx[i])]  # (|S|, |T|, npts)
-            jets = np.tensordot(self._coefs[m], terms, axes=([0], [0]))  # (dim_out, |T|, npts)
-            out[mask] += jets.transpose(2, 1, 0) / pow_t[None, :, None]
+        terms = 1.0
+        for i in range(k):
+            zsq = plateau_sq_derivs(u[:, i], max_ord)
+            table = np.stack([monomial_leibniz(u[:, i], e, zsq) for e in range(r0 + 1)])
+            terms = terms * table[np.ix_(s_idx[i], t_idx[i])]  # (|S|, |T|, npts)
+        coefs = self._coefs[node]  # (npts, |S|, d-k)
+        jets = coefs[:, 0, None, :] * terms[0].T[:, :, None]
+        for s in range(1, len(self._mis)):
+            jets += coefs[:, s, None, :] * terms[s].T[:, :, None]
+        out[pts] = jets / pow_t[None, :, None]
         return out
 
     def jet_at(self, x: np.ndarray, t_list=None) -> np.ndarray:
-        return self.jet_grid(np.asarray(x, dtype=float)[None, :], t_list)[0]
+        return self.jet_grid(np.reshape(np.asarray(x, dtype=float), (1, -1)), t_list)[0]
 
     def value_grid(self, xs: np.ndarray) -> np.ndarray:
         zero = tuple([0] * self.params.k)
@@ -429,7 +496,6 @@ def build_interpolant(
     grid = cell_grid(params, eps, c2)
     nodes = list(nodes)
     cells: list[MultiIndex] = []
-    seen: set[MultiIndex] = set()
     jet_shape = (len(params.index_set()), params.dim_out)
     for p in nodes:
         if p.x.shape != (params.k,) or p.y.shape != jet_shape:
@@ -439,13 +505,7 @@ def build_interpolant(
             )
         if np.any(p.x < 0.0) or np.any(p.x > 1.0):
             raise OutOfDomain(f"node location {p.x} outside the unit cube")
-        cell = tuple(grid.cells(p.x).tolist())
-        if any(c % 2 != 0 for c in cell):
-            raise CellCollision(f"node cell {cell} is not on the even grid")
-        if cell in seen:
-            raise CellCollision(f"two nodes share cell {cell}")
-        seen.add(cell)
-        cells.append(cell)
+        cells.append(tuple(grid.cells(p.x).tolist()))
         for row, (lo, hi) in enumerate(grid.bounds):
             if np.any(p.y[row] < lo) or np.any(p.y[row] > hi):
                 raise BoxViolation(
@@ -472,7 +532,7 @@ class PolyJetFunction:
     coeffs: dict[MultiIndex, np.ndarray] = field(default_factory=dict)
 
     def jet_grid(self, xs: np.ndarray, t_list) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = _jet_query(self.k, xs, t_list)
         out = np.zeros((xs.shape[0], len(t_list), self.dim_out))
         for row, t in enumerate(t_list):
             for e, c in self.coeffs.items():

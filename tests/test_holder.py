@@ -25,6 +25,7 @@ from alignstat.errors import (
 )
 from alignstat.grassmann import Subspace, canonical_angle, orthonormalize
 from alignstat.holder import (
+    HolderInterpolant,
     HolderParams,
     JetPoint,
     JetSamples,
@@ -42,6 +43,10 @@ from alignstat.holder import (
 )
 
 P12 = HolderParams(1, 2, 2.0, 1.0, 1)
+
+# (k, d, alpha, r0): k = 1, 2, 3 at r0 = 1 (alpha = 2) and r0 = 2 (alpha = 3)
+EDGE_CASES = [(1, 2, 2.0, 1), (2, 3, 2.0, 1), (3, 4, 2.0, 1),
+              (1, 2, 3.0, 2), (2, 3, 3.0, 2), (3, 4, 3.0, 2)]
 
 
 class TestMultiIndexSet:
@@ -205,6 +210,35 @@ class TestBuildInterpolant:
         with pytest.raises(error):
             build_interpolant(nodes, params, 0.01)
 
+    @pytest.mark.parametrize("xs,match", [([[0.05], [0.06]], "share cell"),
+                                          ([[0.05], [0.15]], "not on the even grid"),
+                                          ([[0.05], [-0.05]], "not on the even grid")])
+    def test_direct_construction_rejects_shared_and_off_grid_cells(self, xs, match):
+        params = HolderParams(1, 2, 2.0, 2000.0, 1)
+        grid = cell_grid(params, 0.01)
+        nodes = [JetPoint(x, [[0.008], [0.05]]) for x in xs]
+        cells = [tuple(grid.cells(p.x).tolist()) for p in nodes]
+        with pytest.raises(CellCollision, match=match):
+            HolderInterpolant(params, grid, nodes, cells)
+
+    def test_cells_past_int64_keys_stay_apart(self):
+        # 4166667 even cells per axis: 7.2e19 cells in all, past 2^63, and
+        # the second cell's flat index is the first's plus exactly 2^64
+        params = HolderParams(3, 4, 2.0, 1.0, 1)
+        eps = 1.2e-7**2 / construction_c2(params)
+        grid = cell_grid(params, eps)
+        per_axis = grid.per_axis
+        assert grid.cells_total > 2**63
+        a = 2**64 // per_axis**2
+        b, c = divmod(2**64 - a * per_axis**2, per_axis)
+        y = np.array([[0.75 * eps], [0.0], [0.0], [0.0]])
+        nodes = [JetPoint((2 * np.array(h) + 0.5) * grid.eps_prime, y)
+                 for h in [(0, 0, 0), (a, b, c)]]
+        itp = build_interpolant(nodes, params, eps)
+        assert itp.cells[1] == (2 * a, 2 * b, 2 * c)
+        for node in nodes:
+            assert itp.jet_at(node.x)[:, 0] == pytest.approx(y[:, 0], rel=1e-9, abs=1e-300)
+
     def test_eps_too_large(self):
         with pytest.raises(EpsTooLarge):
             build_interpolant([], P12, 0.3)  # certifying c2 makes eps' huge
@@ -294,6 +328,109 @@ class TestEvaluateJet:
         scale = np.max(np.abs(want), axis=(0, 2), keepdims=True)
         assert np.all(scale > 0)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("k,d,alpha,r0", EDGE_CASES)
+    def test_edges_match_leibniz_reference(self, k, d, alpha, r0):
+        itp = edge_interpolant(HolderParams(k, d, alpha, 1.0, r0))
+        t_all = multi_index_set(k, itp.params.r + 1)
+        xs = edge_points(itp, np.random.default_rng(k + 10 * r0))
+        got = itp.jet_grid(xs, t_all)
+        want = leibniz_jet_grid(itp, xs, t_all)
+        scale = np.max(np.abs(want), axis=(0, 2), keepdims=True)
+        assert np.all(scale > 0)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("k,d,alpha,r0", EDGE_CASES)
+    def test_unsorted_repeated_orders(self, k, d, alpha, r0):
+        itp = edge_interpolant(HolderParams(k, d, alpha, 1.0, r0))
+        t_all = multi_index_set(k, itp.params.r + 1)
+        rows = [len(t_all) - 1, 0, 2, len(t_all) - 1, 1, 0]
+        t_list = [t_all[row] for row in rows]
+        xs = edge_points(itp, np.random.default_rng(3))
+        got = itp.jet_grid(xs, t_list)
+        want = leibniz_jet_grid(itp, xs, t_list)
+        scale = np.max(np.abs(want), axis=(0, 2), keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+        assert np.array_equal(got, itp.jet_grid(xs, t_all)[:, rows])
+
+    @pytest.mark.parametrize("k,d,alpha,r0", EDGE_CASES)
+    def test_zero_node_map_matches_leibniz_reference(self, k, d, alpha, r0):
+        params = HolderParams(k, d, alpha, 1.0, r0)
+        itp = build_interpolant([], params, 0.2**alpha / construction_c2(params))
+        xs = edge_points(edge_interpolant(params), np.random.default_rng(4))
+        t_all = multi_index_set(k, params.r + 1)
+        got = itp.jet_grid(xs, t_all)
+        assert got.shape == (len(xs), len(t_all), d - k)
+        assert np.array_equal(got, leibniz_jet_grid(itp, xs, t_all))
+        assert not np.any(got)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 6, 40])
+    def test_one_pass_over_nodes(self, monkeypatch, k, count):
+        params = HolderParams(k, k + 1, 2.0, 1.0, 1)
+        eps = 0.012**2 / construction_c2(params)  # 42 even cells per axis
+        rng = np.random.default_rng(count + k)
+        itp = build_interpolant(random_nodes(params, eps, 0.012, count, rng), params, eps)
+        assert len(itp.nodes) == count
+        at = np.array([node.x for node in itp.nodes])
+        xs = np.concatenate([at, at + 0.3 * itp.eps_prime, rng.random((50, k))])
+        calls = []
+
+        def counted(t, order):
+            calls.append(t.size)
+            return plateau_sq_derivs(t, order)
+
+        monkeypatch.setattr(holder, "plateau_sq_derivs", counted)
+        jets = itp.jet_grid(xs)
+        assert len(calls) == k
+        assert np.count_nonzero(np.any(jets != 0.0, axis=(1, 2))) >= 2 * count
+
+
+def cell_edge(grid, cell, high):
+    """The smallest location in ``cell`` (largest, if ``high``) by the
+    grid's own rounding of x / eps'."""
+    x = cell * grid.eps_prime if not high else (cell + 1) * grid.eps_prime
+    toward = -np.inf if high else np.inf
+    while grid.cells(np.array([x]))[0] != cell:
+        x = np.nextafter(x, toward)
+    while grid.cells(np.array([np.nextafter(x, -toward)]))[0] == cell:
+        x = np.nextafter(x, -toward)
+    return x
+
+
+def edge_interpolant(params):
+    """Nodes in even cells of a width-0.2 grid, each coordinate at the low
+    edge of its cell or at the largest float below the high edge."""
+    eps = 0.2**params.alpha / construction_c2(params)
+    grid = cell_grid(params, eps)
+    rng = np.random.default_rng(params.k)
+    cells = [(0,) * params.k, (2,) * params.k, (4,) * params.k,
+             (0, 4, 2)[: params.k], (4, 2, 0)[: params.k]]
+    nodes = []
+    for j, cell in enumerate(dict.fromkeys(cells)):
+        x = [cell_edge(grid, c, high=(i + j) % 2 == 1) for i, c in enumerate(cell)]
+        y = [rng.uniform(lo, hi, params.dim_out) for lo, hi in grid.bounds]
+        nodes.append(JetPoint(x, y))
+    return build_interpolant(nodes, params, eps)
+
+
+def edge_points(itp, rng):
+    """Points on and about the node supports' edges: exactly at X +- eps'/2
+    on one axis and on all, just inside on one axis, where u + 1/2 is an
+    even integer (between two candidate cells), outside [0,1]^k inside and
+    beyond the supports, and uniform points in [-0.1, 1.1]^k."""
+    k, half = itp.params.k, itp.eps_prime / 2
+    pts = []
+    for x in (node.x for node in itp.nodes):
+        for sign in (-1.0, 1.0):
+            pts.append(x + sign * half)
+            for i in range(k):
+                for frac in (0.5, 0.48, 0.4):
+                    pts.append(x + sign * frac * itp.eps_prime * np.eye(k)[i])
+        for j in range(4):
+            pts.append(np.where(np.arange(k) == j % k, (2 * j - 0.5) * itp.eps_prime, x))
+    pts += [np.full(k, -0.05), np.full(k, 1.05), np.full(k, -1.0), np.full(k, 2.0)]
+    return np.concatenate([np.array(pts), rng.uniform(-0.1, 1.1, (400, k))])
 
 
 def leibniz_jet_grid(itp, xs, t_list):
@@ -572,6 +709,49 @@ def test_jet_samples_iterate_as_jet_points_in_order():
     for i, point in enumerate(points):
         assert isinstance(point, JetPoint)
         assert np.array_equal(point.x, xs[i]) and np.array_equal(point.y, ys[i])
+
+
+def _jet_maps_3_4():
+    """A one-node (3,4) interpolant and a polynomial class member."""
+    params = HolderParams(3, 4, 2.0, 1.0, 1)
+    eps = 0.2**2 / construction_c2(params)
+    rng = np.random.default_rng(8)
+    itp = build_interpolant(random_nodes(params, eps, 0.2, 1, rng), params, eps)
+    return itp, random_class_function(params, rng)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["interpolant", "polynomial"])
+@pytest.mark.parametrize(
+    "xs,t_list,match",
+    [
+        (np.full((1, 1), 0.5), None, "points"),
+        (np.full((2, 4), 0.5), None, "points"),
+        (np.full((2, 3, 1), 0.5), None, "points"),
+        (np.full((2, 3), 0.5), [(0, 0, 0), (1, 0)], "multi-index"),
+        (np.full((2, 3), 5.0), [(0, 0, 0, 0)], "multi-index"),
+    ],
+    ids=["one-column", "four-columns", "three-dim", "short-order", "long-order-off-support"],
+)
+def test_jet_grid_rejects_misshapen_queries(which, xs, t_list, match):
+    f = _jet_maps_3_4()[which]
+    with pytest.raises(DimensionMismatch, match=match):
+        f.jet_grid(xs, multi_index_set(3, 1) if t_list is None else t_list)
+
+
+@pytest.mark.parametrize("x", [[0.5, 0.5], 0.5, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]],
+                         ids=["two-entries", "scalar", "two-points"])
+def test_jet_at_rejects_a_misshapen_point(x):
+    itp = _jet_maps_3_4()[0]
+    with pytest.raises(DimensionMismatch, match="points"):
+        itp.jet_at(x)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["interpolant", "polynomial"])
+def test_empty_order_list_gives_no_rows(which):
+    f = _jet_maps_3_4()[which]
+    xs = np.concatenate([f.nodes[0].x[None, :] if which == 0 else np.zeros((1, 3)),
+                         np.full((4, 3), 0.5)])
+    assert f.jet_grid(xs, []).shape == (5, 0, 1)
 
 
 def test_one_dimensional_jets_are_one_output_column():
