@@ -17,8 +17,8 @@ The smoothness rules hold per output coordinate, so one separable DP
 serves every d - k.  Its ``_DP_STATE_CAP`` bounds the state count, not
 its memory: the weights table holds one int count per (x-cell, state)
 pair, up to ceil(eps^(-1/2)) times ``_DP_STATE_CAP`` counts, with no
-temporary of the same size; each chunk of samples adds its covered
-indices into it, so n does not change the memory.
+temporary of the same size; each chunk of samples adds its low-corner
+counts into it, so n does not change the memory.
 Under the null both grow like n^rho with rho = k / (k + alpha (d-k) w).
 """
 
@@ -237,9 +237,17 @@ class CellSelection:
     interpolant: object | None = None
 
 
+# Largest flat even-cell key, or (set, cell) key of ``cell_counts``: the
+# keys are int64, so a grid or a batch whose keys would pass it is refused
+# before any key is formed, where numpy would wrap them silently.
+_KEY_MAX = np.iinfo(np.int64).max
+
+
 def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
     """The samples whose jet fits the box and whose cell is even: their
     indices (increasing) and flat even-cell keys, both 1-D."""
+    if grid.cells_total > _KEY_MAX:
+        raise BudgetExceeded(f"{grid.cells_total} even cells overflow the int64 cell keys")
     # Filter progressively: the value box has selectivity ~eps/2 per output
     # coordinate, so later rows only touch a small survivor set.
     alive = np.arange(len(ys))
@@ -269,6 +277,10 @@ def cell_counts(
     and count by their cell alone, as a planted in-box jet would.  The
     distinct (set, cell) pairs come from a sort and an adjacent difference.
     """
+    if owners * grid.cells_total > _KEY_MAX:
+        raise BudgetExceeded(
+            f"{owners} sets of {grid.cells_total} even cells overflow the int64 (set, cell) keys"
+        )
     alive, key = _box_cells(grid, xs, ys)
     pair = np.sort(np.take(owner, alive) * grid.cells_total + key)
     new = np.ones(pair.size, dtype=bool)
@@ -292,7 +304,8 @@ def greedy_cell_statistic(
     selected nodes are fed to build_interpolant, which reads the same
     grid, certifying the count as a lower bound for the maximal
     interpolation number; a clamped grid cannot be certified
-    (EpsTooLarge).
+    (EpsTooLarge).  A grid of more even cells than an int64 key holds
+    raises BudgetExceeded.
 
     c2 defaults to the class-certifying construction constant; pass an
     explicit value above 1 (e.g. just above) to trade the same-beta
@@ -380,70 +393,26 @@ def _predecessor_step(shape: tuple[int, ...], radius: int):
     return step
 
 
-# Tube-DP samples per chunk at d - k = 1, divided by 4^(d-k-1) beyond:
-# the 4^(d-k) candidates of a chunk's samples take a few megabytes at any
-# d - k.  The samples a chunk leaves to the exact rule go through in
-# sub-chunks of _DP_CHUNK // 9^(d-k-1), which keeps its 9^(d-k)
-# candidates at the same size even when every sample sits on a level
-# boundary.  All chunks fill one int table of ceil(eps^(-1/2)) x states
-# counts.
+# Tube-DP samples per chunk at d - k = 1, halved for each further output
+# coordinate: the 2^(d-k) low-corner counts of a chunk's samples take
+# 64 kB.  The samples the fast rule leaves to the exact rule go through
+# after the conversion, chunk by chunk, in sub-chunks of _DP_CHUNK // 9^(d-k-1),
+# which keeps their 9^(d-k) candidates at a few megabytes even when every
+# sample sits on a level boundary.  All chunks fill one int table of
+# about ceil(eps^(-1/2)) x states counts.
 _DP_CHUNK = 2**12
 
 # Largest product-state count (nv nu)^(d-k) the tube DP accepts.
 _DP_STATE_CAP = 250_000
 
-# A level fraction closer than this to 0 sends its sample to the exact
-# rule; :func:`_nearest_levels` shows why the band is wide enough.
+# A level fraction closer than this to an integer sends its sample to the
+# exact rule; :func:`_tube_weights` shows why the band is wide enough.
 _TIE_BAND = 1e-6
-
-
-def _nearest_levels(y0, y1, dx, delta, eps, nv, nu_half):
-    """One output coordinate's candidate states from the two nearest
-    levels: ``(state, valid, tie)``, the first two of shape (4, n) with
-    the sample axis last, ``tie`` the samples this rule cannot decide.
-
-    With r = y1 / delta, i0 = rint(r) and the fraction f = r - i0 in
-    [-1/2, 1/2], the slope rule |y1 - i delta| <= delta holds for i0 and
-    for i0 + sign(f) and fails for every other level.  For each of the two
-    slope levels i, t = y0 / eps - i (dx delta / eps), j0 = rint(t) and
-    g = t - j0 pick the value levels j0 and j0 + sign(g) the same way, by
-    the rule |y0 - (j eps + i delta dx)| <= eps.
-    So only the range checks are left, unless |f| or |g| is below
-    ``_TIE_BAND`` (or is not finite): the far neighbour then sits on the
-    rule's boundary, and ``tie`` sends the sample to :func:`_exact_levels`.
-
-    Why the band is wide enough: let a candidate pass the range checks, so
-    |i| <= nu_half and 0 <= j < nv.  It lies within one level of the
-    sample, so |y1| <= (nu_half + 1) delta; for x in [0, 1] (the caller
-    sends other locations to the exact rule) |dx| <= delta, so
-    |i delta dx| <= nu_half eps, |t| <= nv and |y0| <= (nv + nu_half) eps.
-    Every term of either rule is then at most (nv + nu) level units, and
-    nv + nu <= nv nu + 1 <= ``_DP_STATE_CAP`` + 1.  Each of the few
-    roundings in r, t, f, g and in the float rule errs by at most 2^-53 of
-    such a term, below 3e-11 units, so the fractions and the float rule
-    stay within 1e-9 units of exact arithmetic: outside the band the sign
-    of the fraction decides the float rule exactly.
-    """
-    nu = 2 * nu_half + 1
-    r = y1 / delta
-    i0 = np.rint(r)
-    f = r - i0
-    i = np.stack([i0, i0 + np.sign(f)])
-    t = y0 / eps - i * (dx * (delta / eps))
-    j0 = np.rint(t)
-    g = t - j0
-    tie = ~(np.minimum(np.abs(f), np.abs(g).min(axis=0)) >= _TIE_BAND)
-    # j nu + i + nu_half for j0 and j0 + sign(g); with i in range, the
-    # state is in [0, nv nu) exactly when j is in [0, nv)
-    base = j0 * nu + (i + nu_half)
-    state = np.stack([base, base + np.sign(g) * nu])  # (value, slope, sample)
-    valid = (state >= 0) & (state < nv * nu) & (np.abs(i) <= nu_half)
-    return state.reshape(4, -1), valid.reshape(4, -1), tie
 
 
 def _exact_levels(y0, y1, dx, delta, eps, nv, nu_half):
     """One output coordinate's candidate states by the tube rule itself,
-    ``(state, valid, False)`` with the first two of shape (9, n).
+    ``(state, valid)``, both of shape (9, n) with the sample axis last.
 
     A covered level lies within one level of the sample's nearest level,
     so the 3 slope levels around it and, for each, the 3 value levels
@@ -458,46 +427,115 @@ def _exact_levels(y0, y1, dx, delta, eps, nv, nu_half):
     tilt = i * delta * dx
     j = np.rint((y0 - tilt) / eps) + around[:, None, None]  # (value, slope, sample)
     valid = (np.abs(y0 - (j * eps + tilt)) <= eps) & i_ok & (j >= 0) & (j < nv)
-    return (j * nu + (i + nu_half)).reshape(9, -1), valid.reshape(9, -1), False
+    return (j * nu + (i + nu_half)).reshape(9, -1), valid.reshape(9, -1)
 
 
 def _tube_weights(xs, ys, delta, eps, n_cells, nv, nu_half) -> np.ndarray:
     """The DP's weights, flat over (x-cell, product state): how many
-    samples each cell's state covers.
+    samples each cell's state covers, with s = j nu + i + nu_half per
+    coordinate and the flat index ((cell S + s_1) S + s_2) ..., S = nv nu.
 
-    Per sample the flat index ((cell S + s_1) S + s_2) ...,  S = nv nu,
-    s = j nu + i + nu_half, grows by broadcasting over the candidates of
-    each coordinate: 4 from :func:`_nearest_levels`, so 4^(d-k) indices
-    per sample, and 9 from :func:`_exact_levels` for the samples it
-    leaves, in their own sub-chunks.  Each batch adds its valid indices
-    into the table.
+    Per output coordinate the tube rule covers two slope levels, floor(r)
+    and floor(r) + 1 with r = y1 / delta, and for each slope level i two
+    value levels, floor(t) and floor(t) + 1 with
+    t = y0 / eps - i (dx delta / eps), by the rules |y1 - i delta| <= delta
+    and |y0 - (j eps + i delta dx)| <= eps.  So pass 1 counts each sample
+    once per combination of slope levels, 2^(d-k) counts, at its low
+    corner: value index floor(t) + 1 on an axis padded to nv + 1 entries.
+    After the last chunk the two-tap sum w[j] = h[j] + h[j + 1] along each
+    value axis turns the low-corner counts into the covered-state counts,
+    one x-cell at a time, in place: a cell's counts move down to its
+    unpadded offset, below every cell not yet converted.
+
+    That holds unless a fraction of r or t lies within ``_TIE_BAND`` of an
+    integer (or is not finite): a neighbour then sits on the rule's
+    boundary.  Pass 1 marks those samples, and those located outside
+    [0, 1], one byte each; pass 2 adds the states :func:`_exact_levels`
+    finds for them into the converted table, in sub-chunks.
+
+    Why the band is wide enough: let a level pass the range checks, so
+    |i| <= nu_half and 0 <= j < nv.  It lies within one level of the
+    sample, so |y1| <= (nu_half + 1) delta; for x in [0, 1] |dx| <= delta,
+    so |i delta dx| <= nu_half eps, |t| <= nv and |y0| <= (nv + nu_half) eps.
+    Every term of either rule is then at most (nv + nu) level units, and
+    nv + nu <= nv nu + 1 <= ``_DP_STATE_CAP`` + 1.  Each of the few
+    roundings in r, t, their fractions and the float rule errs by at most
+    2^-53 of such a term, below 3e-11 units, so the fractions and the
+    float rule stay within 1e-9 units of exact arithmetic: outside the
+    band the floors decide the float rule exactly.
     """
     dim_out = ys.shape[2]
-    size = nv * (2 * nu_half + 1)
-    weights = np.zeros(n_cells * size**dim_out, dtype=np.int64)
+    nu = 2 * nu_half + 1
+    size, padded = nv * nu, (nv + 1) * nu
+    per_cell, padded_cell = size**dim_out, padded**dim_out
+    # one more entry past the cells takes the counts pass 1 does not keep
+    trash = n_cells * padded_cell
+    table = np.zeros(trash + 1, dtype=np.int64)
+    exact = ~((xs >= 0) & (xs <= 1))
+    corners = np.arange(2.0)[:, None]
+    near = 0.5 - _TIE_BAND  # |fraction - 1/2| <= near: outside the band
+    # (j + 1) nu + i + nu_half per coordinate: the constant parts of all
+    # coordinates go into the cell term
+    base = (nu + nu_half) * sum(padded**c for c in range(dim_out))
 
-    def add(rule, xs, ys, defer):
-        """Add a batch's covered indices, except those of the samples
-        ``defer`` marks or the rule leaves; return the union of both."""
-        cells = np.clip(np.floor(xs / delta), 0, n_cells - 1)
-        dx = xs - cells * delta
-        flat, ok = cells[None], np.ones((1, len(xs)), dtype=bool)
+    chunk = max(1, _DP_CHUNK >> (dim_out - 1))
+    for start in range(0, len(xs), chunk):
+        part = slice(start, start + chunk)
+        x, y = xs[part], ys[part]
+        # dx delta / eps = dx / delta, the cell fraction of x / delta
+        q = x / delta
+        cells = np.minimum(np.floor(q), n_cells - 1)
+        tilt = q - cells
+        flat = cells * padded_cell + base
+        ok, clear = None, ~exact[part]
+        frac = np.empty((3, len(x)))  # r, then t at both slope levels
         for comp in range(dim_out):
-            state, valid, tie = rule(ys[:, 0, comp], ys[:, 1, comp], dx, delta, eps, nv, nu_half)
-            flat = (flat[:, None] * size + state).reshape(-1, len(xs))
-            ok = (ok[:, None] & valid).reshape(-1, len(xs))
-            defer = defer | tie
-        np.add.at(weights, flat[ok & ~defer].astype(np.int64), 1)
-        return defer
+            r = np.divide(y[:, 1, comp], delta, out=frac[0])
+            i = np.floor(r) + corners  # (slope, sample)
+            t = np.multiply(i, tilt, out=frac[1:])
+            np.subtract(y[:, 0, comp] / eps, t, out=t)
+            low = np.floor(frac)
+            frac -= low
+            frac -= 0.5
+            clear &= np.abs(frac, out=frac).max(axis=0) <= near
+            j = low[1:]
+            valid = (j >= -1) & (j < nv) & (np.abs(i) <= nu_half)
+            step = j * nu
+            step += i
+            if comp < dim_out - 1:
+                step *= padded ** (dim_out - 1 - comp)
+            flat = flat[..., None, :] + step
+            ok = valid if ok is None else ok[..., None, :] & valid
+        exact[part] = ~clear
+        ok &= clear
+        np.copyto(flat, trash, where=~ok)
+        np.add.at(table, flat.astype(np.int64).ravel(), 1)
 
-    chunk = max(1, _DP_CHUNK // 4 ** (dim_out - 1))
+    weights = table[: n_cells * per_cell]
+    for c in range(n_cells):
+        w = table[c * padded_cell : (c + 1) * padded_cell].reshape((nv + 1, nu) * dim_out)
+        out = weights[c * per_cell : (c + 1) * per_cell].reshape((nv, nu) * dim_out)
+        for axis in range(0, 2 * dim_out, 2):
+            lead = (slice(None),) * axis
+            low, high = w[lead + (slice(None, -1),)], w[lead + (slice(1, None),)]
+            # the last sum lands in place: numpy buffers inputs that out overlaps
+            w = np.add(low, high, out=out if axis == 2 * dim_out - 2 else None)
+
     exact_chunk = max(1, _DP_CHUNK // 9 ** (dim_out - 1))
     for start in range(0, len(xs), chunk):
-        x, y = xs[start : start + chunk], ys[start : start + chunk]
-        exact = np.flatnonzero(add(_nearest_levels, x, y, ~((x >= 0) & (x <= 1))))
-        for s in range(0, exact.size, exact_chunk):
-            part = exact[s : s + exact_chunk]
-            add(_exact_levels, x[part], y[part], np.zeros(part.size, dtype=bool))
+        rows = start + np.flatnonzero(exact[start : start + chunk])
+        for s in range(0, rows.size, exact_chunk):
+            part = rows[s : s + exact_chunk]
+            x = xs[part]
+            cells = np.clip(np.floor(x / delta), 0, n_cells - 1)
+            dx = x - cells * delta
+            flat, ok = cells[None], np.ones((1, part.size), dtype=bool)
+            for comp in range(dim_out):
+                y0, y1 = ys[part, 0, comp], ys[part, 1, comp]
+                state, valid = _exact_levels(y0, y1, dx, delta, eps, nv, nu_half)
+                flat = (flat[:, None] * size + state).reshape(-1, part.size)
+                ok = (ok[:, None] & valid).reshape(-1, part.size)
+            np.add.at(weights, flat[ok].astype(np.int64), 1)
     return weights
 
 

@@ -86,7 +86,7 @@ from .detection import (
     greedy_cell_statistic,
     statistic_eps,
 )
-from .errors import ParamOrder
+from .errors import BudgetExceeded, ParamOrder
 from .grassmann import chart_slopes, sample_uniform_bases, sample_uniform_charts
 from .holder import CellGrid, GraphLift, HolderParams, JetSamples, cell_grid, constant_function
 
@@ -274,9 +274,13 @@ def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
 
 
 def _check_n(config: ExperimentConfig, n: int) -> None:
-    """The sample-size checks of every trial at n: n >= 1 and n1 <= n."""
+    """The sample-size checks of every trial at n: 1 <= n <= 2^63 - 1 and
+    n1 <= n."""
     if n < 1:
         raise ParamOrder(f"need n >= 1 (it sets the cell scale), got n={n}")
+    # a trial draws M ~ Binomial(n - n1, q), whose trial count numpy takes as an int64
+    if n > np.iinfo(np.int64).max:
+        raise BudgetExceeded(f"n={n} exceeds the int64 range of the binomial draw")
     if config.n1 > n:
         raise ParamOrder(f"need n1 <= n, got n={n}, n1={config.n1}")
 

@@ -372,6 +372,9 @@ class TestPower:
         ["nets-demo", "--export-members=maybe"],
         ["exponent-sweep", "--n-grid", "1000,abc"],
         ["exponent-sweep", "--c2", "huge"],
+        # n past int64: its cell grid would also pass the int64 cell keys
+        ["exponent-sweep", "--k", 3, "--d", 4, "--trials", 1, "--n-grid", 10**56],
+        ["power", "--n", 10**56, "--trials", 100],
     ],
 )
 def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):

@@ -28,6 +28,7 @@ from alignstat.detection import (
     tube_hit_fraction,
 )
 from alignstat.errors import (
+    BudgetExceeded,
     DegenerateFit,
     EpsTooLarge,
     NotInClass,
@@ -299,6 +300,48 @@ class TestGreedyStatistic:
         assert sel.eps_clamped and sel.cells_total == 1 and sel.count in (0, 1)
         with pytest.raises(EpsTooLarge):
             greedy_cell_statistic(samples, P12, 50, clamp=True, materialize=True)
+
+    def test_cell_keys_past_int64_are_refused(self):
+        # k = 3 at n = 1e56: eps' = 1e-7, 5e6 even cells per axis and
+        # 1.25e20 in all, past 2^63; the flat key of the second cell is the
+        # first's plus exactly 2^64, so int64 keys would make them one cell
+        params = HolderParams(3, 4, 2.0, 1.0, 1)
+        n = 10**56
+        grid = cell_grid(params, statistic_eps(params, n), UNIT_C2)
+        per_axis = grid.per_axis
+        assert grid.cells_total > 2**63
+        a = 2**64 // per_axis**2
+        b, c = divmod(2**64 - a * per_axis**2, per_axis)
+        xs = (2 * np.array([[0, 0, 0], [a, b, c]]) + 0.5) * grid.eps_prime
+        ys = np.zeros((2, len(params.index_set()), 1))
+        ys[:, 0, 0] = 0.75 * grid.eps
+        samples = JetSamples(params, xs, ys)
+        count = str(grid.cells_total)
+        with pytest.raises(BudgetExceeded, match=count):
+            detection._box_cells(grid, xs, ys)
+        with pytest.raises(BudgetExceeded, match=count):
+            detection.cell_counts(grid, xs, ys, np.zeros(2, dtype=np.int64), 1)
+        with pytest.raises(BudgetExceeded, match=count):
+            greedy_cell_statistic(samples, params, n, c2=UNIT_C2)
+
+    def test_set_cell_keys_past_int64_are_refused(self):
+        # eps' = 1e-3: about 500^3 even cells fit in the keys, but not once
+        # per set of 2^63 / cells_total + 1 sets
+        params = HolderParams(3, 4, 2.0, 1.0, 1)
+        grid = cell_grid(params, 1e-6 / UNIT_C2, UNIT_C2)
+        samples = generate_null_jets(200, params, np.random.default_rng(15))
+        samples.ys[:, 0, 0] = 0.75 * grid.eps
+        samples.ys[:, 1:, 0] = 0.0
+        owner = np.arange(200) % 2
+        counts = detection.cell_counts(grid, samples.xs, samples.ys, owner, 2)
+        # every jet is in the box, so a set counts its distinct all-even cells
+        cells = grid.cells(samples.xs)
+        even = np.all(cells % 2 == 0, axis=1)
+        want = [len({tuple(c) for c in cells[even & (owner == o)]}) for o in (0, 1)]
+        assert counts.tolist() == want and min(want) > 0
+        owners = (2**63 - 1) // grid.cells_total + 1
+        with pytest.raises(BudgetExceeded, match=str(grid.cells_total)):
+            detection.cell_counts(grid, samples.xs, samples.ys, owner, owners)
 
     def test_materialized_interpolant_reads_the_statistic_grid(self):
         params = HolderParams(1, 2, 2.0, 2000.0, 1)
@@ -573,6 +616,56 @@ class TestTubeDP:
             tracemalloc.stop()
         assert sum(exact_rows) == 2 * 200_000
         assert peak < 8e6
+
+    def test_tie_samples_add_into_the_one_table(self, monkeypatch):
+        # the table and bound of test_weights_peak_is_one_table, with every
+        # slope on a level: all samples take the exact rule after the
+        # low-corner counts are converted, into the same table
+        eps = 1e-3
+        rng = np.random.default_rng(36)
+        samples = generate_null_jets(1000, P12, rng)
+        delta = math.sqrt(eps)
+        nuh = int(1 / delta)
+        samples.ys[:, 1, 0] = rng.integers(-nuh, nuh + 1, 1000) * delta
+        n_states = (int(1 / eps) + 1) * (2 * nuh + 1)
+        table_bytes = math.ceil(1 / delta) * n_states * 8
+        exact_rows = _spy_exact_rule(monkeypatch)
+        tracemalloc.start()
+        try:
+            tube_dp_statistic(samples, 1.0, eps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(exact_rows) == 1000
+        assert peak < 1.6 * table_bytes
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fast_rule_adds_one_count_per_slope_combination(self, d, monkeypatch):
+        # tie-free null jets: each sample hands the table at most 2^(d-k)
+        # counts, one per combination of slope levels, where it covers up
+        # to 4^(d-k) states
+        beta, eps = 1.0, 0.15
+        params = HolderParams(1, d, 2.0, beta, 1)
+        samples = generate_null_jets(300, params, np.random.default_rng(37))
+        exact_rows = _spy_exact_rule(monkeypatch)
+        real_add, counts = np.add, []
+
+        class AddSpy:
+            def __call__(self, *args, **kwargs):
+                return real_add(*args, **kwargs)
+
+            def at(self, table, index, value):
+                counts.append(np.size(index))
+                real_add.at(table, index, value)
+
+        monkeypatch.setattr(np, "add", AddSpy())
+        got = _dp_weights(samples, beta, eps)
+        monkeypatch.undo()
+        assert exact_rows == []
+        assert 0 < sum(counts) <= 2 ** (d - 1) * len(samples)
+        want = _brute_force_weights(samples, beta, eps)
+        assert np.array_equal(got, want)
+        assert want.sum() > 1.5 * sum(counts)
 
 
 def _spy_exact_rule(monkeypatch):
