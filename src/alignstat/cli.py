@@ -55,6 +55,7 @@ from .errors import (
     ParamOrder,
 )
 from .experiments import (
+    DRAW_BUDGET,
     EXPERIMENT_C2,
     ExperimentConfig,
     null_quantile_threshold,
@@ -85,7 +86,7 @@ def _truth(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
 
 
-# Every option of every command; each command below names the ones it reads.
+# Every option of every command; COMMANDS names the ones each command reads.
 _OPTIONS = dict(
     seed=dict(type=int, default=0, help="master seed"),
     out_dir=dict(default="out", help="output directory"),
@@ -109,21 +110,6 @@ _OPTIONS = dict(
     level=dict(type=float, default=0.05),
 )
 
-# command -> (the options it reads besides seed, out_dir and config, its
-# defaults for the options whose default differs between commands)
-COMMANDS = {
-    "render-stimulus": (("n", "n1", "beta", "segment_length"), dict(n=100)),
-    "exponent-sweep": (
-        ("problem", "k", "d", "alpha", "beta", "r0", "n1", "n_grid", "trials", "workers", "c2"), {}
-    ),
-    "volume-scan": (("k", "d", "trials", "eps_grid"), dict(eps_grid="0.4,0.2,0.1,0.05")),
-    "nets-demo": (("k", "d", "eps_grid", "probes", "export_members"), dict(eps_grid="0.4,0.2,0.1")),
-    "power": (
-        ("problem", "k", "d", "alpha", "beta", "r0", "n", "n1", "trials", "level"), dict(n=1000)
-    ),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """A parser whose every error, from a flag or a config key, exits 2."""
 
@@ -139,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (names, defaults) in COMMANDS.items():
+    for command, (names, defaults, _) in COMMANDS.items():
         p = sub.add_parser(command, allow_abbrev=False)
         for name in ("seed", "out_dir", "config") + names:
             p.add_argument("--" + name.replace("_", "-"), dest=name, **_OPTIONS[name])
@@ -246,6 +232,11 @@ def cmd_render_stimulus(args, out_dir: Path) -> int:
     # the planted map's values reach 0.5, so it fails membership below beta ~ 0.6
     if not 1 <= args.beta < math.inf:
         raise ParamOrder(f"need finite beta >= 1, got beta={args.beta}")
+    # a segment draws its location and its orientation's basis: 4 doubles
+    if 4 * args.n > DRAW_BUDGET:
+        raise BudgetExceeded(
+            f"{args.n} segments would draw {4 * args.n} doubles > budget {DRAW_BUDGET}"
+        )
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 0]))
     if args.n1 > 0:
         params = HolderParams(1, 2, 2.0, args.beta, 1)
@@ -383,6 +374,30 @@ def cmd_power(args, out_dir: Path) -> int:
     return 0
 
 
+# command -> (the options it reads besides seed, out_dir and config, its
+# defaults for the options whose default differs between commands, its
+# handler)
+COMMANDS = {
+    "render-stimulus": (("n", "n1", "beta", "segment_length"), dict(n=100), cmd_render_stimulus),
+    "exponent-sweep": (
+        ("problem", "k", "d", "alpha", "beta", "r0", "n1", "n_grid", "trials", "workers", "c2"),
+        {},
+        cmd_exponent_sweep,
+    ),
+    "volume-scan": (
+        ("k", "d", "trials", "eps_grid"), dict(eps_grid="0.4,0.2,0.1,0.05"), cmd_volume_scan
+    ),
+    "nets-demo": (
+        ("k", "d", "eps_grid", "probes", "export_members"), dict(eps_grid="0.4,0.2,0.1"),
+        cmd_nets_demo,
+    ),
+    "power": (
+        ("problem", "k", "d", "alpha", "beta", "r0", "n", "n1", "trials", "level"), dict(n=1000),
+        cmd_power,
+    ),
+}
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -397,14 +412,7 @@ def main(argv=None) -> int:
     created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "render-stimulus": cmd_render_stimulus,
-            "exponent-sweep": cmd_exponent_sweep,
-            "volume-scan": cmd_volume_scan,
-            "nets-demo": cmd_nets_demo,
-            "power": cmd_power,
-        }[args.command]
-        code = handler(args, out_dir)
+        code = COMMANDS[args.command][2](args, out_dir)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         # a rejected run has written no file; a directory that is not

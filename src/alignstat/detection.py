@@ -202,20 +202,11 @@ def oriented_to_jets(
     if (params.k, params.d) != (samples.k, samples.d):
         raise ParamOrder("params dimensions do not match the samples")
     yt, ok = chart_slopes(samples.frames)
-    dropped = int(len(samples) - np.count_nonzero(ok))
-    return chart_jets(params, samples.z, yt, ok), dropped
-
-
-def chart_jets(params: HolderParams, z: np.ndarray, yt: np.ndarray, ok: np.ndarray) -> JetSamples:
-    """The jets of :func:`oriented_to_jets` from locations ``z`` (n, d) and
-    the ``chart_slopes`` output ``(yt, ok)`` of their orientations: the
-    chart-regular rows, each as (z[:k], z[k:], yt)."""
-    z = z[ok]
-    k = params.k
+    z = samples.z[ok]
     ys = np.empty((z.shape[0], len(params.index_set()), params.dim_out))
-    ys[:, 0, :] = z[:, k:]
+    ys[:, 0, :] = z[:, params.k :]
     ys[:, 1:, :] = yt
-    return JetSamples(params, z[:, :k], ys)
+    return JetSamples(params, z[:, : params.k], ys), len(samples) - z.shape[0]
 
 
 # ---------------------------------------------------------------------------

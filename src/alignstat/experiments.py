@@ -14,48 +14,31 @@ reruns, and a sweep reports only its total wall time
 One keyed trial engine: sweeps, calibration and power all run their
 trials through ``_run_trials``.  It runs blocks of consecutive keys that
 share (n_index, n).  A block computes the n-constants once (eps, the cell
-grid, the box); then each key draws from its own stream
-exactly what ``run_trial`` draws, and the drawn samples of many trials go
-through one box filter and one count of distinct (trial, cell) pairs,
-flushed every ``_BLOCK_SAMPLES`` samples so memory stays bounded.  The
-count of a trial does not depend on which other trials share its block,
-so any cut into blocks, and any worker count, gives the same records.
-A record refers to the run's config and the block's cell grid.  Pools
-are capped at the usable CPUs and at one process per block.
-Calibration runs the null configuration at keys (seed, 0, t) for
-t < T, so its statistics are exactly those of a T-trial null sweep at
-the same n; power continues the trial index at (seed, 0, T + t), so the
-two sets of trials never share a key.  Power is the mean of the exact
-rejection weight: 1 above the threshold, tie_gamma at it, 0 below.
+grid, the box); then each key draws its trial from its own stream, and
+the draws of many trials go through one reduction to jets, one box
+filter and one count of distinct (trial, cell) pairs, flushed every
+``_BLOCK_SAMPLES`` samples so memory stays bounded.  The count of a
+trial does not depend on which other trials share its block, so any cut
+into blocks, and any worker count, gives the same records.  A record
+refers to the run's config and the block's cell grid.  Pools are capped
+at the usable CPUs and at one process per block.  Calibration runs the
+null configuration at keys (seed, 0, t) for t < T, so its statistics are
+exactly those of a T-trial null sweep at the same n; power continues the
+trial index at (seed, 0, T + t), so the two sets of trials never share a
+key.  Power is the mean of the exact rejection weight: 1 above the
+threshold, tie_gamma at it, 0 below.
 
-Thinned trials: run_trial generates only the null draws that can pass
-the value box (their number is binomial, their values uniform on the
-box) plus the planted points: a few draws per cell instead of n.  The
-greedy count has the same law as on n full draws.  An oriented draw
-makes generate_null_oriented's draws, but reads each chart straight off
-the Gaussian basis (grassmann.sample_uniform_charts) instead of from an
-orthonormal frame, and assembles the jets with detection.chart_jets, the
-assembly of oriented_to_jets; the chart does not depend on the basis.
-
-A block trial makes those draws in the fewest generator calls.  PCG64
-turns ``random`` and ``uniform`` into the same stream of doubles, one
-64-bit output each, so after the binomial M one ``random(M * per)`` call
-takes all of a trial's uniforms in run_trial's order: for jets the value
-row, the locations, the value row generate_null_jets draws and
-run_trial overwrites (still consumed, or the stream would shift), and
-the derivative rows; for oriented draws the value row and z, then the
-Gaussian bases in one ``grassmann.sample_uniform_bases`` call.  The
-trial keeps views of these arrays.  Every ``_BLOCK_SAMPLES`` samples the
-block concatenates them once, scales them by Generator.uniform's own
-formula low + (high - low) * u (bitwise the values uniform draws),
-reads the charts of all oriented bases in one ``chart_slopes`` call and
-drops the chart-singular draws, so its jets equal run_trial's bit for
-bit.
-
-Planted points enter the block's count as locations alone, for both
-problems: the default alternative is a constant map whose jet lies in
-every cell box, so only a planted point's cell decides.  run_trial, the
-reference, plants the map's jets and box-filters them.
+Thinned trials: a trial generates only the null draws that can pass the
+value box (their number is binomial, their values uniform on the box)
+plus the planted points: a few draws per cell instead of n, and the
+greedy count has the same law as on n full draws.  ``_null_draws`` is
+the one code that reads these draws off a stream, in the fewest
+generator calls, and ``_null_jets`` the one that turns them into jets.
+run_trial and the block engine share both and differ only in how they
+count.  run_trial plants the alternative's jets and box-filters them
+with greedy_cell_statistic.  The block plants locations alone and counts
+with cell_counts: the default alternative is a constant map whose jet
+lies in every cell box, so only a planted point's cell decides.
 
 Cell sizing: sweeps use c2 = 1 + 1e-6 (EXPERIMENT_C2) rather than the
 class-certifying construction constant.  The certifying c2 grows like
@@ -79,7 +62,6 @@ import numpy as np
 from .detection import (
     FitResult,
     cell_counts,
-    chart_jets,
     exponent_rho,
     fit_scaling_exponent,
     generate_null_jets,
@@ -87,8 +69,13 @@ from .detection import (
     statistic_eps,
 )
 from .errors import BudgetExceeded, ParamOrder
-from .grassmann import chart_slopes, sample_uniform_bases, sample_uniform_charts
+from .grassmann import chart_slopes, sample_uniform_bases
 from .holder import CellGrid, GraphLift, HolderParams, JetSamples, cell_grid, constant_function
+
+# Nothing here calls generate_null_jets (a jets trial reads its stream in
+# one call, see _null_draws), but the name stays imported: the benchmark's
+# tracer test patches it in this module (perfbench/test_perfbench.py).
+generate_null_jets
 
 EXPERIMENT_C2 = 1.0 + 1e-6
 
@@ -273,146 +260,90 @@ def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
         yield from states
 
 
-def _check_n(config: ExperimentConfig, n: int) -> None:
-    """The sample-size checks of every trial at n: 1 <= n <= 2^63 - 1 and
-    n1 <= n."""
+# Doubles one trial may draw: its null draws at their expected number and
+# its planted locations.  A sample size whose trials need more is refused
+# before anything is drawn (2^24 doubles are 128 MiB).
+DRAW_BUDGET = 2**24
+
+
+def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
+    """What every trial at sample size n shares, once n is checked: the
+    params, the cell grid, and the unit uniforms one null draw takes.
+
+    The checks: 1 <= n <= 2^63 - 1 (the binomial draw takes its trial
+    count as an int64), n1 <= n, and a trial's expected draw within
+    ``DRAW_BUDGET`` doubles.
+    """
     if n < 1:
         raise ParamOrder(f"need n >= 1 (it sets the cell scale), got n={n}")
-    # a trial draws M ~ Binomial(n - n1, q), whose trial count numpy takes as an int64
     if n > np.iinfo(np.int64).max:
         raise BudgetExceeded(f"n={n} exceeds the int64 range of the binomial draw")
     if config.n1 > n:
         raise ParamOrder(f"need n1 <= n, got n={n}, n1={config.n1}")
-
-
-def _trial_constants(config: ExperimentConfig, n: int, c2: float | None):
-    """What every trial at sample size n shares: the params and the cell grid."""
-    _check_n(config, n)
     params = config.params()
-    return params, cell_grid(params, statistic_eps(params, n), c2, clamp=True)
-
-
-def _trial_samples(
-    config: ExperimentConfig, params: HolderParams, n: int, grid: CellGrid, rng
-) -> JetSamples:
-    """One trial's null draws that can pass the value box (see run_trial)."""
-    lo, hi = grid.bounds[0]
-    m = int(rng.binomial(n - config.n1, (hi - lo) ** params.dim_out))
-    values = rng.uniform(lo, hi, size=(m, params.dim_out))
-    if config.problem == "jets":
-        samples = generate_null_jets(m, params, rng)
-        samples.ys[:, 0, :] = values
-        return samples
-    # generate_null_oriented's draws, with the charts read off the raw
-    # Gaussian bases (sample_uniform_charts)
-    z = rng.random((m, config.d))
-    z[:, config.k :] = values
-    return chart_jets(params, z, *sample_uniform_charts(rng, m, config.k, config.d))
-
-
-def run_trial(
-    config: ExperimentConfig,
-    n: int,
-    rng: np.random.Generator,
-    c2: float = EXPERIMENT_C2,
-):
-    """One trial at sample size n: the greedy count on n - n1 null draws
-    plus n1 points planted on the default alternative at eps(n).
-
-    Only null draws whose value row lands in the box [eps/2, eps]^(d-k)
-    can be counted.  The trial therefore draws their number
-    M ~ Binomial(n - n1, q), with q = (eps/2)^(d-k) the box's null
-    probability (eps(n) <= 1, so the box lies inside [0, 1]), and
-    generates only those M: the value row uniform on the box, everything
-    else from the null law.  The count has the same law as on n full
-    draws.
-
-    The n1 planted points follow the null draws: their locations xs1 carry
-    the jets of the alternative's map g for both problems (an oriented
-    point on the lift x -> (x, g(x)) reduces to the jet (x, g(x), Dg(x))
-    exactly).  The block engine counts them by location alone; this
-    reference plants and box-filters their jets.
-    """
-    params, grid = _trial_constants(config, n, c2)
-    null = _trial_samples(config, params, n, grid, rng)
-    xs1 = rng.random((config.n1, config.k))
-    alternative = default_alternative(replace(config, n=n))
-    g = alternative if config.problem == "jets" else alternative.g
-    ys1 = g.jet_grid(xs1, params.index_set())
-    samples = JetSamples(params, np.concatenate([null.xs, xs1]), np.concatenate([null.ys, ys1]))
-    return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
-
-
-# Samples per count in a block of trials: the drawn samples are counted
-# and dropped whenever they pass this many, so a block holds at most this
-# many plus one trial's, whatever its trial count.
-_BLOCK_SAMPLES = 2**12
-
-
-def _run_block(payload) -> list[RunRecord]:
-    """The trials of consecutive keys that share (n_index, n), in key order.
-
-    Every trial draws from its own key's stream exactly what run_trial
-    draws, through one generator set to each key's state: the binomial M,
-    then all its uniforms in one call, in _trial_samples' order (see the
-    module doc), then for oriented draws the Gaussian bases, then the
-    planted locations.  Each trial keeps views of its draws; the block
-    scales, reduces and counts the draws of many trials at once in
-    ``_flush_counts``.
-    """
-    config, keys, c2 = payload
-    n_index, n, _ = keys[0]
-    params, grid = _trial_constants(config, n, c2)
-    k, d, n1, dim_out = config.k, config.d, config.n1, params.dim_out
-    lo, hi = grid.bounds[0]
+    grid = cell_grid(params, statistic_eps(params, n), c2, clamp=True)
+    k, d, dim_out = config.k, config.d, params.dim_out
     oriented = config.problem == "oriented"
-    rows = len(params.index_set()) - 1
-    # uniforms per draw: the value row, then z (oriented), or x, the value
-    # row generate_null_jets draws and _trial_samples overwrites, and the
-    # derivative rows (jets)
-    per = dim_out + (d if oriented else k + dim_out + rows * dim_out)
-    q = (hi - lo) ** dim_out
-    counts: list[int] = []
-    values, xs, tails, planted, sizes = [], [], [], [], []
-    pending = 0
-    rng = np.random.Generator(np.random.PCG64())
-    states = _key_states(config.seed, n_index, [trial for _, _, trial in keys])
-    for i, state in enumerate(states):
-        rng.bit_generator.state = state
-        m = int(rng.binomial(n - n1, q))
-        u = rng.random(m * per)
-        values.append(u[: m * dim_out].reshape(m, dim_out))
-        if oriented:
-            xs.append(u[m * dim_out :].reshape(m, d)[:, :k])
-            tails.append(sample_uniform_bases(rng, m, k, d))
-        else:
-            xs.append(u[m * dim_out : m * (dim_out + k)].reshape(m, k))
-            tails.append(u[m * (2 * dim_out + k) :].reshape(m, rows, dim_out))
-        sizes.append(m)
-        if n1:
-            planted.append(rng.random((n1, k)))
-        pending += m + n1
-        if pending >= _BLOCK_SAMPLES or i == len(keys) - 1:
-            counts += _flush_counts(config, grid, values, xs, tails, planted, sizes).tolist()
-            values, xs, tails, planted, sizes = [], [], [], [], []
-            pending = 0
-    return [RunRecord(config, n, trial, grid, count) for (_, _, trial), count in zip(keys, counts)]
-
-
-def _flush_counts(config, grid, values, xs, tails, planted, sizes) -> np.ndarray:
-    """The counts of the trials whose raw draws ``_run_block`` holds.
-
-    Per trial: the M value rows and locations as unit uniforms, the tails
-    (derivative rows as unit uniforms for jets, Gaussian bases for
-    oriented draws), the planted locations, and M.  Scaling uses
-    Generator.uniform's own formula, low + (high - low) * u, so the jets
-    equal run_trial's bit for bit; chart-singular oriented draws are
-    dropped, as chart_jets drops them.  One box filter and one cell count
-    then serve every trial, planted points entering as locations alone.
-    """
+    # the unit uniforms of one draw, in _null_draws' order
+    per = dim_out + (d if oriented else k + dim_out * len(params.index_set()))
     lo, hi = grid.bounds[0]
-    trials = np.arange(len(sizes))
-    owner = np.repeat(trials, sizes)
+    doubles = (n - config.n1) * (hi - lo) ** dim_out * (per + oriented * d * k) + config.n1 * k
+    if doubles > DRAW_BUDGET:
+        raise BudgetExceeded(
+            f"a trial at n={n} would draw about {doubles:.3g} doubles > budget {DRAW_BUDGET}"
+        )
+    return params, grid, per
+
+
+def _null_draws(config, n, params, grid, per, rng, states) -> Iterator[tuple]:
+    """Each trial's thinned null draws, raw, with ``rng`` set to each of
+    ``states`` in turn: (M, value rows, locations, tails).
+
+    Only a null draw whose value row lands in the box [eps/2, eps]^(d-k)
+    can be counted, so a trial draws their number M ~ Binomial(n - n1, q),
+    q = (eps/2)^(d-k) the box's null probability (eps(n) <= 1, so the box
+    lies inside [0, 1]), and then only those M: the value row uniform on
+    the box, everything else from the null law.  PCG64 turns ``random``
+    and ``uniform`` into one double each, so one ``random(M * per)`` call
+    takes all of a trial's unit uniforms: the value rows, then for oriented
+    draws z, whose last d - k columns the value rows replace, or for jets
+    the locations, the value rows generate_null_jets draws (consumed and
+    never read, or the stream would shift) and the derivative rows.
+    Oriented draws then take their Gaussian bases in one
+    ``sample_uniform_bases`` call.  The yielded arrays are views of these
+    draws.  The caller may draw its planted locations from ``rng`` before
+    it asks for the next trial.
+    """
+    k, d, dim_out = config.k, config.d, params.dim_out
+    lo, hi = grid.bounds[0]
+    q = (hi - lo) ** dim_out
+    rows = len(params.index_set()) - 1
+    for state in states:
+        rng.bit_generator.state = state
+        m = int(rng.binomial(n - config.n1, q))
+        u = rng.random(m * per)
+        values = u[: m * dim_out].reshape(m, dim_out)
+        if config.problem == "oriented":
+            x = u[m * dim_out :].reshape(m, d)[:, :k]
+            yield m, values, x, sample_uniform_bases(rng, m, k, d)
+        else:
+            x = u[m * dim_out : m * (dim_out + k)].reshape(m, k)
+            yield m, values, x, u[m * (2 * dim_out + k) :].reshape(m, rows, dim_out)
+
+
+def _null_jets(config: ExperimentConfig, grid: CellGrid, draws):
+    """The jets of raw draws of ``_null_draws``, pooled: (owner, x, ys),
+    ``owner`` the index in ``draws`` of each jet's trial.
+
+    Scaling uses Generator.uniform's own formula, low + (high - low) * u,
+    so the values are bitwise those of uniform draws.  An oriented draw's
+    slope rows are the chart of its Gaussian basis (the chart of a plane
+    does not depend on the basis), and chart-singular draws, a null event,
+    are dropped, as oriented_to_jets drops them.
+    """
+    sizes, values, xs, tails = zip(*draws)
+    lo, hi = grid.bounds[0]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     value = np.concatenate(values)
     value *= hi - lo
     value += lo
@@ -428,10 +359,72 @@ def _flush_counts(config, grid, values, xs, tails, planted, sizes) -> np.ndarray
     ys = np.empty((len(x), 1 + slopes.shape[1], value.shape[1]))
     ys[:, 0, :] = value
     ys[:, 1:, :] = slopes
-    if planted:
-        x = np.concatenate([x, *planted])
-        owner = np.concatenate([owner, np.repeat(trials, config.n1)])
-    return cell_counts(grid, x, ys, owner, len(sizes))
+    return owner, x, ys
+
+
+def run_trial(
+    config: ExperimentConfig,
+    n: int,
+    rng: np.random.Generator,
+    c2: float = EXPERIMENT_C2,
+):
+    """One trial at sample size n: the greedy count on the thinned null
+    draws of n - n1 points (``_null_draws``) plus n1 points planted on the
+    default alternative at eps(n).  The count has the same law as on n
+    full draws.
+
+    The n1 planted points follow the null draws: their locations xs1 carry
+    the jets of the alternative's map g for both problems (an oriented
+    point on the lift x -> (x, g(x)) reduces to the jet (x, g(x), Dg(x))
+    exactly), box-filtered with the null jets.  The block engine draws the
+    same stream and counts the planted points by location alone.
+    """
+    params, grid, per = _trial_constants(config, n, c2)
+    draws = _null_draws(config, n, params, grid, per, rng, [rng.bit_generator.state])
+    _, x, ys = _null_jets(config, grid, [next(draws)])
+    xs1 = rng.random((config.n1, config.k))
+    alternative = default_alternative(replace(config, n=n))
+    g = alternative if config.problem == "jets" else alternative.g
+    ys1 = g.jet_grid(xs1, params.index_set())
+    samples = JetSamples(params, np.concatenate([x, xs1]), np.concatenate([ys, ys1]))
+    return greedy_cell_statistic(samples, params, n, c2=c2, clamp=True)
+
+
+# Samples per count in a block of trials: the drawn samples are counted
+# and dropped whenever they pass this many, so a block holds at most this
+# many plus one trial's, whatever its trial count.
+_BLOCK_SAMPLES = 2**12
+
+
+def _run_block(payload) -> list[RunRecord]:
+    """The trials of consecutive keys that share (n_index, n), in key order.
+
+    One generator, set to each key's state in turn, draws every trial's
+    null draws (``_null_draws``) and then its planted locations.  Whenever
+    the held draws pass ``_BLOCK_SAMPLES`` samples, one ``_null_jets``
+    call turns them into jets and one ``cell_counts`` counts them, the
+    planted points entering as locations alone.
+    """
+    config, keys, c2 = payload
+    n_index, n, _ = keys[0]
+    params, grid, per = _trial_constants(config, n, c2)
+    rng = np.random.Generator(np.random.PCG64())
+    states = _key_states(config.seed, n_index, [trial for _, _, trial in keys])
+    counts: list[int] = []
+    held, planted, pending = [], [], 0
+    for i, draw in enumerate(_null_draws(config, n, params, grid, per, rng, states)):
+        held.append(draw)
+        if config.n1:
+            planted.append(rng.random((config.n1, config.k)))
+        pending += draw[0] + config.n1
+        if pending >= _BLOCK_SAMPLES or i == len(keys) - 1:
+            owner, x, ys = _null_jets(config, grid, held)
+            if planted:
+                x = np.concatenate([x, *planted])
+                owner = np.concatenate([owner, np.repeat(np.arange(len(held)), config.n1)])
+            counts += cell_counts(grid, x, ys, owner, len(held)).tolist()
+            held, planted, pending = [], [], 0
+    return [RunRecord(config, n, trial, grid, count) for (_, _, trial), count in zip(keys, counts)]
 
 
 def _run_trials(
@@ -440,7 +433,7 @@ def _run_trials(
     """One seeded trial per (n_index, n, trial) key, records in key order.
 
     The keys run in blocks of consecutive keys that share (n_index, n),
-    each n checked before the first trial runs.  ``workers`` is capped
+    each n checked (``_trial_constants``) before the first trial runs.  ``workers`` is capped
     at the usable CPUs, and a pool gets the blocks cut to about an eighth
     of each worker's share of the keys, with at most one process per
     block; every cut gives the same records.
@@ -452,7 +445,7 @@ def _run_trials(
     size = max(1, len(keys) if workers == 1 else len(keys) // (workers * 8))
     blocks = []
     for (_, n), run in itertools.groupby(keys, key=lambda key: key[:2]):
-        _check_n(config, n)
+        _trial_constants(config, n, c2)
         run = list(run)
         blocks += [(config, run[i : i + size], c2) for i in range(0, len(run), size)]
     workers = min(workers, len(blocks))

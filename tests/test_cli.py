@@ -4,6 +4,7 @@ import csv
 import platform
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +384,29 @@ def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "manifest.txt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponent-sweep", "--n-grid", 2**63 - 1, "--trials", 1],  # 45 GiB of null draws
+        ["power", "--n", 10**18],  # 15 GiB
+        ["render-stimulus", "--n", 10**12],  # 29 TiB of segments
+    ],
+    ids=["exponent-sweep", "power", "render-stimulus"],
+)
+def test_a_draw_past_the_budget_exits_2_before_drawing(tmp_path, capsys, monkeypatch, argv):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was built before the size was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    start = time.perf_counter()
+    assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # The options each command stopped accepting, with a value it would once
 # have taken, and the keys each command's manifest must hold.
 _UNREAD = {
@@ -512,7 +536,7 @@ def test_documented_options_match_the_table(text, start, stop):
     }
     assert documented == {
         command: {"--" + name.replace("_", "-") for name in names}
-        for command, (names, _) in COMMANDS.items()
+        for command, (names, *_) in COMMANDS.items()
     }
 
 

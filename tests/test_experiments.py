@@ -361,12 +361,24 @@ class TestBlockEngine:
         # 30 trials: 4 processes; 1 trial per n: 2 blocks, one process each
         assert pools == [4, 2]
 
-    @pytest.mark.parametrize("problem,k,d", [("jets", 1, 2), ("oriented", 1, 2), ("oriented", 2, 3)])
+    @pytest.mark.parametrize(
+        "problem,k,d,alpha,r0",
+        [
+            pytest.param("jets", 1, 2, 2.0, 1, id="jets-1-2"),
+            pytest.param("oriented", 1, 2, 2.0, 1, id="oriented-1-2"),
+            pytest.param("oriented", 2, 3, 2.0, 1, id="oriented-2-3"),
+            # more than two jet rows, and the widest oriented draw
+            pytest.param("jets", 1, 2, 3.0, 2, id="jets-1-2-alpha3"),
+            pytest.param("jets", 2, 3, 3.0, 2, id="jets-2-3-alpha3"),
+            pytest.param("oriented", 2, 4, 2.0, 1, id="oriented-2-4"),
+        ],
+    )
     @pytest.mark.parametrize("n1", [1, 25, 3000])
-    def test_count_does_not_depend_on_planted_order(self, problem, k, d, n1):
+    def test_count_does_not_depend_on_planted_order(self, problem, k, d, alpha, r0, n1):
         """The engine plants in draw order; generate_alt_jets permutes all
-        points with one last draw.  The counts must agree key by key."""
-        config = ExperimentConfig(problem, k, d, 2.0, 1.0, 1, 6000, n1, 19, 8)
+        points with one last draw.  The counts must agree key by key with
+        this reference, which draws through the public generators."""
+        config = ExperimentConfig(problem, k, d, alpha, 1.0, r0, 6000, n1, 19, 8)
         params = config.params()
         grid = cell_grid(params, statistic_eps(params, config.n), EXPERIMENT_C2, clamp=True)
         f = default_alternative(config)
