@@ -35,7 +35,8 @@ normals, whose span is uniform on G(k, d) (Chikuse 2003).
 :func:`sample_uniform_frames` reads it as orthonormal frames (one frame
 gives :func:`sample_uniform_subspace`, one d-by-d frame
 :func:`sample_orthogonal_matrix`), :func:`sample_uniform_charts` as graph
-charts, and :func:`sample_uniform_angles` as angles to one plane.
+charts, and :func:`sample_uniform_angles` as angles to one plane.  One
+kernel, :func:`orthonormal_frames`, orthonormalizes every frame stack.
 
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 stack of bases to its chart-regular mask (:func:`chart_regular`) and the
@@ -157,6 +158,24 @@ def sample_uniform_bases(rng: np.random.Generator, m: int, k: int, d: int) -> np
     return rng.standard_normal((m, d, k))
 
 
+def orthonormal_frames(raw: np.ndarray) -> np.ndarray:
+    """Q factors, R's diagonal positive, of a full-rank stack (m, d, k).
+
+    Gram-Schmidt over the k columns, each projected off the earlier ones
+    twice ("twice is enough"), vectorized over the stack; rank is not
+    tested (:func:`orthonormalize` tests it on user input).
+    """
+    # one contiguous (d, m) plane per column, a copy
+    cols = np.array(raw.transpose(2, 1, 0), order="C")
+    for j in range(cols.shape[0]):
+        v = cols[j]
+        for _ in range(2):
+            for i in range(j):
+                v -= cols[i] * np.einsum("dt,dt->t", cols[i], v)
+        v /= np.sqrt(np.einsum("dt,dt->t", v, v))
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+
+
 def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int) -> np.ndarray:
     """Batch of ``trials`` uniform frames, shape (trials, d, k).
 
@@ -165,23 +184,9 @@ def sample_uniform_frames(rng: np.random.Generator, trials: int, k: int, d: int)
     and, as single draws, :func:`sample_uniform_subspace` and
     :func:`sample_orthogonal_matrix`).  The frame is the Q factor of a
     Gaussian d-by-k matrix with R's diagonal positive, the sign convention
-    that makes the distribution exactly invariant.  For k >= 2 it comes
-    from Gram-Schmidt over the k columns, each projected off the earlier
-    ones twice ("twice is enough"), vectorized over the whole batch.
+    that makes the distribution exactly invariant.
     """
-    g = sample_uniform_bases(rng, trials, k, d)
-    if k == 1:
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        return g / norms
-    # one contiguous (d, trials) plane per column
-    cols = np.ascontiguousarray(g.transpose(2, 1, 0))
-    for j in range(k):
-        v = cols[j]
-        for _ in range(2):
-            for i in range(j):
-                v -= cols[i] * np.einsum("dt,dt->t", cols[i], v)
-        v /= np.sqrt(np.einsum("dt,dt->t", v, v))
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    return orthonormal_frames(sample_uniform_bases(rng, trials, k, d))
 
 
 def sample_uniform_charts(

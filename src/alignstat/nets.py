@@ -16,10 +16,10 @@ spectral norm of the slope difference, so every subspace lies within
 arcsin(eps sqrt((d-k)k) / 2) of a member.  Signed slopes are needed:
 normal forms have entries of either sign.
 
-Members are built as one (m, d, k) grid stack and orthonormalized by one
-batched SVD.  Packing separation and covering probes are minima of the
-largest canonical angle over all member pairs and over all (probe,
-member) pairs; both go through ``grassmann.min_canonical_angle``.  It
+Members are built as one (m, d, k) grid stack and orthonormalized by
+``grassmann.orthonormal_frames``.  Packing separation and covering probes
+are minima of the largest canonical angle over all member and all (probe,
+member) pairs, both through ``grassmann.min_canonical_angle``.  It
 screens a whole block of pairs at once by one GEMM of packed projectors:
 the chordal distance ||sin Theta||_F^2 = k - <A A^T, B B^T>_F (Conway,
 Hardin & Sloane 1996) brackets the squared sine of the largest angle
@@ -54,6 +54,7 @@ from .errors import BudgetExceeded, EmptyFamily, ParamOrder
 from .grassmann import (
     Subspace,
     min_canonical_angle,
+    orthonormal_frames,
     sample_uniform_angles,
     sample_uniform_charts,
     sample_uniform_frames,
@@ -102,9 +103,9 @@ def _grid_family(
     """Members spanned by e_{sigma[i]} + sum_j eps n[j, i] e_{sigma[k+j]}.
 
     One member per sigma and n in levels^((d-k)k), sigma in the outer
-    order and n in lexicographic order, orthonormalized by one batched
-    SVD.  Each raw frame holds I_k on its pivot rows, so |raw v| >= |v|
-    and every member has full rank.
+    order and n in lexicographic order, orthonormalized by
+    ``orthonormal_frames``.  Each raw frame holds I_k on its pivot rows, so
+    |raw v| >= |v| and every member has full rank.
     """
     n_entries = (d - k) * k
     n_grid = np.stack(np.meshgrid(*[levels] * n_entries, indexing="ij"), axis=-1)
@@ -114,7 +115,7 @@ def _grid_family(
     for block, sigma in zip(raw, sigmas):
         block[:, np.array(sigma[:k]), np.arange(k)] = 1.0
         block[:, np.array(sigma[k:]), :] = slopes
-    frames = np.linalg.svd(raw.reshape(-1, d, k), full_matrices=False)[0]
+    frames = orthonormal_frames(raw.reshape(-1, d, k))
     frames.setflags(write=False)
     return SubspaceFamily(
         eps=eps,

@@ -33,7 +33,7 @@ def fd_jet(value_fn, x, t, step=1e-5):
 
 def tangent_space(lift, x):
     """Tangent plane of a graph lift at x: the span of (e_i, d_i g(x)),
-    orthonormalized by SVD (``GraphLift.tangent_frames`` uses QR)."""
+    orthonormalized by SVD (``GraphLift.tangent_frames`` uses Gram-Schmidt)."""
     from alignstat.grassmann import orthonormalize
 
     return orthonormalize(lift.raw_tangents(np.reshape(x, (1, -1)))[0])

@@ -20,13 +20,15 @@ from alignstat.grassmann import (
     orthonormalize,
     sample_orthogonal_matrix,
     sample_uniform_angles,
+    sample_uniform_bases,
     sample_uniform_charts,
     sample_uniform_frames,
     sample_uniform_subspace,
     span_normal_form,
     subspace_from_normal_form,
 )
-from alignstat.nets import packing_family
+from alignstat.holder import HolderParams, graph_lift, random_class_function
+from alignstat.nets import covering_family, packing_family
 
 
 def line(*coords):
@@ -412,10 +414,10 @@ class TestNearestMemberScreen:
     @pytest.mark.parametrize(
         "k,d,eps,separation",
         [
-            (2, 4, 0.2, "0x1.548be67e8f633p-4"),
-            (2, 3, 0.4, "0x1.05c4ee28d97a3p-2"),
-            (2, 3, 0.2, "0x1.9c5c14f10b6dcp-4"),
-            (1, 3, 0.05, "0x1.88a50cf8c88d2p-6"),
+            (2, 4, 0.2, "0x1.548be67e8f637p-4"),
+            (2, 3, 0.4, "0x1.05c4ee28d97a4p-2"),
+            (2, 3, 0.2, "0x1.9c5c14f10b6cfp-4"),
+            (1, 3, 0.05, "0x1.88a50cf8c88bcp-6"),
         ],
     )
     def test_packing_separations_are_pinned(self, k, d, eps, separation):
@@ -627,6 +629,73 @@ class TestUniformSampling:
         for i in range(200):
             gram = frames[i].T @ frames[i]
             assert np.max(np.abs(gram - np.eye(2))) < 1e-10
+
+
+def _grid_raw(fam):
+    """The raw grid stack of a packing or covering, rebuilt from each
+    member's sigma and n: I_k on the pivot rows, eps n on the rest."""
+    m, d, k = fam.frames.shape
+    raw = np.zeros((m, d, k))
+    rows = np.arange(m)[:, None]
+    raw[rows, fam.sigma[:, :k], np.arange(k)] = 1.0
+    raw[rows, fam.sigma[:, k:]] = fam.eps * fam.n.reshape(m, d - k, k)
+    return raw
+
+
+def _lift_stack(k):
+    params = HolderParams(k, k + 2, 2.0, 1.0, 1)
+    rng = np.random.default_rng(90 + k)
+    lift = graph_lift(random_class_function(params, rng), params, check=False)
+    xs = rng.random((500, k))
+    return lift.raw_tangents(xs), lift.tangent_frames(xs)
+
+
+def _kernel_stacks():
+    """(raw, frames) stacks from every caller of orthonormal_frames."""
+    for k in (1, 2, 3, 4):
+        for d in (k, k + 1, k + 3):
+            raw = sample_uniform_bases(np.random.default_rng(10 * k + d), 2000, k, d)
+            frames = sample_uniform_frames(np.random.default_rng(10 * k + d), 2000, k, d)
+            yield f"gaussian-{k}-{d}", raw, frames
+    for fam in (packing_family(1, 3, 0.1), packing_family(2, 4, 0.25),
+                covering_family(1, 3, 0.25), covering_family(2, 4, 0.5)):
+        yield f"{fam.kind}-{fam.frames.shape}", _grid_raw(fam), fam.frames
+    for k in (1, 2, 3):
+        yield (f"lift-{k}", *_lift_stack(k))
+
+
+class TestOrthonormalFrames:
+    # fixed before the first run: entrywise on F^T F - I and on the
+    # projector difference, and on the strict lower triangle of F^T raw
+    # relative to its column's norm
+    ORTHO_TOL = 1e-13
+    TRIANGLE_TOL = 1e-13
+    PROJECTOR_TOL = 1e-12
+
+    @pytest.mark.parametrize("name,raw,frames", list(_kernel_stacks()))
+    def test_frames_are_the_positive_qr_factor_of_their_stack(self, name, raw, frames):
+        k = raw.shape[2]
+        assert np.array_equal(frames, grassmann.orthonormal_frames(raw))
+        gram = np.einsum("tdi,tdj->tij", frames, frames)
+        assert np.max(np.abs(gram - np.eye(k))) < self.ORTHO_TOL
+        r = np.einsum("tdi,tdj->tij", frames, raw)
+        lower = np.abs(np.tril(r, -1)) / np.linalg.norm(raw, axis=1)[:, None, :]
+        assert np.max(lower, initial=0.0) < self.TRIANGLE_TOL
+        assert np.all(np.einsum("tkk->tk", r) > 0.0)
+        # the SVD oracle: the left singular vectors span the same plane
+        u = np.linalg.svd(raw, full_matrices=False)[0]
+        proj = np.einsum("tdi,tei->tde", frames, frames)
+        want = np.einsum("tdi,tei->tde", u, u)
+        assert np.max(np.abs(proj - want)) < self.PROJECTOR_TOL
+
+    def test_input_is_left_untouched(self):
+        # a view laid out as the kernel's own (k, d, m) planes, which a
+        # no-copy transpose would write into
+        planes = sample_uniform_bases(np.random.default_rng(3), 50, 2, 4).transpose(2, 1, 0)
+        raw = np.ascontiguousarray(planes).transpose(2, 1, 0)
+        kept = raw.copy()
+        grassmann.orthonormal_frames(raw)
+        assert np.array_equal(raw, kept)
 
 
 def chart(w):

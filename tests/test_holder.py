@@ -217,9 +217,8 @@ class TestBuildInterpolant:
         params = HolderParams(1, 2, 2.0, 2000.0, 1)
         grid = cell_grid(params, 0.01)
         nodes = [JetPoint(x, [[0.008], [0.05]]) for x in xs]
-        cells = [tuple(grid.cells(p.x).tolist()) for p in nodes]
         with pytest.raises(CellCollision, match=match):
-            HolderInterpolant(params, grid, nodes, cells)
+            HolderInterpolant(params, grid, nodes)
 
     def test_cells_past_int64_keys_stay_apart(self):
         # 4166667 even cells per axis: 7.2e19 cells in all, past 2^63, and
