@@ -13,10 +13,14 @@ Derivatives are computed analytically:
 * derivatives of the quotient S via the standard recurrence
   Q^{(q)} = (N^{(q)} - sum_{j<q} C(q,j) Q^{(j)} D^{(q-j)}) / D.
 
-All evaluators are vectorized over the input points and return an array of
-shape (order + 1, npts) stacking the function value and derivatives.
-zeta is exactly 1.0 (derivatives exactly 0.0) on the inner plateau, which
-is what makes interpolation at cell centers exact rather than approximate.
+All evaluators are vectorized over the input points; each stacks the
+function value and derivatives along its leading axis.  zeta is exactly
+1.0 (derivatives exactly 0.0) on the inner plateau, which is what makes
+interpolation at cell centers exact rather than approximate.
+
+``bump_factors`` is the one table of the interpolant's bump: its products
+over coordinates are the bumps that ``holder.HolderInterpolant`` evaluates
+and whose sup norms give the class constant c2 (``holder.BumpBasis``).
 """
 
 from __future__ import annotations
@@ -109,7 +113,12 @@ def plateau_derivs(t: np.ndarray, order: int) -> np.ndarray:
 
 
 def plateau_sq_derivs(t: np.ndarray, order: int) -> np.ndarray:
-    """Stack of (zeta^2)^{(j)}(t) via the Leibniz rule on zeta * zeta."""
+    """Stack of (zeta^2)^{(j)}(t) via the Leibniz rule on zeta * zeta.
+
+    No library code calls this; the interpolant's bump is ``bump_factors``.
+    The benchmark traces it, as ``tests/test_trace_targets.py`` requires,
+    and it goes with the benchmark's move off it (ROADMAP item 5).
+    """
     z = plateau_derivs(t, order)
     out = np.zeros_like(z)
     for q in range(order + 1):
@@ -120,31 +129,23 @@ def plateau_sq_derivs(t: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def monomial_leibniz(t: np.ndarray, m: int, derivs: np.ndarray) -> np.ndarray:
-    """Stack of d^q/dt^q [t^m / m! * h(t)], q = 0..order, by the Leibniz rule.
+def bump_factors(u: np.ndarray, r0: int, order: int) -> np.ndarray:
+    """The one-dimensional bump factors F[e, q](u) = d^q/du^q [u^e / e! zeta(u)].
 
-    ``derivs`` is the (order + 1, npts) stack of h^(j)(t), j = 0..order;
-    the m-th power contributes C(q, j) t^(m-j) / (m-j)! h^(q-j)(t).
+    Shape (r0 + 1, order + 1, npts), for e = 0..r0 and q = 0..order.  By
+    the Leibniz rule F[e, q] = sum_{j <= min(q, e)} C(q, j) u^(e-j) / (e-j)!
+    zeta^(q-j)(u).  Since zeta is flat on |u| <= 1/4, F[e, q] there is the
+    q-th derivative of u^e / e!, so F[e, q](0) is 1 if q == e and 0
+    otherwise; F is exactly 0 for |u| >= 1/2.
     """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    # powers[j] = t^(m-j) / (m-j)! for j = 0..m
-    powers = np.empty((m + 1, t.size))
-    powers[m] = 1.0
-    for j in range(m - 1, -1, -1):
-        powers[j] = powers[j + 1] * t / (m - j)
-    out = np.zeros_like(derivs)
-    for q in range(derivs.shape[0]):
-        acc = np.zeros(t.size)
-        for j in range(min(q, m) + 1):
-            acc += comb(q, j) * powers[j] * derivs[q - j]
-        out[q] = acc
+    u = np.asarray(u, dtype=float).reshape(-1)
+    zeta = plateau_derivs(u, order)
+    powers = np.ones((r0 + 1, u.size))  # powers[j] = u^j / j!
+    for j in range(1, r0 + 1):
+        powers[j] = powers[j - 1] * u / j
+    out = np.zeros((r0 + 1, order + 1, u.size))
+    for e in range(r0 + 1):
+        for q in range(order + 1):
+            for j in range(min(q, e) + 1):
+                out[e, q] += comb(q, j) * powers[e - j] * zeta[q - j]
     return out
-
-
-def monomial_plateau_derivs(t: np.ndarray, m: int, order: int) -> np.ndarray:
-    """Stack of d^q/dt^q [t^m / m! * zeta(t)], q = 0..order.
-
-    These are the one-dimensional bump factors: the q-th derivative at 0
-    equals 1 if q == m and 0 otherwise, because zeta is flat there.
-    """
-    return monomial_leibniz(t, m, plateau_derivs(t, order))

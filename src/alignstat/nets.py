@@ -6,15 +6,17 @@ family is an eps-scale packing and its cardinality grows like
 eps^{-(d-k)k}.
 
 Covering members repeat the construction over every pivot subset of k
-axes, with signed slopes eps * n, |n| < 2 / eps.  The covering is proven,
-not estimated: ``grassmann.span_normal_form`` writes every subspace as a
-graph xi over its maximal-volume pivot subset sigma, and the
-maximal-volume lemma gives |xi| <= 1.  The member with the same sigma and
-n = rint(xi / eps) is in the family, its slopes are within eps / 2 of xi
-entrywise, and the sine of its angle to the subspace is at most the
-spectral norm of the slope difference, so every subspace lies within
-arcsin(eps sqrt((d-k)k) / 2) of a member.  Signed slopes are needed:
-normal forms have entries of either sign.
+axes, with signed slopes eps * n, |n| <= floor(1/eps + 1/2).  The
+covering is proven, not estimated: ``grassmann.span_normal_form`` writes
+every subspace as a graph xi over its maximal-volume pivot subset sigma,
+and the maximal-volume lemma gives |xi| <= 1.  The member with the same
+sigma and n = rint(xi / eps) is in the family, its slopes are within
+eps / 2 of xi entrywise, and the sine of its angle to the subspace is at
+most the spectral norm of the slope difference, so every subspace lies
+within arcsin(eps sqrt((d-k)k) / 2) of a member.  The lemma holds to
+rounding only (pivot ties break at a relative 1e-13, and the solve
+rounds), so the reach assumes |xi| <= 1 + 1e-9.  Signed slopes are
+needed: normal forms have entries of either sign.
 
 Members are built as one (m, d, k) grid stack and orthonormalized by
 ``grassmann.orthonormal_frames``.  Packing separation and covering probes
@@ -69,6 +71,9 @@ DEFAULT_FAMILY_CAP = 10**6
 # of 3, over four runs), where a sine of every pair took 0.38-0.43 s and
 # 0.51-0.66 s.
 _SEPARATION_MEMBER_CAP = 2**13
+
+# Relative slack on the normal-form bound |xi| <= 1 (module docstring).
+_XI_SLACK = 1e-9
 
 
 @dataclass
@@ -126,13 +131,19 @@ def _grid_family(
     )
 
 
+def _covering_reach(eps: float) -> int:
+    """The covering's largest slope level |n|: floor((1 + slack)/eps + 1/2)."""
+    return int(np.floor((1.0 + _XI_SLACK) / eps + 0.5))
+
+
 def family_size(kind: str, k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> int:
     """The exact member count of the grid packing or covering at eps.
 
-    A packing has (floor(1/eps) + 1)^((d-k)k) members and a covering
-    binom(d, k) * (2 ceil(2/eps) - 1)^((d-k)k).  Raises ParamOrder unless
-    0 < eps <= 1 and 1 <= k < d, and BudgetExceeded when the count
-    exceeds ``cap``, so a caller can reject a family before building it.
+    A packing has (floor(1/eps) + 1)^((d-k)k) members and a covering,
+    up to a rounding slack, binom(d, k) * (2 floor(1/eps + 1/2) + 1)^((d-k)k).
+    Raises ParamOrder unless 0 < eps <= 1 and 1 <= k < d, and
+    BudgetExceeded when the count exceeds ``cap``, so a caller can reject
+    a family before building it.
     """
     if not 0 < eps <= 1:
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
@@ -142,7 +153,7 @@ def family_size(kind: str, k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY
     if kind == "packing":
         count = (int(np.floor(1.0 / eps)) + 1) ** n_entries
     elif kind == "covering":
-        count = comb(d, k) * (2 * int(np.ceil(2.0 / eps)) - 1) ** n_entries
+        count = comb(d, k) * (2 * _covering_reach(eps) + 1) ** n_entries
     else:
         raise ParamOrder(f"unknown family kind {kind!r}")
     if count > cap:
@@ -180,20 +191,20 @@ def estimate_span_bound(k: int, d: int) -> float:
 
 
 def covering_family(k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY_CAP) -> SubspaceFamily:
-    """Grid covering: all pivot subsets, slopes eps * n with |n| < 2/eps.
+    """Grid covering: all pivot subsets, slopes eps * n with |n| <= floor(1/eps + 1/2).
 
-    The grid reaches every normal-form entry, |xi| <= 1, so the family
-    covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2) (see the module
-    docstring).  Its member count is ``family_size("covering", ...)``;
-    members are not deduplicated, so a few coincide as subspaces.
+    The grid holds n = rint(xi / eps) for every normal-form entry, |xi| <= 1,
+    so the family covers G(k, d) within arcsin(eps sqrt((d-k)k) / 2) (see
+    the module docstring).  Its member count is ``family_size("covering",
+    ...)``; members are not deduplicated, so a few coincide as subspaces.
     """
     family_size("covering", k, d, eps, cap)
-    reach = int(np.ceil(2.0 / eps))
+    reach = _covering_reach(eps)
     sigmas = [
         pivots + tuple(i for i in range(d) if i not in pivots)
         for pivots in combinations(range(d), k)
     ]
-    return _grid_family("covering", d, k, eps, sigmas, np.arange(1 - reach, reach))
+    return _grid_family("covering", d, k, eps, sigmas, np.arange(-reach, reach + 1))
 
 
 def covering_radius_estimate(

@@ -31,6 +31,11 @@ def fd_jet(value_fn, x, t, step=1e-5):
     return fn(x[None, :])[0]
 
 
+def value_map(f, k):
+    """The values of a jet-evaluable map f on [0,1]^k as a value_fn for fd_jet."""
+    return lambda pts: f.jet_grid(pts, [(0,) * k])[:, 0]
+
+
 def tangent_space(lift, x):
     """Tangent plane of a graph lift at x: the span of (e_i, d_i g(x)),
     orthonormalized by SVD (``GraphLift.tangent_frames`` uses Gram-Schmidt)."""

@@ -248,7 +248,7 @@ class TestGreedyStatistic:
             JetSamples(params, xs, ys), params, n, materialize=True
         )
         assert sel.count == 1
-        jet = sel.interpolant.jet_at(np.array([0.05]))
+        jet = sel.interpolant.jet_grid(np.array([[0.05]]))[0]
         assert np.max(np.abs(jet - ys[0])) < 1e-9 * np.max(ys[0])
 
     def test_matches_exhaustive_cell_scan(self):

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import angle_margin, fd_jet, random_nodes
+from conftest import angle_margin, fd_jet, random_nodes, value_map
 
 import alignstat
 from alignstat import holder
-from alignstat.bumps import plateau_sq_derivs
+from alignstat.bumps import bump_factors, plateau_derivs
 from alignstat.errors import (
     BoxViolation,
     CellCollision,
@@ -111,37 +111,73 @@ class TestDiscrepancyPhi:
         assert discrepancy_phi(y1, y2, P12) == discrepancy_phi(y2, y1, P12)
 
 
+def psi_jet(basis, s, t, xs):
+    """The t-derivative of the basis bump psi_s at points xs (npts, k): the
+    product over coordinates of the ``bump_factors`` entries F[s_i, t_i]."""
+    out = np.ones(len(xs))
+    for i in range(basis.k):
+        out = out * bump_factors(xs[:, i], basis.r0, max(t))[s[i], t[i]]
+    return out
+
+
 class TestBumpBasis:
     def test_kronecker_conditions_at_zero(self):
         basis = bump_basis(HolderParams(2, 4, 2.0, 1.0, 1))
         zero = np.zeros((1, 2))
         for s in basis.index_set:
             for t in basis.index_set:
-                val = basis.psi_jet(s, t, zero)[0]
+                val = psi_jet(basis, s, t, zero)[0]
                 assert val == (1.0 if s == t else 0.0)
 
     def test_psi1_value_and_slope(self):
         basis = bump_basis(P12)
         xs = np.array([[0.1], [0.2], [0.0]])
-        vals = basis.psi_jet((1,), (0,), xs)
+        vals = psi_jet(basis, (1,), (0,), xs)
         # psi_1(x) = x on the plateau |x| <= 1/4
         assert vals == pytest.approx([0.1, 0.2, 0.0])
-        slopes = basis.psi_jet((1,), (1,), xs)
+        slopes = psi_jet(basis, (1,), (1,), xs)
         assert slopes == pytest.approx([1.0, 1.0, 1.0])
 
     def test_support_vanishes_outside(self):
         basis = bump_basis(HolderParams(2, 3, 2.0, 1.0, 1))
         edge = np.array([[0.5, 0.0], [-0.5, 0.3], [0.7, 0.7], [0.0, -0.62]])
         for s in basis.index_set:
-            assert np.all(basis.psi_jet(s, (0, 0), edge) == 0.0)
+            assert np.all(psi_jet(basis, s, (0, 0), edge) == 0.0)
 
     def test_norms_cover_observed_sup(self):
         basis = bump_basis(P12)
         xs = np.linspace(-0.5, 0.5, 1009).reshape(-1, 1)
         for s in basis.index_set:
             for t in basis.deriv_set:
-                observed = np.max(np.abs(basis.psi_jet(s, t, xs)))
+                observed = np.max(np.abs(psi_jet(basis, s, t, xs)))
                 assert observed <= basis.norms[(s, t)] * 1.001
+
+    @pytest.mark.parametrize("k,d,alpha,r0", [(1, 2, 2.0, 1), (2, 3, 3.0, 2), (3, 4, 2.0, 1)])
+    def test_norms_are_the_padded_maxima_of_the_evaluated_table(self, k, d, alpha, r0):
+        # the norms behind c2 come from the table jet_grid evaluates: a node
+        # whose scaled jet is the unit jet e_s evaluates to psi_s itself
+        params = HolderParams(k, d, alpha, 1.0, r0)
+        basis = bump_basis(params)
+        table = bump_factors(np.linspace(-0.5, 0.5, basis.NORM_POINTS), r0, params.r + 1)
+        peak = np.max(np.abs(table), axis=2)
+        for s in basis.index_set:
+            for t in basis.deriv_set:
+                want = np.prod([basis.SAFETY * peak[s[i], t[i]] for i in range(k)])
+                assert basis.norms[(s, t)] == want
+        eps = 0.2**alpha / construction_c2(params)
+        grid = cell_grid(params, eps)
+        x = np.full(k, 0.5 * grid.eps_prime)
+        u = np.random.default_rng(k).uniform(-0.5, 0.5, (200, k))
+        t_all = list(basis.deriv_set)
+        for row, s in enumerate(basis.index_set):
+            y = np.zeros((len(basis.index_set), d - k))
+            y[row] = grid.eps_prime ** -sum(s)
+            itp = HolderInterpolant(params, grid, [JetPoint(x, y)])
+            got = itp.jet_grid(x + grid.eps_prime * u, t_all)[:, :, 0]
+            for col, t in enumerate(t_all):
+                want = psi_jet(basis, s, t, u) / grid.eps_prime ** sum(t)
+                scale = np.max(np.abs(want))
+                assert got[:, col] == pytest.approx(want, rel=1e-12, abs=1e-12 * scale)
 
 
 class TestBuildInterpolant:
@@ -154,7 +190,7 @@ class TestBuildInterpolant:
     def test_single_node_spec_example(self):
         params = HolderParams(1, 2, 2.0, 2000.0, 1)
         itp = build_interpolant([JetPoint([0.1], [[0.008], [0.05]])], params, 0.01)
-        jet = itp.jet_at(np.array([0.1]))
+        jet = itp.jet_grid(np.array([[0.1]]))[0]
         assert abs(jet[0, 0] - 0.008) <= 1e-9 * 0.008
         assert abs(jet[1, 0] - 0.05) <= 1e-9 * 0.05
 
@@ -168,10 +204,10 @@ class TestBuildInterpolant:
         both = build_interpolant([n0, n2], params, eps)
         assert both.cells == [(0,), (2,)]
         xs = np.linspace(0, 1, 10**4).reshape(-1, 1)
-        v0 = piece0.value_grid(xs)[:, 0]
-        v2 = piece2.value_grid(xs)[:, 0]
+        v0 = piece0.jet_grid(xs, [(0,)])[:, 0, 0]
+        v2 = piece2.jet_grid(xs, [(0,)])[:, 0, 0]
         assert not np.any((v0 != 0.0) & (v2 != 0.0))
-        assert both.value_grid(xs)[:, 0] == pytest.approx(v0 + v2, abs=1e-15)
+        assert both.jet_grid(xs, [(0,)])[:, 0, 0] == pytest.approx(v0 + v2, abs=1e-15)
 
     def test_cell_collision(self):
         params = HolderParams(1, 2, 2.0, 2000.0, 1)
@@ -236,7 +272,7 @@ class TestBuildInterpolant:
         itp = build_interpolant(nodes, params, eps)
         assert itp.cells[1] == (2 * a, 2 * b, 2 * c)
         for node in nodes:
-            assert itp.jet_at(node.x)[:, 0] == pytest.approx(y[:, 0], rel=1e-9, abs=1e-300)
+            assert itp.jet_grid(node.x[None])[0, :, 0] == pytest.approx(y[:, 0], rel=1e-9, abs=1e-300)
 
     def test_eps_too_large(self):
         with pytest.raises(EpsTooLarge):
@@ -251,7 +287,7 @@ class TestEvaluateJet:
         nodes = random_nodes(params, eps, (1.000001 * eps) ** 0.5, 4, rng)
         itp = build_interpolant(nodes, params, eps)
         for node in itp.nodes:
-            jet = itp.jet_at(node.x)
+            jet = itp.jet_grid(node.x[None])[0]
             assert np.max(np.abs(jet - node.y)) <= 1e-9 * max(np.max(np.abs(node.y)), 1e-300)
 
     def test_zero_function_zero_jet(self):
@@ -266,11 +302,12 @@ class TestEvaluateJet:
         rng = np.random.default_rng(5)
         nodes = random_nodes(params, eps, ((1.000001) * eps) ** 0.5, 2, rng)
         itp = build_interpolant(nodes, params, eps)
+        values = value_map(itp, 1)
         for x in rng.random(100):
-            analytic = itp.jet_at(np.array([x]))[1, 0]
-            numeric = fd_jet(lambda p: itp.value_grid(p), np.array([x]), (1,))[0]
+            analytic = itp.jet_grid(np.array([[x]]))[0, 1, 0]
+            numeric = fd_jet(values, np.array([x]), (1,))[0]
             assert abs(analytic - numeric) < 1e-6
-            tighter = fd_jet(lambda p: itp.value_grid(p), np.array([x]), (1,), step=1e-6)[0]
+            tighter = fd_jet(values, np.array([x]), (1,), step=1e-6)[0]
             assert abs(analytic - tighter) < 3e-8
 
     def test_finite_difference_agreement_order_two_alpha3(self):
@@ -281,9 +318,10 @@ class TestEvaluateJet:
         nodes = random_nodes(params, eps, epsp, 2, rng)
         itp = build_interpolant(nodes, params, eps)
         assert itp.params.r == 2
+        values = value_map(itp, 1)
         for x in rng.random(30):
-            analytic = itp.jet_at(np.array([x]), [(2,)])[0, 0]
-            numeric = fd_jet(lambda p: itp.value_grid(p), np.array([x]), (2,), step=1e-4)[0]
+            analytic = itp.jet_grid(np.array([[x]]), [(2,)])[0, 0, 0]
+            numeric = fd_jet(values, np.array([x]), (2,), step=1e-4)[0]
             assert abs(analytic - numeric) < 1e-4
 
     @pytest.mark.parametrize(
@@ -304,8 +342,9 @@ class TestEvaluateJet:
         )
         xs = np.clip(xs, 2 * step, 1 - 2 * step)
         analytic = itp.jet_grid(xs, t_list)
+        values = value_map(itp, k)
         for row, t in enumerate(t_list):
-            numeric = np.array([fd_jet(itp.value_grid, x, t, step=step) for x in xs])
+            numeric = np.array([fd_jet(values, x, t, step=step) for x in xs])
             scale = np.max(np.abs(analytic[:, row]))
             assert scale > 0
             assert np.max(np.abs(analytic[:, row] - numeric)) <= tol * scale
@@ -375,11 +414,11 @@ class TestEvaluateJet:
         xs = np.concatenate([at, at + 0.3 * itp.eps_prime, rng.random((50, k))])
         calls = []
 
-        def counted(t, order):
-            calls.append(t.size)
-            return plateau_sq_derivs(t, order)
+        def counted(u, r0, order):
+            calls.append(u.size)
+            return bump_factors(u, r0, order)
 
-        monkeypatch.setattr(holder, "plateau_sq_derivs", counted)
+        monkeypatch.setattr(holder, "bump_factors", counted)
         jets = itp.jet_grid(xs)
         assert len(calls) == k
         assert np.count_nonzero(np.any(jets != 0.0, axis=(1, 2))) >= 2 * count
@@ -435,7 +474,7 @@ def edge_points(itp, rng):
 def leibniz_jet_grid(itp, xs, t_list):
     """Reference: the interpolant's jets by the k-dimensional Leibniz rule,
 
-        d^t g = sum_{t' <= t} C(t, t') d^{t'} [prod_i zeta^2(u_i)]
+        d^t g = sum_{t' <= t} C(t, t') d^{t'} [prod_i zeta(u_i)]
                 * d^{t - t'} [sum_s c_s u^s / s!],
 
     looping over every sub-multi-index t' of t instead of factorizing
@@ -455,7 +494,7 @@ def leibniz_jet_grid(itp, xs, t_list):
             continue
         u = rel[mask]
         npts = u.shape[0]
-        zsq = [plateau_sq_derivs(u[:, i], max_ord) for i in range(k)]
+        zeta = [plateau_derivs(u[:, i], max_ord) for i in range(k)]
         upow = []  # upow[i][e] = u_i^e / e!
         for i in range(k):
             tab = np.empty((r0 + 1, npts))
@@ -468,7 +507,7 @@ def leibniz_jet_grid(itp, xs, t_list):
             for tp in product(*(range(a + 1) for a in t)):
                 plateau_part = np.ones(npts)
                 for i in range(k):
-                    plateau_part = plateau_part * zsq[i][tp[i]]
+                    plateau_part = plateau_part * zeta[i][tp[i]]
                 rest = tuple(a - b for a, b in zip(t, tp))
                 poly = np.zeros((npts, params.dim_out))
                 for srow, s in enumerate(mis):
@@ -735,14 +774,6 @@ def test_jet_grid_rejects_misshapen_queries(which, xs, t_list, match):
     f = _jet_maps_3_4()[which]
     with pytest.raises(DimensionMismatch, match=match):
         f.jet_grid(xs, multi_index_set(3, 1) if t_list is None else t_list)
-
-
-@pytest.mark.parametrize("x", [[0.5, 0.5], 0.5, [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]],
-                         ids=["two-entries", "scalar", "two-points"])
-def test_jet_at_rejects_a_misshapen_point(x):
-    itp = _jet_maps_3_4()[0]
-    with pytest.raises(DimensionMismatch, match="points"):
-        itp.jet_at(x)
 
 
 @pytest.mark.parametrize("which", [0, 1], ids=["interpolant", "polynomial"])

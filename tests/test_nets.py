@@ -2,7 +2,7 @@
 
 import tracemalloc
 from itertools import combinations
-from math import ceil, comb
+from math import comb, floor
 
 import numpy as np
 import pytest
@@ -84,11 +84,11 @@ class TestPackingFamily:
 
 class TestCoveringFamily:
     def test_count_closed_form(self):
-        # signed grid: binom(d,k) * (2*ceil(2/eps) - 1)^((d-k)k)
+        # signed grid: binom(d,k) * (2*floor(1/eps + 1/2) + 1)^((d-k)k)
         fam = covering_family(1, 2, 0.5)
-        assert len(fam) == 2 * (2 * 4 - 1)
+        assert len(fam) == 2 * (2 * 2 + 1)
         fam = covering_family(1, 3, 0.5)
-        assert len(fam) == 3 * (2 * 4 - 1) ** 2
+        assert len(fam) == 3 * (2 * 2 + 1) ** 2
 
     def test_axis_probe_has_exact_member(self):
         fam = covering_family(1, 2, 0.5)
@@ -114,24 +114,35 @@ class TestCoveringFamily:
     @pytest.mark.parametrize("k,d,eps", [(1, 2, 0.3), (1, 3, 0.4), (2, 3, 0.2), (2, 4, 0.5)])
     def test_default_count_is_the_c1_one_grid(self, k, d, eps):
         fam = covering_family(k, d, eps)
-        assert len(fam) == comb(d, k) * (2 * ceil(2 / eps) - 1) ** ((d - k) * k)
+        assert len(fam) == comb(d, k) * (2 * floor(1 / eps + 1 / 2) + 1) ** ((d - k) * k)
 
     @pytest.mark.parametrize(
-        "k,d,eps", [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3), (2, 4, 0.4), (3, 4, 0.5)]
+        "k,d,eps",
+        [(1, 2, 0.1), (1, 3, 0.2), (2, 3, 0.3), (2, 4, 0.4), (3, 4, 0.5)]
+        # 1/eps a half-integer, or within rounding of one
+        + [(1, 2, 0.4), (1, 2, np.nextafter(0.4, 0.0)), (1, 2, np.nextafter(0.4, 1.0)),
+           (2, 3, 2 / 7), (1, 3, 1 / (4.5 - 1e-15)), (1, 3, 1 / (4.5 + 1e-15))],
     )
     def test_normal_form_names_a_member_within_the_proven_radius(self, k, d, eps):
         # deterministic covering certificate: sigma from the normal form and
         # n = rint(xi / eps) index a member, whose slopes differ from xi by
-        # at most eps / 2 entrywise, and sin(angle) <= ||xi - eps n||_2
+        # at most eps / 2 entrywise, and sin(angle) <= ||xi - eps n||_2;
+        # |xi| <= 1 up to rounding, so |n| <= floor(1/eps + 1/2) up to the
+        # covering's slack
         fam = covering_family(k, d, eps)
-        reach = ceil(2 / eps)
+        reach = floor((1 + nets._XI_SLACK) / eps + 1 / 2)
+        assert np.max(np.abs(fam.n)) == reach
         index = {(tuple(s), tuple(n)): i for i, (s, n) in enumerate(zip(fam.sigma, fam.n))}
         radius = np.arcsin(eps * np.sqrt((d - k) * k) / 2)
-        for frame in sample_uniform_frames(np.random.default_rng(90 + d), 2000, k, d):
+        frames = sample_uniform_frames(np.random.default_rng(90 + d), 2000, k, d)
+        # subspaces whose normal forms have entries +-1, the lemma's extreme
+        signs = np.random.default_rng(d).choice([-1.0, 1.0], (50, d - k, k))
+        raw = np.concatenate([np.broadcast_to(np.eye(k), (50, k, k)), signs], axis=1)
+        for frame in list(frames) + [orthonormalize(m).frame for m in raw]:
             probe = Subspace(frame)
             sigma, xi, _ = span_normal_form(probe)
             n = np.rint(xi / eps).astype(int)
-            assert np.max(np.abs(n)) <= reach - 1
+            assert np.max(np.abs(n)) <= reach
             member = fam[index[(sigma, tuple(n.reshape(-1)))]]
             slack = np.linalg.norm(xi - eps * n, 2)
             angle = canonical_angle(probe, member)
@@ -143,10 +154,11 @@ class TestCoveringFamily:
             covering_family(2, 4, 0.02)
 
     def test_2_4_at_eps_0_2_fits_under_the_cap(self):
-        # c1 = 1: 6 * 19^4 = 781,926 members; the old empirical c1 = 2.54
-        # gave 6 * 35^4 = 9,003,750
-        with pytest.raises(BudgetExceeded, match="781926 members"):
-            covering_family(2, 4, 0.2, cap=781925)
+        # |n| <= floor(1/eps + 1/2) = 5: 6 * 11^4 = 87,846 members; the grid
+        # |n| < 2/eps gave 6 * 19^4 = 781,926, and the old empirical
+        # c1 = 2.54 gave 6 * 35^4 = 9,003,750
+        with pytest.raises(BudgetExceeded, match="87846 members"):
+            covering_family(2, 4, 0.2, cap=87845)
 
     def test_fewer_than_one_probe(self):
         fam = covering_family(1, 2, 0.5)
@@ -405,7 +417,7 @@ def test_members_are_built_on_demand_from_the_read_only_stack(tmp_path):
         assert np.array_equal(member.frame, fam.frames[i])
     # sigma in the outer order, n lexicographic inside each pivot subset
     assert [tuple(s) for s in fam.sigma[:: len(fam) // 3]] == [(0, 1, 2), (0, 2, 1), (1, 2, 0)]
-    assert fam.n[:3].tolist() == [[-4, -4], [-4, -3], [-4, -2]]
+    assert fam.n[:3].tolist() == [[-3, -3], [-3, -2], [-3, -1]]
     # export rows are the arrays, the frame entries exact through repr
     export_family_csv(fam, tmp_path / "fam.csv")
     rows = (tmp_path / "fam.csv").read_text().splitlines()[1:]
