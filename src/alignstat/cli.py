@@ -7,7 +7,7 @@ render-stimulus   SVG of n oriented segments in the unit square (d=2, k=1):
 exponent-sweep    statistic means over an n grid + log-log slope report:
                   --problem --k --d --alpha --beta --r0 --n1 --n-grid
                   --trials --workers --c2
-volume-scan       ball and chart-cube measures over an eps grid, one draw each:
+volume-scan       ball and chart-cube measures over an eps grid, on one draw:
                   --k --d --trials --eps-grid
 nets-demo         packing/covering families: sizes, separation, radius:
                   --k --d --eps-grid --probes --export-members
@@ -63,16 +63,14 @@ from .experiments import (
     run_sweep,
     write_records_csv,
 )
-from .grassmann import Subspace
 from .holder import HolderParams, graph_lift, random_class_function
 from .nets import (
-    ball_measure_estimate,
-    chart_cube_measure_estimate,
     covering_family,
     covering_radius_estimate,
     export_family_csv,
     family_size,
     packing_family,
+    volume_measure_estimates,
 )
 
 
@@ -201,15 +199,17 @@ def _number_list(text: str, kind: type) -> list:
 
 
 def _svg_segments(z: np.ndarray, frames: np.ndarray, length: float) -> str:
-    half = length / 2.0
+    """The SVG of the segments; ParamOrder if a coordinate is not finite."""
+    offset = (length / 2.0) * frames[:, :, 0]
+    with np.errstate(over="ignore"):
+        ends = np.stack([z - offset, z + offset], axis=1) * 1000.0
+    if not np.isfinite(ends).all():
+        raise ParamOrder(f"segment length {length} puts SVG coordinates beyond the float range")
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1000 1000">',
         '<rect width="1000" height="1000" fill="white"/>',
     ]
-    for i in range(z.shape[0]):
-        direction = frames[i, :, 0]
-        x1, y1 = (z[i] - half * direction) * 1000.0
-        x2, y2 = (z[i] + half * direction) * 1000.0
+    for (x1, y1), (x2, y2) in ends:
         lines.append(
             f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" y2="{y2:.2f}" '
             'stroke="black" stroke-width="2"/>'
@@ -311,14 +311,11 @@ def cmd_exponent_sweep(args, out_dir: Path) -> int:
 
 
 def cmd_volume_scan(args, out_dir: Path) -> int:
-    if not 1 <= args.k < args.d:
-        raise ParamOrder(f"need 1 <= k < d, got k={args.k}, d={args.d}")
     eps_grid = _number_list(args.eps_grid, float)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed, 1]))
-    center = Subspace(np.eye(args.d)[:, : args.k])
     rows = ["kind,k,d,eps,trials,p_hat,stderr,singular"]
-    ball = ball_measure_estimate(center, eps_grid, args.trials, rng)
-    cube = chart_cube_measure_estimate(args.k, args.d, eps_grid, args.trials, rng)
+    # the ball is centred on span(e_1, ..., e_k), so both read the same planes
+    ball, cube = volume_measure_estimates(args.k, args.d, eps_grid, args.trials, rng)
     for kind, estimates in (("ball", ball), ("cube", cube)):
         for eps, est in zip(eps_grid, estimates):
             rows.append(f"{kind},{args.k},{args.d},{eps!r},{est.trials},{est.p_hat!r},"

@@ -35,8 +35,9 @@ normals, whose span is uniform on G(k, d) (Chikuse 2003).
 :func:`sample_uniform_frames` reads it as orthonormal frames (one frame
 gives :func:`sample_uniform_subspace`, one d-by-d frame
 :func:`sample_orthogonal_matrix`), :func:`sample_uniform_charts` as graph
-charts, and :func:`sample_uniform_angles` as angles to one plane.  One
-kernel, :func:`orthonormal_frames`, orthonormalizes every frame stack.
+charts, and :func:`sample_uniform_angles` as angles to one plane (the
+charts of the draw rotated onto the plane, read by :func:`chart_angles`).
+One kernel, :func:`orthonormal_frames`, orthonormalizes every frame stack.
 
 Graph charts go through one kernel too: :func:`chart_slopes` takes a
 stack of bases to its chart-regular mask (:func:`chart_regular`) and the
@@ -208,16 +209,25 @@ def sample_uniform_angles(rng: np.random.Generator, m: int, h: Subspace) -> np.n
 
     Makes exactly the draw G of :func:`sample_uniform_frames`, builds no
     frame, and reads the chart Y = (N^T G)(B^T G)^{-1}, [B, N] the
-    completed basis of ``h``: tan theta_i = sigma_i(Y) (Bjorck & Golub
-    1973), so theta = arctan sigma_max(Y).  A chart-singular draw (a null
-    event) holds a direction orthogonal to ``h`` and gets pi/2.
+    completed basis of ``h``: the draw rotated so that ``h`` is the
+    coordinate plane, whose angles :func:`chart_angles` takes.
     """
     d, k = h.frame.shape
     qt = _complete_bases(h.frame[None])[0].T
     # the contiguous (d, k, m) layout that chart_slopes reads for k = 2
     g = sample_uniform_bases(rng, m, k, d).transpose(1, 2, 0).reshape(d, k * m)
-    yt, ok = chart_slopes((qt @ g).reshape(d, k, m).transpose(2, 0, 1))
-    theta = np.full(m, np.pi / 2)
+    return chart_angles(*chart_slopes((qt @ g).reshape(d, k, m).transpose(2, 0, 1)))
+
+
+def chart_angles(yt: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """Largest canonical angle from each plane of a ``chart_slopes`` result
+    to the coordinate plane span(e_1, ..., e_k).
+
+    tan theta_i = sigma_i(Y) for the chart Y (Bjorck & Golub 1973), so
+    theta = arctan sigma_max(Y); a chart-singular plane (``ok`` False)
+    holds a direction orthogonal to the coordinate plane and gets pi/2.
+    """
+    theta = np.full(ok.shape, np.pi / 2)
     theta[ok] = np.arctan(_extreme_singular_value(yt.transpose(1, 2, 0), largest=True))
     return theta
 

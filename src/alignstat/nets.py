@@ -42,19 +42,23 @@ counts a whole eps grid on one draw, 2^16 planes at a time, by sorting
 one number per plane, so its rows are nested, positively correlated
 events.  Neither builds a frame: both read the chart of each Gaussian
 draw, the ball estimator after rotating the draw onto the center.
+``volume_measure_estimates`` counts the ball about the coordinate plane,
+where that rotation is the identity, and the cube on the charts of one
+shared draw, so a ball row and a cube row are correlated too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, inf
+from math import comb, inf, log10
 
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyFamily, ParamOrder
 from .grassmann import (
     Subspace,
+    chart_angles,
     min_canonical_angle,
     orthonormal_frames,
     sample_uniform_angles,
@@ -144,18 +148,27 @@ def family_size(kind: str, k: int, d: int, eps: float, cap: int = DEFAULT_FAMILY
     Raises ParamOrder unless 0 < eps <= 1 and 1 <= k < d, and
     BudgetExceeded when the count exceeds ``cap``, so a caller can reject
     a family before building it.
+
+    A count whose lower bound (1/eps)^((d-k)k), or binom(d, k) (2/eps)^((d-k)k)
+    for a covering, is over ten times the cap is rejected as a power of
+    ten without forming it: 1/eps overflows at a subnormal eps, and such
+    a count is too long to print.
     """
     if not 0 < eps <= 1:
         raise ParamOrder(f"need 0 < eps <= 1, got {eps}")
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
     n_entries = (d - k) * k
+    if kind not in ("packing", "covering"):
+        raise ParamOrder(f"unknown family kind {kind!r}")
+    ways, base = (1, 1.0) if kind == "packing" else (comb(d, k), 2.0)
+    magnitude = log10(ways) + n_entries * (log10(base) - log10(eps))
+    if magnitude > log10(cap) + 1:
+        raise BudgetExceeded(f"{kind} would have over 10^{int(magnitude)} members > cap {cap}")
     if kind == "packing":
         count = (int(np.floor(1.0 / eps)) + 1) ** n_entries
-    elif kind == "covering":
-        count = comb(d, k) * (2 * _covering_reach(eps) + 1) ** n_entries
     else:
-        raise ParamOrder(f"unknown family kind {kind!r}")
+        count = ways * (2 * _covering_reach(eps) + 1) ** n_entries
     if count > cap:
         raise BudgetExceeded(f"{kind} would have {count} members > cap {cap}")
     return count
@@ -273,27 +286,43 @@ def ball_measure_estimate(
     return _estimates(hits, trials)
 
 
-def chart_cube_measure_estimate(
+def volume_measure_estimates(
     k: int, d: int, eps_grid, trials: int, rng: np.random.Generator
-) -> list[MeasureEstimate]:
-    """Fraction of uniform subspaces whose chart entries all lie in [0, eps],
-    per eps, all counted on the charts of one draw (``sample_uniform_charts``).
+) -> tuple[list[MeasureEstimate], list[MeasureEstimate]]:
+    """Ball and chart-cube measures per eps, both counted on the charts of
+    one draw (``sample_uniform_charts``): ``(ball, cube)``.
 
-    A chart with no negative entry hits every eps from its largest entry
-    up.  Chart-singular draws (a null event) count as misses and are
-    reported in the ``singular`` field.
+    The ball is centred on E = span(e_1, ..., e_k), whose completed basis
+    is the identity, so the chart Y of a plane is the chart the ball
+    estimator reads after its rotation, and the ball rows equal
+    ``ball_measure_estimate(E, ...)`` on the same generator hit for hit
+    (``grassmann.chart_angles``; a chart-singular plane is at pi/2).  A
+    chart with no negative entry hits every cube eps from its largest
+    entry up; chart-singular planes are cube misses, reported in the cube
+    rows' ``singular`` field.  Both kinds of row read the same planes, so
+    a ball row and a cube row are correlated.
     """
     if not 1 <= k < d:
         raise ParamOrder(f"need 1 <= k < d, got k={k}, d={d}")
     radii = _radii(eps_grid, trials)
-    hits = regular = 0
+    ball_hits = cube_hits = regular = 0
     for size in _chunk_sizes(trials):
         yt, ok = sample_uniform_charts(rng, size, k, d)
         regular += int(np.count_nonzero(ok))
+        theta = np.sort(chart_angles(yt, ok))
+        ball_hits = ball_hits + np.searchsorted(theta, radii, side="right")
         top = np.max(yt, axis=(1, 2))
         top[np.min(yt, axis=(1, 2)) < 0.0] = inf
-        hits = hits + np.searchsorted(np.sort(top), radii, side="right")
-    return _estimates(hits, trials, trials - regular)
+        cube_hits = cube_hits + np.searchsorted(np.sort(top), radii, side="right")
+    return _estimates(ball_hits, trials), _estimates(cube_hits, trials, trials - regular)
+
+
+def chart_cube_measure_estimate(
+    k: int, d: int, eps_grid, trials: int, rng: np.random.Generator
+) -> list[MeasureEstimate]:
+    """Fraction of uniform subspaces whose chart entries all lie in [0, eps]:
+    the cube half of :func:`volume_measure_estimates`."""
+    return volume_measure_estimates(k, d, eps_grid, trials, rng)[1]
 
 
 def export_family_csv(fam: SubspaceFamily, path) -> None:

@@ -37,6 +37,16 @@ class TestRenderStimulus:
         assert svg.count("<line") == 100
         assert svg.count('stroke="black"') == 100  # planted indistinguishable
 
+    def test_a_length_past_the_float_range_is_a_config_error(self, tmp_path, capsys):
+        # 1000 (z +- L/2 u) overflows, so the SVG would hold x1="inf"
+        out = tmp_path / "out"
+        assert run_cli(["render-stimulus", "--segment-length", 1e308, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith("config error: segment length")
+        assert not out.exists()
+        # the largest coordinates that stay finite are still drawn
+        assert run_cli(["render-stimulus", "--segment-length", 1e300, "--out-dir", out]) == 0
+        assert "inf" not in (out / "stimulus.svg").read_text()
+
     def test_empty_canvas(self, tmp_path):
         rc = run_cli(["render-stimulus", "--n", 0, "--out-dir", tmp_path])
         assert rc == 0
@@ -249,6 +259,22 @@ class TestVolumeScan:
         assert lines[0].startswith("kind,k,d,eps")
         assert len(lines) == 1 + 4  # ball x2 + cube x2
 
+    def test_g12_rows_match_the_closed_forms(self, tmp_path):
+        # on G(1, 2) the angle to a line is uniform on [0, pi/2] and the
+        # chart slope is the tangent of a uniform angle; both kinds of row
+        # now come from one draw, and each row still has its own law
+        trials = 20_000
+        argv = ["volume-scan", "--k", 1, "--d", 2, "--eps-grid", "0.4,0.2,0.1",
+                "--trials", trials, "--seed", 1, "--out-dir", tmp_path]
+        assert run_cli(argv) == 0
+        with open(tmp_path / "volume.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["kind"] for r in rows] == ["ball"] * 3 + ["cube"] * 3
+        for r in rows:
+            eps, p = float(r["eps"]), float(r["p_hat"])
+            exact = 2 * eps / np.pi if r["kind"] == "ball" else np.arctan(eps) / np.pi
+            assert abs(p - exact) <= 4 * np.sqrt(exact * (1 - exact) / trials)
+
 
 class TestNetsDemo:
     def test_writes_rows_and_members(self, tmp_path):
@@ -279,6 +305,14 @@ class TestNetsDemo:
         packing = (tmp_path / "nets.csv").read_text().splitlines()[1].split(",")
         assert packing[:5] == ["packing", "1", "3", "0.015", "4489"]
         assert np.isfinite(float(packing[5])) and np.isfinite(float(packing[7]))
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300])
+    def test_a_vast_family_is_a_short_config_error(self, tmp_path, capsys, eps):
+        # 1/eps overflows at the subnormal eps; at 1e-300 the count has 301 digits
+        assert run_cli(["nets-demo", "--eps-grid", eps, "--out-dir", tmp_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: packing would have over 10^")
+        assert len(err) < 100
 
     @pytest.mark.parametrize(
         "flags",

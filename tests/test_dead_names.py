@@ -20,6 +20,7 @@ EXEMPT = {
     # metrics go with the benchmark's own move off them (ROADMAP item 5)
     "grassmann.batch_canonical_angle": "tracer-pinned; frame-route test reference",
     "nets.estimate_span_bound": "tracer-pinned; the benchmark's nets setup calls it",
+    "nets.chart_cube_measure_estimate": "tracer-pinned; the cube half of volume_measure_estimates",
     "bumps.plateau_sq_derivs": "tracer-pinned",
     "detection.oriented_to_jets": "tracer-pinned; the oriented reduction the engine tests compare against",
     "experiments.run_trial": "tracer-pinned; the one-trial reference of the block engine",

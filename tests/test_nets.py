@@ -26,7 +26,9 @@ from alignstat.nets import (
     covering_radius_estimate,
     estimate_span_bound,
     export_family_csv,
+    family_size,
     packing_family,
+    volume_measure_estimates,
 )
 
 
@@ -313,14 +315,42 @@ class TestChartCubeMeasure:
         assert slope == pytest.approx(2.0, rel=0.10)
 
 
+class TestVolumeMeasures:
+    @pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 5), (3, 6)])
+    def test_ball_hits_equal_the_ball_estimator_at_the_coordinate_plane(self, k, d):
+        # two chunks, radii below, at and above pi/2
+        eps_grid = [0.1, 0.4, 0.8, 1.2, np.pi / 2, 1.6]
+        for seed in (1, 2, 3):
+            ball = volume_measure_estimates(k, d, eps_grid, 70_000, np.random.default_rng(seed))[0]
+            expected = ball_measure_estimate(
+                Subspace(np.eye(d)[:, :k]), eps_grid, 70_000, np.random.default_rng(seed)
+            )
+            assert ball == expected
+
+    @pytest.mark.parametrize("k,d", [(1, 2), (2, 4), (3, 5)])
+    def test_both_halves_count_the_planes_of_one_draw(self, k, d):
+        # per plane of the raw draw G: the chart Y = B A^{-1}, its largest
+        # angle to the coordinate plane arctan sigma_max(Y), and the cube test
+        eps, trials = 1.0, 5000
+        g = np.random.default_rng(5).standard_normal((trials, d, k))
+        yt = np.linalg.solve(g[:, :k, :].transpose(0, 2, 1), g[:, k:, :].transpose(0, 2, 1))
+        theta = np.arctan(np.linalg.svd(yt, compute_uv=False)[:, 0])
+        in_cube = np.all((yt >= 0) & (yt <= eps), axis=(1, 2))
+        ball, cube = volume_measure_estimates(k, d, [eps], trials, np.random.default_rng(5))
+        assert ball[0].hits == int(np.count_nonzero(theta <= eps))
+        assert cube[0].hits == int(np.count_nonzero(in_cube)) > 0
+
+
 @pytest.mark.parametrize("k,d", [(1, 2), (2, 3), (2, 4), (3, 5)])
 def test_measure_estimates_do_not_depend_on_the_chunk(monkeypatch, k, d):
-    # both estimators draw from one generator, as volume-scan does, so the
-    # second one also sees where the chunked draws left the stream
+    # the estimators draw from one generator, one after another, so each
+    # later one also sees where the chunked draws left the stream
     def estimates():
         rng = np.random.default_rng(47)
         ball = ball_measure_estimate(Subspace(np.eye(d)[:, :k]), [1.2, 1.4, 2.0], 200, rng)
-        return ball + chart_cube_measure_estimate(k, d, [3.0, 6.0, 20.0], 200, rng)
+        cube = chart_cube_measure_estimate(k, d, [3.0, 6.0, 20.0], 200, rng)
+        shared = volume_measure_estimates(k, d, [1.4, 6.0, 20.0], 2000, rng)
+        return ball + cube + shared[0] + shared[1]
 
     whole = estimates()
     assert all(est.hits > 0 for est in whole)
@@ -333,6 +363,8 @@ def _grid_estimators(k, d):
     return [
         lambda grid, trials, rng: ball_measure_estimate(h, grid, trials, rng),
         lambda grid, trials, rng: chart_cube_measure_estimate(k, d, grid, trials, rng),
+        # the ball half of the shared draw; its cube half is the line above
+        lambda grid, trials, rng: volume_measure_estimates(k, d, grid, trials, rng)[0],
     ]
 
 
@@ -426,6 +458,32 @@ def test_members_are_built_on_demand_from_the_read_only_stack(tmp_path):
         assert cells[3] == "|".join(map(str, fam.sigma[i]))
         assert cells[4] == "|".join(map(str, fam.n[i]))
         assert [float(v) for v in cells[5:]] == fam.frames[i].reshape(-1).tolist()
+
+
+@pytest.mark.parametrize("kind", ["packing", "covering"])
+@pytest.mark.parametrize("eps", [5e-324, 1e-300])
+def test_family_size_gives_a_vast_count_as_a_power_of_ten(kind, eps):
+    # 1/eps overflows a float at the subnormal eps, and the count at 1e-300
+    # has 301 digits
+    with pytest.raises(BudgetExceeded, match=r"would have over 10\^(29\d|3\d\d) members") as info:
+        family_size(kind, 1, 2, eps)
+    assert len(str(info.value)) < 80
+
+
+@pytest.mark.parametrize("kind", ["packing", "covering"])
+@pytest.mark.parametrize("k,d", [(1, 2), (1, 3), (2, 4)])
+def test_family_size_rejects_exactly_the_counts_over_the_cap(kind, k, d):
+    # the power-of-ten shortcut never rejects a count the cap admits
+    n_entries = (d - k) * k
+    for eps in np.geomspace(1e-8, 1.0, 400):
+        per_entry = (floor(1 / eps) + 1 if kind == "packing"
+                     else 2 * floor((1 + 1e-9) / eps + 0.5) + 1)
+        count = (1 if kind == "packing" else comb(d, k)) * per_entry**n_entries
+        if count <= 10**6:
+            assert family_size(kind, k, d, eps) == count
+        else:
+            with pytest.raises(BudgetExceeded):
+                family_size(kind, k, d, eps)
 
 
 @pytest.mark.parametrize("build", [packing_family, covering_family])
