@@ -233,21 +233,32 @@ class CellSelection:
 # before any key is formed, where numpy would wrap them silently.
 _KEY_MAX = np.iinfo(np.int64).max
 
+# Largest (set, cell) table ``cell_counts`` builds, in entries per counted
+# point: past it, it sorts the keys instead.
+_TABLE_PER_POINT = 4
+
+
+def _box_rows(grid: CellGrid, ys: np.ndarray) -> np.ndarray:
+    """The indices (increasing) of the samples whose jet fits the box."""
+    # Filter progressively: the value box has selectivity ~eps/2 per output
+    # coordinate, so later rows only touch a small survivor set.
+    (lo, hi), *rows = grid.bounds
+    vals = ys[:, 0, :]
+    alive = np.flatnonzero(np.all((vals >= lo) & (vals <= hi), axis=1))
+    for row, (lo, hi) in enumerate(rows, start=1):
+        if alive.size == 0:
+            break
+        vals = ys[alive, row, :]
+        alive = alive[np.all((vals >= lo) & (vals <= hi), axis=1)]
+    return alive
+
 
 def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
     """The samples whose jet fits the box and whose cell is even: their
     indices (increasing) and flat even-cell keys, both 1-D."""
     if grid.cells_total > _KEY_MAX:
         raise BudgetExceeded(f"{grid.cells_total} even cells overflow the int64 cell keys")
-    # Filter progressively: the value box has selectivity ~eps/2 per output
-    # coordinate, so later rows only touch a small survivor set.
-    alive = np.arange(len(ys))
-    for row, (lo, hi) in enumerate(grid.bounds):
-        vals = ys[alive, row, :]
-        alive = alive[np.all((vals >= lo) & (vals <= hi), axis=1)]
-        if alive.size == 0:
-            break
-    alive = np.concatenate([alive, np.arange(len(ys), len(xs))])
+    alive = np.concatenate([_box_rows(grid, ys), np.arange(len(ys), len(xs))])
     # per axis: even cell inside the grid, and the key's next digit c // 2;
     # take and compress are the fast forms of these gathers
     keep, key = True, 0
@@ -255,6 +266,21 @@ def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
         keep = keep & ((c & 1) == 0) & (c >= 0) & (c <= grid.grid_max)
         key = key * grid.per_axis + (c >> 1)
     return np.compress(keep, alive), np.compress(keep, key)
+
+
+def _raw_cell_keys(grid: CellGrid, xs: np.ndarray, owner: np.ndarray, out: np.ndarray) -> None:
+    """Write owner s^k + the flat raw cell of each location into ``out``:
+    per axis floor(x / eps') clipped to [-1, grid_max + 1] and shifted by
+    one, a digit in [0, s), s = grid_max + 3.  fmax sends NaN to -1."""
+    side = grid.grid_max + 3
+    cells = np.floor(xs / grid.eps_prime)
+    np.fmax(cells, -1.0, out=cells)
+    np.fmin(cells, grid.grid_max + 1.0, out=cells)
+    cells += 1.0
+    np.copyto(out, owner)
+    for c in cells.T:
+        out *= side
+        out += c.astype(np.int64)
 
 
 def cell_counts(
@@ -265,18 +291,44 @@ def cell_counts(
     ``owner[i]`` in [0, owners) names the set sample i belongs to; the
     result holds, per set, the number of distinct even cells with an
     admissible sample.  Locations in ``xs`` past ``len(ys)`` carry no jet
-    and count by their cell alone, as a planted in-box jet would.  The
-    distinct (set, cell) pairs come from a sort and an adjacent difference.
+    and count by their cell alone, as a planted in-box jet would.
+
+    Each counted location gets the key owner s^k + its raw cell
+    (``_raw_cell_keys``), with no parity or range test per point: a raw
+    digit c + 1 is odd and at most grid_max + 1 exactly when cell c is
+    even and inside the grid.  When the owners s^k table has at most
+    ``_TABLE_PER_POINT`` entries per key, one bincount of the keys fills
+    it and a set counts the nonzero entries of its slice 1, 3, ...,
+    grid_max + 1 on every axis.  Otherwise, as when many sets share a few
+    box survivors or the grid is too fine for any table, the digits of
+    the sorted distinct keys are tested instead.
     """
-    if owners * grid.cells_total > _KEY_MAX:
+    k = xs.shape[1]
+    side = grid.grid_max + 3
+    size = side**k
+    # side > per_axis, so this also refuses cells_total past the keys
+    if max(owners, 1) * size > _KEY_MAX:
         raise BudgetExceeded(
             f"{owners} sets of {grid.cells_total} even cells overflow the int64 (set, cell) keys"
         )
-    alive, key = _box_cells(grid, xs, ys)
-    pair = np.sort(np.take(owner, alive) * grid.cells_total + key)
+    alive = _box_rows(grid, ys)
+    key = np.empty(alive.size + len(xs) - len(ys), dtype=np.int64)
+    _raw_cell_keys(grid, np.take(xs, alive, axis=0), np.take(owner, alive), key[: alive.size])
+    _raw_cell_keys(grid, xs[len(ys) :], owner[len(ys) :], key[alive.size :])
+    if owners * size <= _TABLE_PER_POINT * key.size:
+        table = np.bincount(key, minlength=owners * size).reshape((owners,) + (side,) * k)
+        even = (slice(None),) + (slice(1, grid.grid_max + 2, 2),) * k
+        return np.count_nonzero(table[even], axis=tuple(range(1, k + 1)))
+    # distinct keys by a sort and an adjacent difference: np.unique's first
+    # call maps about 1.7 MB more of numpy
+    pair = np.sort(key)
     new = np.ones(pair.size, dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=new[1:])
-    return np.bincount(np.compress(new, pair) // grid.cells_total, minlength=owners)
+    rest, keep = np.compress(new, pair), True
+    for _ in range(k):
+        rest, digit = np.divmod(rest, side)
+        keep = keep & (digit & 1 == 1) & (digit <= grid.grid_max + 1)
+    return np.bincount(rest[keep], minlength=owners)
 
 
 def greedy_cell_statistic(

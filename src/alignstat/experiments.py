@@ -16,8 +16,9 @@ trials through ``_run_trials``.  It runs blocks of consecutive keys that
 share (n_index, n).  A block computes the n-constants once (eps, the cell
 grid, the box); then each key draws its trial from its own stream, and
 the draws of many trials go through one reduction to jets, one box
-filter and one count of distinct (trial, cell) pairs, flushed every
-``_BLOCK_SAMPLES`` samples so memory stays bounded.  The count of a
+filter and one count of the even cells each trial occupies, from one
+(trial, raw cell) key per counted point (``detection.cell_counts``),
+flushed every ``_BLOCK_SAMPLES`` samples so memory stays bounded.  The count of a
 trial does not depend on which other trials share its block, so any cut
 into blocks, and any worker count, gives the same records.  A record
 refers to the run's config and the block's cell grid.  Pools are capped
@@ -26,7 +27,8 @@ null configuration at keys (seed, 0, t) for t < T, so its statistics are
 exactly those of a T-trial null sweep at the same n; power continues the
 trial index at (seed, 0, T + t), so the two sets of trials never share a
 key.  Power is the mean of the exact rejection weight: 1 above the
-threshold, tie_gamma at it, 0 below.
+threshold, tie_gamma at it, 0 below.  A call that would hold more than
+``RECORD_BUDGET`` records is refused before its first key is built.
 
 Thinned trials: a trial generates only the null draws that can pass the
 value box (their number is binomial, their values uniform on the box)
@@ -260,6 +262,17 @@ def _key_states(seed: int, n_index: int, trials: list[int]) -> Iterator[dict]:
         yield from states
 
 
+# Trial records one sweep, calibration or power call may hold: a record,
+# its key and its CSV line take about 400 bytes, so 2^20 records stay near
+# 400 MB.  A call over it is refused before its first key is built.
+RECORD_BUDGET = 2**20
+
+
+def _check_records(records: int) -> None:
+    if records > RECORD_BUDGET:
+        raise BudgetExceeded(f"{records} trial records > budget {RECORD_BUDGET}")
+
+
 # Doubles one trial may draw: its null draws at their expected number and
 # its planted locations.  A sample size whose trials need more is refused
 # before anything is drawn (2^24 doubles are 128 MiB).
@@ -403,7 +416,8 @@ def _run_block(payload) -> list[RunRecord]:
     null draws (``_null_draws``) and then its planted locations.  Whenever
     the held draws pass ``_BLOCK_SAMPLES`` samples, one ``_null_jets``
     call turns them into jets and one ``cell_counts`` counts them, the
-    planted points entering as locations alone.
+    planted points entering after the null jets as locations alone: they
+    skip the box filter and go straight to the (trial, raw cell) keys.
     """
     config, keys, c2 = payload
     n_index, n, _ = keys[0]
@@ -485,6 +499,7 @@ def run_sweep(
         trials = config.trials
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
+    _check_records(trials * len(n_grid))
     keys = [(n_index, n, trial) for n_index, n in enumerate(n_grid) for trial in range(trials)]
     t0 = time.perf_counter()
     records = _run_trials(config, keys, workers, c2)
@@ -555,6 +570,7 @@ def null_quantile_threshold(config: ExperimentConfig, level: float, trials: int)
         raise ParamOrder("level must be in (0, 1)")
     if trials < 100:
         raise ParamOrder("need at least 100 calibration trials")
+    _check_records(trials)
     keys = [(0, config.n, trial) for trial in range(trials)]
     records = _run_trials(replace(config, n1=0), keys)
     stats = np.array([r.statistic for r in records])
@@ -584,6 +600,7 @@ def power_estimate(config: ExperimentConfig, threshold: Threshold, trials: int) 
     """
     if trials < 1:
         raise ParamOrder("trials must be >= 1")
+    _check_records(trials)
     first = threshold.trials
     keys = [(0, config.n, trial) for trial in range(first, first + trials)]
     records = _run_trials(config, keys)

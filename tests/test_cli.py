@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import alignstat
+from alignstat import experiments
 from alignstat.cli import COMMANDS, main, parse_args
 
 
@@ -416,6 +417,28 @@ def test_bad_parameters_exit_config_error(tmp_path, capsys, argv):
     assert run_cli(argv + ["--out-dir", tmp_path]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "manifest.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exponent-sweep", "--n-grid", "1000,2000,3000", "--trials", 41],
+        ["power", "--trials", 121],
+    ],
+    ids=["exponent-sweep", "power"],
+)
+def test_records_past_the_budget_exit_2_before_the_first_key(tmp_path, capsys, monkeypatch, argv):
+    # a small budget stands in for a trial count whose keys would not fit
+    # in memory, such as power --trials 100000000000
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the record count was checked")
+
+    monkeypatch.setattr(experiments, "RECORD_BUDGET", 120)
+    monkeypatch.setattr(experiments, "_run_trials", no_trials)
+    assert run_cli(argv + ["--out-dir", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "budget 120" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

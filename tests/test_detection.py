@@ -262,7 +262,13 @@ class TestGreedyStatistic:
             # first-seen order: materialize feeds the nodes in this order
             assert list(sel.selected.values()) == sorted(oracle.values())
 
-    def test_cell_counts_match_the_exhaustive_scan_per_owner(self):
+    # _TABLE_PER_POINT picks the route: at 10^12 entries per point every
+    # table is small enough, at 0 none is
+    ROUTES = pytest.mark.parametrize("per_point", [10**12, 0], ids=["table", "sort"])
+
+    @ROUTES
+    def test_cell_counts_match_the_exhaustive_scan_per_owner(self, monkeypatch, per_point):
+        monkeypatch.setattr(detection, "_TABLE_PER_POINT", per_point)
         # unsorted owner labels; owner 5 has no sample; values drawn in the
         # box, so that the slope rows decide
         rng = np.random.default_rng(16)
@@ -275,13 +281,29 @@ class TestGreedyStatistic:
             samples.ys[:, 0, :] = rng.uniform(*grid.bounds[0], size=(m, params.dim_out))
             owner = rng.integers(0, 5, size=m)
             assert not grid.clamped
-            counts = detection.cell_counts(grid, samples.xs, samples.ys, owner, 6)
-            want = []
-            for o in range(6):
-                mine = JetSamples(params, samples.xs[owner == o], samples.ys[owner == o])
-                want.append(len(brute_cell_scan(mine, params, grid.eps, grid.eps_prime)))
-            assert counts.tolist() == want
+
+            def exhaustive(xs, ys, owner):
+                return [len(brute_cell_scan(JetSamples(params, xs[owner == o], ys[owner == o]),
+                                            params, grid.eps, grid.eps_prime)) for o in range(6)]
+
+            want = exhaustive(samples.xs, samples.ys, owner)
+            assert detection.cell_counts(grid, samples.xs, samples.ys, owner, 6).tolist() == want
             assert sum(want) > 5
+            # trailing locations count as the in-box jet (0.75 eps, zero
+            # slopes) the oracle gives them; they reach two cells past the
+            # grid on both sides and fall in odd cells too
+            reach = 3 * grid.eps_prime
+            xs1 = rng.uniform(-reach, 1 + reach, size=(m // 4, params.k))
+            ys1 = np.zeros((m // 4,) + samples.ys.shape[1:])
+            ys1[:, 0, :] = 0.75 * grid.eps
+            xs = np.concatenate([samples.xs, xs1])
+            owner = np.concatenate([owner, rng.integers(0, 5, size=m // 4)])
+            with_trailing = exhaustive(xs, np.concatenate([samples.ys, ys1]), owner)
+            assert detection.cell_counts(grid, xs, samples.ys, owner, 6).tolist() == with_trailing
+            assert sum(with_trailing) > sum(want)
+            cells = grid.cells(xs1)
+            assert np.any(cells < -1) and np.any(cells > grid.grid_max + 1)
+            assert np.any(cells % 2 == 1)
 
     def test_small_sample_oracle_all_subsets(self):
         # <= 12 samples on a fixed coarse grid (n=50 sets the scale)
@@ -342,6 +364,18 @@ class TestGreedyStatistic:
         owners = (2**63 - 1) // grid.cells_total + 1
         with pytest.raises(BudgetExceeded, match=str(grid.cells_total)):
             detection.cell_counts(grid, samples.xs, samples.ys, owner, owners)
+
+    def test_raw_cell_keys_past_int64_are_refused(self):
+        # the (set, raw cell) keys span owners (grid_max + 3)^3 values,
+        # about 8 times owners cells_total: refused even where the
+        # even-cell keys would fit
+        params = HolderParams(3, 4, 2.0, 1.0, 1)
+        grid = cell_grid(params, 1e-6 / UNIT_C2, UNIT_C2)
+        owners = (2**63 - 1) // (grid.grid_max + 3) ** 3 + 1
+        assert owners * grid.cells_total <= 2**63 - 1
+        samples = generate_null_jets(2, params, np.random.default_rng(19))
+        with pytest.raises(BudgetExceeded, match=str(grid.cells_total)):
+            detection.cell_counts(grid, samples.xs, samples.ys, np.zeros(2, dtype=np.int64), owners)
 
     def test_materialized_interpolant_reads_the_statistic_grid(self):
         params = HolderParams(1, 2, 2.0, 2000.0, 1)

@@ -22,7 +22,7 @@ from alignstat.detection import (
     statistic_eps,
 )
 from alignstat import experiments
-from alignstat.errors import ParamOrder
+from alignstat.errors import BudgetExceeded, ParamOrder
 from alignstat.experiments import (
     CSV_COLUMNS,
     EXPERIMENT_C2,
@@ -307,6 +307,9 @@ class TestBlockEngine:
         configs = [
             ExperimentConfig("oriented", 1, 2, 2.0, 1.0, 1, 10_000, 20, 5, 40),
             ExperimentConfig("jets", 2, 3, 3.0, 1.0, 2, 10_000, 20, 5, 40),
+            # three location axes, and two output coordinates
+            ExperimentConfig("jets", 3, 4, 2.0, 1.0, 1, 10_000, 20, 5, 40),
+            ExperimentConfig("oriented", 2, 4, 2.0, 1.0, 1, 10_000, 20, 5, 40),
         ]
 
         def run(config, workers):
@@ -320,6 +323,27 @@ class TestBlockEngine:
         monkeypatch.setattr(experiments, "_BLOCK_SAMPLES", 1)  # one count per trial
         for config, default in zip(configs, defaults):
             assert np.array_equal(default, run(config, 1))
+
+    @pytest.mark.parametrize("call", ["sweep", "calibration", "power"])
+    def test_records_past_the_budget_are_refused_before_the_first_key(self, monkeypatch, call):
+        class Ran(Exception):
+            pass
+
+        def run_trials(config, keys, *args):
+            raise Ran(f"{len(keys)} keys")
+
+        monkeypatch.setattr(experiments, "_run_trials", run_trials)
+        monkeypatch.setattr(experiments, "RECORD_BUDGET", 120)
+        config = small_config()
+        records = {
+            "sweep": lambda t: run_sweep(config, [1000, 2000, 3000], trials=t // 3),
+            "calibration": lambda t: null_quantile_threshold(config, 0.05, t),
+            "power": lambda t: power_estimate(config, Threshold(1.0, 0.0, 0.05, 100), t),
+        }[call]
+        with pytest.raises(Ran, match="^120 keys$"):  # at the budget, the trials run
+            records(120)
+        with pytest.raises(BudgetExceeded, match="123 trial records > budget 120"):
+            records(123)
 
     @pytest.mark.parametrize(
         "n1,grid,match",
