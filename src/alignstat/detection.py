@@ -228,9 +228,9 @@ class CellSelection:
     interpolant: object | None = None
 
 
-# Largest flat even-cell key, or (set, cell) key of ``cell_counts``: the
-# keys are int64, so a grid or a batch whose keys would pass it is refused
-# before any key is formed, where numpy would wrap them silently.
+# Largest (set, raw cell) key: the keys are int64, so a batch whose keys
+# would pass it is refused before any key is formed, where numpy would wrap
+# them silently.
 _KEY_MAX = np.iinfo(np.int64).max
 
 # Largest (set, cell) table ``cell_counts`` builds, in entries per counted
@@ -253,34 +253,45 @@ def _box_rows(grid: CellGrid, ys: np.ndarray) -> np.ndarray:
     return alive
 
 
-def _box_cells(grid: CellGrid, xs: np.ndarray, ys: np.ndarray):
-    """The samples whose jet fits the box and whose cell is even: their
-    indices (increasing) and flat even-cell keys, both 1-D."""
-    if grid.cells_total > _KEY_MAX:
-        raise BudgetExceeded(f"{grid.cells_total} even cells overflow the int64 cell keys")
-    alive = np.concatenate([_box_rows(grid, ys), np.arange(len(ys), len(xs))])
-    # per axis: even cell inside the grid, and the key's next digit c // 2;
-    # take and compress are the fast forms of these gathers
-    keep, key = True, 0
-    for c in grid.cells(np.take(xs, alive, axis=0)).T:
-        keep = keep & ((c & 1) == 0) & (c >= 0) & (c <= grid.grid_max)
-        key = key * grid.per_axis + (c >> 1)
-    return np.compress(keep, alive), np.compress(keep, key)
-
-
-def _raw_cell_keys(grid: CellGrid, xs: np.ndarray, owner: np.ndarray, out: np.ndarray) -> None:
-    """Write owner s^k + the flat raw cell of each location into ``out``:
-    per axis floor(x / eps') clipped to [-1, grid_max + 1] and shifted by
-    one, a digit in [0, s), s = grid_max + 3.  fmax sends NaN to -1."""
+def _cell_keys(grid: CellGrid, xs: np.ndarray, ys: np.ndarray, owner: np.ndarray, owners: int):
+    """The box survivors' indices (increasing) and one int64 key per
+    counted location, the survivors' and then each one in ``xs`` past
+    ``len(ys)`` (those carry no jet): owner s^k + the flat raw cell, per
+    axis floor(x / eps') clipped to [-1, grid_max + 1] and shifted by one,
+    a digit in [0, s), s = grid_max + 3.  Only x > 1 is set to grid_max + 1:
+    x <= 1 has floor(x / eps') <= floor(1 / eps') = grid_max, so x = 1
+    counts.  fmax sends NaN to -1.  Keys past int64 raise BudgetExceeded.
+    """
     side = grid.grid_max + 3
-    cells = np.floor(xs / grid.eps_prime)
-    np.fmax(cells, -1.0, out=cells)
-    np.fmin(cells, grid.grid_max + 1.0, out=cells)
-    cells += 1.0
-    np.copyto(out, owner)
-    for c in cells.T:
-        out *= side
-        out += c.astype(np.int64)
+    if max(owners, 1) * side ** xs.shape[1] > _KEY_MAX:
+        raise BudgetExceeded(
+            f"{grid.cells_total} even cells in {owners} set(s) overflow the int64 cell keys"
+        )
+    alive = _box_rows(grid, ys)
+    key = np.empty(alive.size + len(xs) - len(ys), dtype=np.int64)
+    for x, x_owner, out in (
+        (np.take(xs, alive, axis=0), np.take(owner, alive), key[: alive.size]),
+        (xs[len(ys) :], owner[len(ys) :], key[alive.size :]),
+    ):
+        cells = np.floor(x / grid.eps_prime)
+        np.copyto(cells, grid.grid_max + 1.0, where=x > 1.0)
+        np.fmax(cells, -1.0, out=cells)
+        cells += 1.0
+        np.copyto(out, x_owner)
+        for c in cells.T:
+            out *= side
+            out += c.astype(np.int64)
+    return alive, key
+
+
+def _even_cells(grid: CellGrid, key: np.ndarray, k: int):
+    """The set of each key and whether its raw cell is an even cell of the
+    grid: each raw digit c + 1 is odd and at most grid_max + 1."""
+    rest, keep = key, True
+    for _ in range(k):
+        rest, digit = np.divmod(rest, grid.grid_max + 3)
+        keep = keep & (digit & 1 == 1) & (digit <= grid.grid_max + 1)
+    return rest, keep
 
 
 def cell_counts(
@@ -291,32 +302,23 @@ def cell_counts(
     ``owner[i]`` in [0, owners) names the set sample i belongs to; the
     result holds, per set, the number of distinct even cells with an
     admissible sample.  Locations in ``xs`` past ``len(ys)`` carry no jet
-    and count by their cell alone, as a planted in-box jet would.
+    and count by their cell alone, as a planted in-box jet would.  Only
+    locations in [0, 1]^k count, as in ``greedy_cell_statistic``.
 
-    Each counted location gets the key owner s^k + its raw cell
-    (``_raw_cell_keys``), with no parity or range test per point: a raw
-    digit c + 1 is odd and at most grid_max + 1 exactly when cell c is
-    even and inside the grid.  When the owners s^k table has at most
+    Each counted location gets one (set, raw cell) key (``_cell_keys``,
+    which refuses keys past int64), with no parity or range test per
+    point.  When the owners s^k table, s = grid_max + 3, has at most
     ``_TABLE_PER_POINT`` entries per key, one bincount of the keys fills
     it and a set counts the nonzero entries of its slice 1, 3, ...,
     grid_max + 1 on every axis.  Otherwise, as when many sets share a few
-    box survivors or the grid is too fine for any table, the digits of
-    the sorted distinct keys are tested instead.
+    box survivors or the grid is too fine for any table, the sorted
+    distinct keys go through the digit test (``_even_cells``) instead.
     """
     k = xs.shape[1]
     side = grid.grid_max + 3
-    size = side**k
-    # side > per_axis, so this also refuses cells_total past the keys
-    if max(owners, 1) * size > _KEY_MAX:
-        raise BudgetExceeded(
-            f"{owners} sets of {grid.cells_total} even cells overflow the int64 (set, cell) keys"
-        )
-    alive = _box_rows(grid, ys)
-    key = np.empty(alive.size + len(xs) - len(ys), dtype=np.int64)
-    _raw_cell_keys(grid, np.take(xs, alive, axis=0), np.take(owner, alive), key[: alive.size])
-    _raw_cell_keys(grid, xs[len(ys) :], owner[len(ys) :], key[alive.size :])
-    if owners * size <= _TABLE_PER_POINT * key.size:
-        table = np.bincount(key, minlength=owners * size).reshape((owners,) + (side,) * k)
+    _, key = _cell_keys(grid, xs, ys, owner, owners)
+    if owners * side**k <= _TABLE_PER_POINT * key.size:
+        table = np.bincount(key, minlength=owners * side**k).reshape((owners,) + (side,) * k)
         even = (slice(None),) + (slice(1, grid.grid_max + 2, 2),) * k
         return np.count_nonzero(table[even], axis=tuple(range(1, k + 1)))
     # distinct keys by a sort and an adjacent difference: np.unique's first
@@ -324,10 +326,7 @@ def cell_counts(
     pair = np.sort(key)
     new = np.ones(pair.size, dtype=bool)
     np.not_equal(pair[1:], pair[:-1], out=new[1:])
-    rest, keep = np.compress(new, pair), True
-    for _ in range(k):
-        rest, digit = np.divmod(rest, side)
-        keep = keep & (digit & 1 == 1) & (digit <= grid.grid_max + 1)
+    rest, keep = _even_cells(grid, np.compress(new, pair), k)
     return np.bincount(rest[keep], minlength=owners)
 
 
@@ -343,29 +342,28 @@ def greedy_cell_statistic(
 
     The grid is ``holder.cell_grid`` at eps = ``statistic_eps(params, n)``
     (c2 and ``clamp`` as there), and within each even-indexed cell the
-    lowest-index admissible sample wins.  With ``materialize`` the
-    selected nodes are fed to build_interpolant, which reads the same
-    grid, certifying the count as a lower bound for the maximal
-    interpolation number; a clamped grid cannot be certified
-    (EpsTooLarge).  A grid of more even cells than an int64 key holds
-    raises BudgetExceeded.
+    lowest-index admissible sample located in [0, 1]^k wins, in increasing
+    sample order; cells are keyed as one set of ``cell_counts``, so a grid
+    of (grid_max + 3)^k raw cells past int64 raises BudgetExceeded.  With
+    ``materialize`` the selected nodes are fed to build_interpolant, which
+    reads the same grid, certifying the count as a lower bound for the
+    maximal interpolation number; a clamped grid cannot be certified
+    (EpsTooLarge).
 
     c2 defaults to the class-certifying construction constant; pass an
     explicit value above 1 (e.g. just above) to trade the same-beta
     certificate for practical cell counts.
     """
     grid = cell_grid(params, statistic_eps(params, n), c2, clamp)
-    alive, key = _box_cells(grid, samples.xs, samples.ys)
-
-    # First survivor per cell, kept in first-seen order (materialize feeds
-    # the nodes in this order): unique flat cell keys, first indices sorted;
-    # only those survivors get their cell multi-index.  Most null trials
-    # have no survivor left, so skip the numpy calls then.
-    selected: dict[tuple[int, ...], int] = {}
-    if alive.size:
-        first = alive[np.sort(np.unique(key, return_index=True)[1])]
-        cells = grid.cells(samples.xs[first])
-        selected = dict(zip(map(tuple, cells.tolist()), first.tolist()))
+    # one set: a zero-stride owner array, with no per-sample allocation
+    alive, key = _cell_keys(grid, samples.xs, samples.ys, np.broadcast_to(0, len(samples.xs)), 1)
+    # first survivor per raw cell, kept where the cell is even, in
+    # first-seen order (materialize feeds the nodes in this order); only
+    # those survivors get their cell multi-index
+    distinct, index = np.unique(key, return_index=True)
+    first = alive[np.sort(index[_even_cells(grid, distinct, params.k)[1]])]
+    cells = grid.cells(samples.xs[first])
+    selected = dict(zip(map(tuple, cells.tolist()), first.tolist()))
 
     interpolant = None
     if materialize:
@@ -600,7 +598,8 @@ def tube_dp_statistic(
     maximum over admissible profiles is the longest path in the
     cell-by-cell lattice of the (nv nu)^(d-k) product states, whose count
     ``_DP_STATE_CAP`` bounds.  Profiles live on [0, 1], so samples located
-    outside it are dropped, as ``greedy_cell_statistic`` drops them.
+    outside it are dropped, as ``greedy_cell_statistic`` and
+    ``cell_counts`` drop them; x = 0 and x = 1 count.
     """
     params = samples.params
     if params.k != 1 or params.alpha != 2.0 or params.r0 != 1:

@@ -469,8 +469,8 @@ def build_interpolant(
 
     Nodes must have a location in [0, 1]^k and a jet of shape
     (|S|, d-k), and sit in pairwise-distinct, even-indexed cells of the
-    eps'-grid, with jets inside the admissible box of their cell.  With no
-    nodes this returns the zero map, which is trivially in the class.
+    eps'-grid, with jets inside the admissible box of their cell (a NaN
+    entry is in neither).  With no nodes this returns the zero map.
     """
     grid = cell_grid(params, eps, c2)
     nodes = list(nodes)
@@ -481,10 +481,10 @@ def build_interpolant(
                 f"node has location shape {p.x.shape} and jet shape {p.y.shape}, "
                 f"need ({params.k},) and {jet_shape}"
             )
-        if np.any(p.x < 0.0) or np.any(p.x > 1.0):
+        if not np.all((p.x >= 0.0) & (p.x <= 1.0)):
             raise OutOfDomain(f"node location {p.x} outside the unit cube")
         for row, (lo, hi) in enumerate(grid.bounds):
-            if np.any(p.y[row] < lo) or np.any(p.y[row] > hi):
+            if not np.all((p.y[row] >= lo) & (p.y[row] <= hi)):
                 raise BoxViolation(
                     f"jet row {row} = {p.y[row]} outside box [{lo:.4g}, {hi:.4g}]"
                 )

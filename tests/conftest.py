@@ -102,7 +102,8 @@ def brute_cell_scan(samples, params, eps, eps_prime):
     """Exhaustive reimplementation of the greedy cell selection.
 
     Loops cells x samples directly with no vectorized filtering; used as
-    an independent oracle against greedy_cell_statistic.
+    an independent oracle against greedy_cell_statistic.  Only locations
+    in [0, 1]^k, the paper's domain, are scanned.
     """
     import itertools
     import math
@@ -120,6 +121,8 @@ def brute_cell_scan(samples, params, eps, eps_prime):
     for cell in itertools.product(evens, repeat=k):
         for i in range(len(samples)):
             x = samples.xs[i]
+            if not all(0.0 <= x[a] <= 1.0 for a in range(k)):
+                continue
             if any(
                 not (cell[a] * eps_prime <= x[a] < (cell[a] + 1) * eps_prime)
                 for a in range(k)

@@ -340,11 +340,47 @@ class TestGreedyStatistic:
         samples = JetSamples(params, xs, ys)
         count = str(grid.cells_total)
         with pytest.raises(BudgetExceeded, match=count):
-            detection._box_cells(grid, xs, ys)
-        with pytest.raises(BudgetExceeded, match=count):
             detection.cell_counts(grid, xs, ys, np.zeros(2, dtype=np.int64), 1)
         with pytest.raises(BudgetExceeded, match=count):
             greedy_cell_statistic(samples, params, n, c2=UNIT_C2)
+
+    def test_raw_cells_past_int64_are_refused_by_both_counts(self):
+        # k = 3 at n = 1e52: 3.95e18 even cells fit in int64, but the
+        # (grid_max + 3)^3 raw cells of the shared keys do not
+        params = HolderParams(3, 4, 2.0, 1.0, 1)
+        n = 10**52
+        grid = cell_grid(params, statistic_eps(params, n), UNIT_C2)
+        assert grid.cells_total < 2**63 < (grid.grid_max + 3) ** 3
+        samples = generate_null_jets(2, params, np.random.default_rng(20))
+        count = str(grid.cells_total)
+        with pytest.raises(BudgetExceeded, match=count):
+            greedy_cell_statistic(samples, params, n, c2=UNIT_C2)
+        with pytest.raises(BudgetExceeded, match=count):
+            detection.cell_counts(grid, samples.xs, samples.ys, np.zeros(2, dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("x,count", [(1.1007, 0), (1.0, 1)])
+    def test_only_locations_up_to_one_count(self, monkeypatch, x, count):
+        # eps' = 0.2403 at n = 300: grid_max = 4 is even and its cell
+        # [0.961, 1.201) reaches past x = 1, where the DP has no profile
+        n = 300
+        for beta in (1.0, 2000.0):
+            params = HolderParams(1, 2, 2.0, beta, 1)
+            eps = statistic_eps(params, n)
+            grid = cell_grid(params, eps, UNIT_C2)
+            assert grid.grid_max == 4 and 4 * grid.eps_prime < x < 5 * grid.eps_prime
+            xs, ys = np.array([[x]]), np.array([[[0.75 * eps], [0.0]]])
+            samples = JetSamples(params, xs, ys)
+            sel = greedy_cell_statistic(samples, params, n, c2=UNIT_C2, materialize=True)
+            assert sel.count == count
+            if count:
+                assert sel.interpolant.jet_grid(xs)[0] == pytest.approx(ys[0], rel=1e-9)
+        assert tube_dp_statistic(JetSamples(P12, xs, ys), 1.0, eps) == count
+        owner = np.zeros(1, dtype=np.int64)
+        for per_point in (10**12, 0):
+            monkeypatch.setattr(detection, "_TABLE_PER_POINT", per_point)
+            assert detection.cell_counts(grid, xs, ys, owner, 1).tolist() == [count]
+            # the same location as a trailing one, with no jet
+            assert detection.cell_counts(grid, xs, ys[:0], owner, 1).tolist() == [count]
 
     def test_set_cell_keys_past_int64_are_refused(self):
         # eps' = 1e-3: about 500^3 even cells fit in the keys, but not once

@@ -231,6 +231,19 @@ class TestBuildInterpolant:
             build_interpolant([JetPoint([0.05], [[0.008], [-0.01]])], params, 0.01)
 
     @pytest.mark.parametrize(
+        "x,y,error",
+        [
+            ([nan], [[0.008], [0.05]], OutOfDomain),
+            ([0.05], [[nan], [0.05]], BoxViolation),
+            ([0.05], [[0.008], [nan]], BoxViolation),
+        ],
+    )
+    def test_nan_node_is_refused(self, x, y, error):
+        params = HolderParams(1, 2, 2.0, 2000.0, 1)
+        with pytest.raises(error, match="outside"):
+            build_interpolant([JetPoint(x, y)], params, 0.01)
+
+    @pytest.mark.parametrize(
         "index,x,y,error",
         [
             (2, 0.15, [[0.008], [0.05]], CellCollision),  # odd cell 1
